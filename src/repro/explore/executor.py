@@ -23,6 +23,7 @@ outcomes.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import threading
@@ -70,6 +71,10 @@ class ExecutorSettings:
         return available_workers()
 
     def should_parallelize(self, num_tasks: int) -> bool:
+        if multiprocessing.current_process().daemon:
+            # Daemonic processes (e.g. the service's pool workers) may not
+            # have children: solve serially instead of failing the pool.
+            return False
         if self.parallel is not None:
             return self.parallel and self.resolved_workers() > 1
         return self.resolved_workers() > 1 and num_tasks >= self.min_tasks_for_pool

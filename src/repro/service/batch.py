@@ -15,7 +15,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from ..core.exact import ExactSettings
 from ..core.heuristic import HeuristicSettings
@@ -172,27 +172,172 @@ def request_to_dict(request: SolveRequest) -> dict[str, Any]:
     return payload
 
 
+def map_distinct(
+    items: Sequence[Any],
+    function: Callable[[Any], Any],
+    keys: Iterable[Hashable] | None = None,
+) -> list[Any]:
+    """``[function(item) for item in items]``, calling ``function`` once per
+    distinct key; items with equal keys share one result object.
+
+    ``keys`` runs parallel to ``items`` and defaults to object identity,
+    which is exact while ``items`` keeps every object alive.  ``function``
+    runs in item order, so an item that makes it raise raises on its first
+    occurrence, as the plain loop would.
+    """
+    results: dict[Hashable, Any] = {}
+    mapped: list[Any] = []
+    for item, key in zip(items, map(id, items) if keys is None else keys):
+        if key not in results:
+            results[key] = function(item)
+        mapped.append(results[key])
+    return mapped
+
+
+def _request_identity(request: SolveRequest) -> tuple[int, str, int, int]:
+    """Requests with equal keys serialise to the same document.
+
+    The key holds the *identities* of the request's frozen parts: settings
+    of equal value may still spell a number differently (``1`` vs ``1.0``),
+    and only the same object is sure to encode the same.
+    """
+    return (
+        id(request.problem),
+        request.method,
+        id(request.heuristic_settings),
+        id(request.exact_settings),
+    )
+
+
 def requests_to_documents(requests: Sequence[SolveRequest]) -> list[dict[str, Any]]:
-    """Serialise a request list for the WAL journal, sharing the problem
-    document across duplicates (batches are duplicate-heavy by design, and
-    the problem is by far the largest part of the payload)."""
-    problem_memo: dict[int, dict[str, Any]] = {}
-    documents: list[dict[str, Any]] = []
-    for request in requests:
-        problem_document = problem_memo.get(id(request.problem))
-        if problem_document is None:
-            problem_document = problem_to_dict(request.problem)
-            problem_memo[id(request.problem)] = problem_document
-        payload: dict[str, Any] = {
-            "problem": problem_document,
-            "method": request.method,
-        }
-        if request.heuristic_settings is not None:
-            payload["heuristic_settings"] = asdict(request.heuristic_settings)
-        if request.exact_settings is not None:
-            payload["exact_settings"] = asdict(request.exact_settings)
-        documents.append(payload)
-    return documents
+    """Serialise a request list for the wire or the WAL journal.
+
+    Each distinct request is serialised once and its duplicates share the
+    document object (batches are duplicate-heavy by design), so a caller
+    can encode each distinct document once with :func:`map_distinct`.
+    """
+    return map_distinct(requests, request_to_dict, map(_request_identity, requests))
+
+
+def requests_from_documents(
+    documents: Sequence[Any], texts: Sequence[str] | None = None
+) -> list[SolveRequest]:
+    """Decode wire request documents, each distinct document once.
+
+    Duplicate documents map to the *same* :class:`SolveRequest` object, so
+    its memoized fingerprint is computed once per distinct document.  Two
+    documents share a decode only when their texts are equal: the source
+    texts ``texts`` from :func:`loads_batch`, else their ``json.dumps``
+    texts.  Equal texts are the same JSON value spelled the same way;
+    documents that differ in key order or number spelling decode separately
+    (and may still share a fingerprint).  An invalid document raises the
+    error of :func:`request_from_dict` at its first occurrence.
+    """
+    keys = map(json.dumps, documents) if texts is None else texts
+    return map_distinct(documents, request_from_dict, keys)
+
+
+#: The pieces ``json.loads`` is made of, for :func:`loads_batch`.
+_scan_value = json.JSONDecoder().scan_once
+_skip_whitespace = json.decoder.WHITESPACE.match
+
+
+def loads_batch(text: str) -> tuple[Any, list[str] | None]:
+    """``json.loads(text)``, plus the source text of each element of a
+    top-level ``"requests"`` array (``None`` when there is none).
+
+    The elements are scanned one by one with ``json``'s own scanner, so the
+    texts that key :func:`requests_from_documents` cost a slice each, not a
+    ``json.dumps``.  Any body the scan does not expect -- invalid JSON
+    above all -- is handed to ``json.loads``, which raises its usual error.
+    """
+    try:
+        return _scan_batch(text)
+    except (ValueError, IndexError, StopIteration):  # JSONDecodeError is a ValueError
+        return json.loads(text), None
+
+
+def _scan_batch(text: str) -> tuple[dict[str, Any], list[str] | None]:
+    payload: dict[str, Any] = {}
+    texts: list[str] | None = None
+    index = _skip_whitespace(text, 0).end()
+    if text[index] != "{":
+        raise ValueError("not an object")
+    closing, index = _open(text, index, "}")
+    while closing == ",":
+        if text[index] != '"':
+            raise ValueError("expected a key")
+        key, index = json.decoder.scanstring(text, index + 1)
+        index = _skip_whitespace(text, index).end()
+        if text[index] != ":":
+            raise ValueError("expected ':'")
+        index = _skip_whitespace(text, index + 1).end()
+        if key == "requests" and text[index] == "[":
+            value, texts, index = _scan_array(text, index)
+        else:
+            if key == "requests":  # a later duplicate key wins, as in json.loads
+                texts = None
+            value, index = _scan_value(text, index)
+        payload[key] = value
+        index = _skip_whitespace(text, index).end()
+        closing = text[index]
+        index = _skip_whitespace(text, index + 1).end()
+    if closing != "}" or index != len(text):
+        raise ValueError("not one object")
+    return payload, texts
+
+
+def _open(text: str, index: int, end: str) -> tuple[str, int]:
+    """Step into the container opening at ``index``: ``(",", first item)``,
+    or ``(end, past it)`` when the container is empty."""
+    index = _skip_whitespace(text, index + 1).end()
+    if text[index] == end:
+        return end, _skip_whitespace(text, index + 1).end()
+    return ",", index
+
+
+def _scan_array(text: str, index: int) -> tuple[list[Any], list[str], int]:
+    """The array at ``text[index] == "["``: its values, their source texts
+    and the index past its closing bracket."""
+    values: list[Any] = []
+    texts: list[str] = []
+    closing, index = _open(text, index, "]")
+    while closing == ",":
+        start = index
+        value, index = _scan_value(text, index)
+        values.append(value)
+        texts.append(text[start:index])
+        index = _skip_whitespace(text, index).end()
+        closing = text[index]
+        index = _skip_whitespace(text, index + 1).end()
+    if closing != "]":
+        raise ValueError("expected ']'")
+    return values, texts, index
+
+
+def outcome_json(outcome: SolveOutcome) -> str:
+    """The wire text of one outcome document (strict RFC 8259 JSON).
+
+    Memoized on the outcome, which is frozen: warm answers are shared
+    outcome objects (see :func:`decode_outcome`), so the batches and jobs
+    that return one encode it once between them.
+    """
+    text = outcome.__dict__.get("_cached_json")
+    if text is None:
+        text = json.dumps(outcome.to_dict(), allow_nan=False)
+        object.__setattr__(outcome, "_cached_json", text)
+    return text
+
+
+def json_with_array(
+    head: dict[str, Any], key: str, texts: Sequence[str], allow_nan: bool = True
+) -> str:
+    """``json.dumps({**head, key: values})`` where ``texts`` are the values'
+    ``json.dumps`` texts, byte for byte, without re-encoding them."""
+    array = "[" + ", ".join(texts) + "]"
+    head_text = json.dumps(head, allow_nan=allow_nan)
+    separator = ", " if head else ""
+    return f"{head_text[:-1]}{separator}{json.dumps(key)}: {array}}}"
 
 
 def request_from_dict(payload: Mapping[str, Any]) -> SolveRequest:

@@ -37,7 +37,13 @@ from ..core.exact import ExactSettings
 from ..core.heuristic import HeuristicSettings
 from ..core.problem import AllocationProblem
 from ..core.solution import SolveOutcome
-from .batch import SolveRequest, request_to_dict
+from .batch import (
+    SolveRequest,
+    json_with_array,
+    map_distinct,
+    request_to_dict,
+    requests_to_documents,
+)
 
 __all__ = [
     "RetryPolicy",
@@ -130,6 +136,13 @@ def _parse_retry_after(headers: Any) -> float | None:
         return None
 
 
+def _batch_body(head: dict[str, Any], requests: Sequence[SolveRequest]) -> str:
+    """``json.dumps({**head, "requests": [request_to_dict(r) ...]})``, byte
+    for byte, serialising and encoding each distinct request once."""
+    texts = map_distinct(requests_to_documents(requests), json.dumps)
+    return json_with_array(head, "requests", texts)
+
+
 class ServiceClient:
     """Talk to a running allocation service over HTTP."""
 
@@ -184,11 +197,14 @@ class ServiceClient:
     def _request(
         self,
         path: str,
-        payload: Mapping[str, Any] | None = None,
+        payload: Mapping[str, Any] | str | None = None,
         method: str | None = None,
     ) -> dict[str, Any]:
+        """``payload`` is a JSON document, or its already encoded text."""
         url = f"{self.base_url}{path}"
-        data = json.dumps(payload).encode("utf-8") if payload is not None else None
+        if payload is not None and not isinstance(payload, str):
+            payload = json.dumps(payload)
+        data = payload.encode("utf-8") if payload is not None else None
 
         def attempt_once() -> dict[str, Any]:
             request = urllib.request.Request(
@@ -283,8 +299,7 @@ class ServiceClient:
 
     def solve_batch(self, requests: Sequence[SolveRequest]) -> dict[str, Any]:
         """POST /solve_batch; returns the raw response document."""
-        payload = {"requests": [request_to_dict(request) for request in requests]}
-        return self._request("/solve_batch", payload)
+        return self._request("/solve_batch", _batch_body({}, requests))
 
     # ------------------------------------------------------------------ #
     # Async batches
@@ -292,11 +307,7 @@ class ServiceClient:
     def solve_batch_async(self, requests: Sequence[SolveRequest]) -> dict[str, Any]:
         """POST /solve_batch with ``mode=async``; returns the queued job
         document (poll :meth:`job` with its ``job_id``)."""
-        payload = {
-            "mode": "async",
-            "requests": [request_to_dict(request) for request in requests],
-        }
-        return self._request("/solve_batch", payload)
+        return self._request("/solve_batch", _batch_body({"mode": "async"}, requests))
 
     def job(self, job_id: str) -> dict[str, Any]:
         """GET /jobs/<id>; raises :class:`ServiceError` for unknown ids."""

@@ -37,6 +37,7 @@ a promise.
 
 from __future__ import annotations
 
+import json
 import queue
 import threading
 import time
@@ -44,7 +45,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from .batch import BatchReport, SolveRequest, request_from_dict, requests_to_documents
+from .batch import (
+    BatchReport,
+    SolveRequest,
+    json_with_array,
+    map_distinct,
+    outcome_json,
+    requests_from_documents,
+    requests_to_documents,
+)
 from .faults import inject
 from .wal import JobWal
 
@@ -80,8 +89,10 @@ class Job:
     error: str | None = None
     report: dict[str, Any] | None = None
     fingerprints: list[str] | None = None
-    #: Outcome documents (``SolveOutcome.to_dict()``) in request order.
-    outcomes: list[dict[str, Any]] | None = None
+    #: Outcomes in request order; duplicate requests share one object.
+    #: Their documents are built when the job is read (:meth:`JobQueue.get`,
+    #: :meth:`JobQueue.get_json`), once per distinct outcome.
+    outcomes: list[Any] | None = field(default=None, repr=False)
     #: The pending request list; dropped once the job has run.
     requests: list[SolveRequest] = field(default_factory=list, repr=False)
     #: Numeric id sequence (the WAL segment key); parallel to ``id``.
@@ -106,7 +117,8 @@ class Job:
             return None
         return max(0.0, self.finished_unix - self.started_unix)
 
-    def as_dict(self, include_outcomes: bool = True) -> dict[str, Any]:
+    def as_dict(self) -> dict[str, Any]:
+        """The job document without its outcomes (see :meth:`JobQueue.get`)."""
         document: dict[str, Any] = {
             "job_id": self.id,
             "status": self.status,
@@ -125,8 +137,6 @@ class Job:
             document["report"] = self.report
         if self.fingerprints is not None:
             document["fingerprints"] = self.fingerprints
-        if include_outcomes and self.outcomes is not None:
-            document["outcomes"] = self.outcomes
         return document
 
 
@@ -315,9 +325,7 @@ class JobQueue:
         recovered = 0
         for record in records:
             try:
-                requests = [
-                    request_from_dict(document) for document in record["requests"]
-                ]
+                requests = requests_from_documents(record["requests"])
             except Exception:
                 # A journaled document that no longer parses (schema drift
                 # across versions) must not wedge recovery of the rest.
@@ -345,16 +353,35 @@ class JobQueue:
         return recovered
 
     def get(self, job_id: str, include_outcomes: bool = True) -> dict[str, Any] | None:
-        """Current document of one job, or ``None`` for unknown ids."""
+        """Current document of one job, or ``None`` for unknown ids.
+
+        A finished job's outcome documents are built outside the lock, once
+        per distinct outcome; duplicates share one document object.
+        """
+        document, outcomes = self._read(job_id)
+        if include_outcomes and outcomes is not None:
+            document["outcomes"] = map_distinct(outcomes, lambda outcome: outcome.to_dict())
+        return document
+
+    def get_json(self, job_id: str) -> str | None:
+        """``json.dumps(self.get(job_id), allow_nan=False)``, byte for byte,
+        or ``None`` for unknown ids, reusing each outcome's wire text."""
+        document, outcomes = self._read(job_id)
+        if outcomes is None:
+            return None if document is None else json.dumps(document, allow_nan=False)
+        texts = map_distinct(outcomes, outcome_json)
+        return json_with_array(document, "outcomes", texts, allow_nan=False)
+
+    def _read(self, job_id: str) -> tuple[dict[str, Any] | None, list[Any] | None]:
         with self._lock:
             job = self._jobs.get(job_id)
-            return None if job is None else job.as_dict(include_outcomes=include_outcomes)
+            return (None, None) if job is None else (job.as_dict(), job.outcomes)
 
     def list_jobs(self) -> list[dict[str, Any]]:
         """Summaries (no outcome payloads) of every retained job, oldest first."""
         with self._lock:
             jobs = sorted(self._jobs.values(), key=lambda job: job.id)
-            return [job.as_dict(include_outcomes=False) for job in jobs]
+            return [job.as_dict() for job in jobs]
 
     def wait(self, job_id: str, timeout_seconds: float = 60.0) -> dict[str, Any]:
         """Block until a job finishes (in-process convenience for tests/CLI).
@@ -445,21 +472,10 @@ class JobQueue:
                 pass  # journaling is best-effort past the ack
         try:
             outcomes, report = self._runner(requests)
-            # Duplicate requests share one outcome object; serialise each
-            # distinct outcome once (a 1000-request/64-unique batch performs
-            # 64 ``to_dict`` calls, not 1000).
-            documents_by_identity: dict[int, dict[str, Any]] = {}
-            documents = []
-            for outcome in outcomes:
-                document = documents_by_identity.get(id(outcome))
-                if document is None:
-                    document = outcome.to_dict()
-                    documents_by_identity[id(outcome)] = document
-                documents.append(document)
             with self._lock:
                 job.report = report.as_dict()
                 job.fingerprints = list(report.fingerprints)
-                job.outcomes = documents
+                job.outcomes = list(outcomes)
                 job.status = "done"
                 job.finished_unix = self._clock()
                 job.requests = []

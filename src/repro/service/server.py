@@ -78,7 +78,12 @@ from .batch import (
     accumulate_counters,
     decode_outcome,
     encode_outcome,
+    json_with_array,
+    loads_batch,
+    map_distinct,
+    outcome_json,
     request_from_dict,
+    requests_from_documents,
     solve_batch,
 )
 from .jobs import JobQueue, QueueFullError
@@ -529,6 +534,10 @@ class AllocationService:
     def job(self, job_id: str, include_outcomes: bool = True) -> dict[str, Any] | None:
         return self.jobs.get(job_id, include_outcomes=include_outcomes)
 
+    def job_json(self, job_id: str) -> str | None:
+        """The wire text of :meth:`job` (outcomes included), or ``None``."""
+        return self.jobs.get_json(job_id)
+
     def list_jobs(self) -> list[dict[str, Any]]:
         return self.jobs.list_jobs()
 
@@ -705,12 +714,14 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     def _send_error_json(self, message: str, status: int = 400) -> None:
         self._send_json({"error": message}, status=status)
 
-    def _read_json_body(self) -> Any:
+    def _read_json_body(self) -> tuple[Any, list[str] | None]:
+        """The parsed body plus the source texts of its ``"requests"``
+        elements (see :func:`~repro.service.batch.loads_batch`)."""
         length = int(self.headers.get("Content-Length", 0))
         if length <= 0:
             raise SerializationError("request body is empty")
         try:
-            return json.loads(self.rfile.read(length).decode("utf-8"))
+            return loads_batch(self.rfile.read(length).decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
             raise SerializationError(f"request body is not valid JSON: {error}") from error
 
@@ -774,18 +785,18 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_json({"jobs": service.list_jobs()})
         elif self.path.startswith("/jobs/"):
             job_id = self.path[len("/jobs/"):]
-            document = service.job(job_id)
-            if document is None:
+            text = service.job_json(job_id)
+            if text is None:
                 self._send_error_json(f"unknown job {job_id!r}", status=404)
             else:
-                self._send_json(document)
+                self._send_body(text.encode("utf-8"), 200, "application/json")
         else:
             self._send_error_json(f"unknown endpoint {self.path!r}", status=404)
 
     def _handle_post(self) -> None:
         service = self.server.service
         try:
-            payload = self._read_json_body()
+            payload, request_texts = self._read_json_body()
             if self.path == "/solve":
                 request = request_from_dict(payload)
                 with service.sync_admission():
@@ -801,7 +812,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 documents = payload["requests"]
                 if not isinstance(documents, list) or not documents:
                     raise SerializationError("'requests' must be a non-empty list")
-                requests = [request_from_dict(document) for document in documents]
+                requests = requests_from_documents(documents, request_texts)
                 if mode == "async":
                     # Forward the wire documents: the WAL journals exactly
                     # what the client sent, no re-serialisation.
@@ -811,13 +822,13 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                     return
                 with service.sync_admission():
                     outcomes, report = service.solve_batch(requests)
-                self._send_json(
-                    {
-                        "report": report.as_dict(),
-                        "fingerprints": report.fingerprints,
-                        "outcomes": [outcome.to_dict() for outcome in outcomes],
-                    }
+                body = json_with_array(
+                    {"report": report.as_dict(), "fingerprints": report.fingerprints},
+                    "outcomes",
+                    map_distinct(outcomes, outcome_json),
+                    allow_nan=False,
                 )
+                self._send_body(body.encode("utf-8"), 200, "application/json")
             elif self.path == "/fleet/allocate":
                 if not isinstance(payload, Mapping) or "fleet" not in payload:
                     raise SerializationError(

@@ -1,6 +1,7 @@
 """The sweep execution engine: chunking, pool/serial parity, fallback."""
 
 import math
+import multiprocessing
 
 import pytest
 
@@ -21,6 +22,15 @@ from repro.reporting.experiments import case_study
 
 def _square(value: int) -> int:
     return value * value
+
+
+def _map_in_child(results) -> None:
+    """Report what a forced-parallel executor does inside this process."""
+    settings = ExecutorSettings(parallel=True, max_workers=2)
+    try:
+        results.put((settings.should_parallelize(8), SweepExecutor(settings).map(_square, range(8))))
+    except Exception as error:  # reported, so the parent does not wait out its timeout
+        results.put((settings.should_parallelize(8), repr(error)))
 
 
 class TestExecutorBasics:
@@ -57,6 +67,21 @@ class TestExecutorBasics:
             available_workers() > 1
         )
         assert not ExecutorSettings(parallel=False).should_parallelize(1000)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_daemonic_process_maps_serially(self):
+        # Daemonic processes (the service's pool workers) may not start
+        # children; a pool there would raise instead of solving.
+        context = multiprocessing.get_context("fork")
+        results = context.Queue()
+        child = context.Process(target=_map_in_child, args=(results,), daemon=True)
+        child.start()
+        parallel, mapped = results.get(timeout=60)
+        child.join(timeout=60)
+        assert parallel is False
+        assert mapped == [v * v for v in range(8)]
 
     def test_executor_settings_workers(self):
         assert ExecutorSettings(max_workers=3).resolved_workers() == 3

@@ -43,6 +43,8 @@ from repro.service import (
     SolveRequest,
     start_server,
 )
+from repro.service import batch as batch_module
+from repro.service.batch import request_to_dict
 from repro.service.store import SQLITE_FILENAME, SqliteTier
 from repro.service.wal import JobWal, decode_records
 from repro.workloads.kernel import Kernel
@@ -181,6 +183,82 @@ class TestCrashRecoveryDifferential:
             assert second.recovered_jobs == 0
         finally:
             second.close()
+
+
+class TestDedupedAsyncReplay:
+    """A duplicate-heavy async batch sent over HTTP: the WAL journals the
+    wire documents as sent, and replay decodes each distinct one once."""
+
+    @staticmethod
+    def _documents() -> list[dict]:
+        distinct = [request_to_dict(request) for request in POOL]
+        # The same requests with their keys in the other order.
+        distinct += [dict(reversed(list(document.items()))) for document in distinct]
+        return [distinct[index % len(distinct)] for index in range(300)]
+
+    @staticmethod
+    def _submit(service: AllocationService, documents: list[dict]) -> str:
+        server, _ = start_server(service)
+        try:
+            body = json.dumps({"mode": "async", "requests": documents}).encode("utf-8")
+            request = urllib.request.Request(f"{server.url}/solve_batch", data=body)
+            with urllib.request.urlopen(request, timeout=60) as response:
+                assert response.status == 202
+                return json.loads(response.read())["job_id"]
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_kill_and_replay_is_byte_identical(self, tmp_path, monkeypatch):
+        documents = self._documents()
+
+        _clear_solver_memos()
+        reference = AllocationService(store=ResultStore(), job_workers=1)
+        try:
+            expected = reference.jobs.wait(self._submit(reference, documents), 120.0)
+        finally:
+            reference.close()
+        assert expected["status"] == "done"
+
+        # Crash right after the ack: journaled, never run.
+        wal_dir = tmp_path / "wal"
+        crashed = AllocationService(store=ResultStore(), wal=wal_dir, start_job_workers=False)
+        job_id = self._submit(crashed, documents)
+        crashed.wal.close()
+        (record,) = [
+            record
+            for segment in sorted(wal_dir.glob("wal-*.log"))
+            for record in decode_records(segment.read_bytes())[0]
+            if "requests" in record
+        ]
+        assert record["job_id"] == job_id
+        # The journal holds the wire documents (its records sort their keys).
+        assert record["requests"] == documents
+
+        decodes: list[int] = []
+        decode = batch_module.request_from_dict
+        monkeypatch.setattr(
+            batch_module, "request_from_dict", lambda doc: decodes.append(1) or decode(doc)
+        )
+        _clear_solver_memos()
+        recovered = AllocationService(store=ResultStore(), wal=wal_dir, job_workers=1)
+        try:
+            assert recovered.recovered_jobs == 1
+            # One decode per distinct journaled document: with sorted keys
+            # the two key orders of a request are one document.
+            assert len(decodes) == len(POOL)
+            finished = recovered.jobs.wait(job_id, timeout_seconds=120.0)
+            assert finished["status"] == "done"
+            assert finished["fingerprints"] == expected["fingerprints"]
+            assert _comparable_report(finished["report"]) == _comparable_report(
+                expected["report"]
+            )
+            assert [_comparable(doc) for doc in finished["outcomes"]] == [
+                _comparable(doc) for doc in expected["outcomes"]
+            ]
+            assert recovered.job_json(job_id) == json.dumps(finished, allow_nan=False)
+        finally:
+            recovered.close()
 
 
 class TestSubmitDuringReplayStress:
