@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -42,17 +42,19 @@ def encode_outcome(outcome: SolveOutcome, problem: AllocationProblem) -> str:
     return json.dumps(outcome_payload_to_canonical(outcome.to_dict(), problem))
 
 
-#: Bounded memo of decoded outcomes.  The store tiers cache *payload
-#: strings*; rebinding one to a problem costs a JSON parse plus solution
-#: reconstruction, which dominates the warm hit path of large batch
-#: replays.  Outcomes are frozen, so one decoded object can answer every
-#: request sharing the payload and an equal problem.  Entries keep the
-#: payload they were decoded from and only answer byte-identical payloads:
-#: two solves of one fingerprint yield semantically equal results but may
-#: differ in the wall-clock field, and a warm hit must return exactly what
-#: the store holds.
+#: Bounded memo of decoded outcomes, keyed on fingerprint.  The store tiers
+#: cache *payload strings*; rebinding one to a problem costs a JSON parse
+#: plus solution reconstruction, which dominates the warm hit path of large
+#: batch replays.  Outcomes are frozen, so one decoded object can answer
+#: every request sharing the payload and an equal problem.  Entries keep
+#: the payload and problem they were decoded from and only answer
+#: byte-identical payloads: two solves of one fingerprint yield
+#: semantically equal results but may differ in the wall-clock field, and
+#: a warm hit must return exactly what the store holds.  The problem is
+#: matched by identity first, so a replayed request object never pays the
+#: recursive dataclass hash or equality.
 _DECODE_MEMO_LIMIT = 4096
-_decode_memo: "OrderedDict[tuple, tuple[str, SolveOutcome]]" = OrderedDict()
+_decode_memo: "OrderedDict[str, tuple[str, AllocationProblem, SolveOutcome]]" = OrderedDict()
 _decode_memo_lock = threading.Lock()
 
 
@@ -71,23 +73,23 @@ def decode_outcome(
     With a ``fingerprint`` the decoded object is memoized: repeat warm hits
     for the same (fingerprint, problem) pair skip the JSON parse entirely.
     """
-    key: tuple | None = None
     if fingerprint is not None:
-        try:
-            key = (fingerprint, problem)
-            with _decode_memo_lock:
-                entry = _decode_memo.get(key)
-                if entry is not None and entry[0] == payload:
-                    _decode_memo.move_to_end(key)
-                    return entry[1]
-        except TypeError:  # ad hoc unhashable problem: decode directly
-            key = None
+        with _decode_memo_lock:
+            entry = _decode_memo.get(fingerprint)
+            if (
+                entry is not None
+                and entry[0] == payload
+                and (entry[1] is problem or entry[1] == problem)
+            ):
+                _decode_memo.move_to_end(fingerprint)
+                return entry[2]
     outcome = SolveOutcome.from_dict(
         outcome_payload_from_canonical(json.loads(payload), problem), problem=problem
     )
-    if key is not None:
+    if fingerprint is not None:
         with _decode_memo_lock:
-            _decode_memo[key] = (payload, outcome)
+            _decode_memo[fingerprint] = (payload, problem, outcome)
+            _decode_memo.move_to_end(fingerprint)
             while len(_decode_memo) > _DECODE_MEMO_LIMIT:
                 _decode_memo.popitem(last=False)
     return outcome
@@ -219,8 +221,33 @@ def requests_to_documents(requests: Sequence[SolveRequest]) -> list[dict[str, An
     return map_distinct(requests, request_to_dict, map(_request_identity, requests))
 
 
+#: Bounded memo of decoded front-door requests: element source text ->
+#: :class:`SolveRequest`, whose fingerprint is memoized on the object.  An
+#: entry for a case-study request weighs about 11 KB (tracemalloc: 8.6 KB
+#: decoded and fingerprinted, plus its 1.8 KB text), so 128 entries hold
+#: about 1.4 MB, about 1% of a serving process.
+_REQUEST_MEMO_LIMIT = 128
+_request_memo: "OrderedDict[str, SolveRequest]" = OrderedDict()
+#: Hashes of texts decoded once and not memoized.  A text enters the memo
+#: only when it repeats -- within one call, or in a later one while its
+#: hash is remembered -- so traffic that never repeats (cold batches) adds
+#: nothing to it and evicts nothing from it; 1024 hashes take about 70 KB.
+_SIGHTINGS_LIMIT = 1024
+_request_sightings: set[int] = set()
+_request_memo_lock = threading.Lock()
+
+
+def request_memo_clear() -> None:
+    """Drop every memoized decoded request (used by tests)."""
+    with _request_memo_lock:
+        _request_memo.clear()
+        _request_sightings.clear()
+
+
 def requests_from_documents(
-    documents: Sequence[Any], texts: Sequence[str] | None = None
+    documents: Sequence[Any],
+    texts: Sequence[str] | None = None,
+    counts: dict[str, int] | None = None,
 ) -> list[SolveRequest]:
     """Decode wire request documents, each distinct document once.
 
@@ -232,32 +259,89 @@ def requests_from_documents(
     documents that differ in key order or number spelling decode separately
     (and may still share a fingerprint).  An invalid document raises the
     error of :func:`request_from_dict` at its first occurrence.
+
+    Source texts (not ``json.dumps`` texts) that repeat also key a bounded
+    LRU memo shared by every caller in the process, so a text sent again
+    in a later batch or ``/solve`` is not decoded or fingerprinted again.
+    ``counts``, when given, gains this call's ``"misses"`` (documents
+    decoded) and ``"hits"`` (the rest).
     """
-    keys = map(json.dumps, documents) if texts is None else texts
-    return map_distinct(documents, request_from_dict, keys)
+    shared = texts is not None
+    if texts is None:
+        # WAL replay: journal texts sort their keys, so wire texts never
+        # match them; they are decoded once per call and not memoized.
+        texts = [json.dumps(document) for document in documents]
+    decoded: list[tuple[str, SolveRequest]] = []
+
+    def decode(item: tuple[Any, str]) -> SolveRequest:
+        document, text = item
+        if shared:
+            with _request_memo_lock:
+                request = _request_memo.get(text)
+                if request is not None:
+                    _request_memo.move_to_end(text)
+                    return request
+        request = request_from_dict(document)
+        decoded.append((text, request))
+        return request
+
+    requests = map_distinct(list(zip(documents, texts)), decode, texts)
+    if shared and decoded:
+        _memoize_repeats(decoded, Counter(texts))
+    if counts is not None:
+        counts["misses"] = counts.get("misses", 0) + len(decoded)
+        counts["hits"] = counts.get("hits", 0) + len(requests) - len(decoded)
+    return requests
+
+
+def _memoize_repeats(
+    decoded: Sequence[tuple[str, SolveRequest]], occurrences: Mapping[str, int]
+) -> None:
+    """Memoize each freshly decoded text that repeats; remember the rest."""
+    with _request_memo_lock:
+        for text, request in decoded:
+            sighting = hash(text)
+            if occurrences[text] < 2 and sighting not in _request_sightings:
+                if len(_request_sightings) >= _SIGHTINGS_LIMIT:
+                    _request_sightings.clear()
+                _request_sightings.add(sighting)
+                continue
+            _request_sightings.discard(sighting)
+            _request_memo[text] = request
+            if len(_request_memo) > _REQUEST_MEMO_LIMIT:
+                _request_memo.popitem(last=False)
 
 
 #: The pieces ``json.loads`` is made of, for :func:`loads_batch`.
 _scan_value = json.JSONDecoder().scan_once
 _skip_whitespace = json.decoder.WHITESPACE.match
+#: Leading characters of an object element that, after the separator
+#: following it, mark where a repeated element may end (see _scan_array).
+_HEAD = 8
+#: JSON's whitespace characters.
+_WHITESPACE = " \t\n\r"
 
 
-def loads_batch(text: str) -> tuple[Any, list[str] | None]:
-    """``json.loads(text)``, plus the source text of each element of a
-    top-level ``"requests"`` array (``None`` when there is none).
+def loads_batch(text: str, key: str = "requests") -> tuple[Any, list[str] | None]:
+    """``json.loads(text)``, plus the source text of each element of the
+    top-level array ``key`` (``None`` when there is none).
 
     The elements are scanned one by one with ``json``'s own scanner, so the
     texts that key :func:`requests_from_documents` cost a slice each, not a
-    ``json.dumps``.  Any body the scan does not expect -- invalid JSON
-    above all -- is handed to ``json.loads``, which raises its usual error.
+    ``json.dumps``.  An object element whose text repeats an earlier one is
+    not scanned again when another element like it follows or it ends the
+    body's last array: it shares the earlier element's value and text, so
+    such duplicates come back as one object.  Any body the scan does
+    not expect -- invalid JSON above all -- is handed to ``json.loads``,
+    which raises its usual error.
     """
     try:
-        return _scan_batch(text)
+        return _scan_batch(text, key)
     except (ValueError, IndexError, StopIteration):  # JSONDecodeError is a ValueError
         return json.loads(text), None
 
 
-def _scan_batch(text: str) -> tuple[dict[str, Any], list[str] | None]:
+def _scan_batch(text: str, array_key: str) -> tuple[dict[str, Any], list[str] | None]:
     payload: dict[str, Any] = {}
     texts: list[str] | None = None
     index = _skip_whitespace(text, 0).end()
@@ -272,10 +356,10 @@ def _scan_batch(text: str) -> tuple[dict[str, Any], list[str] | None]:
         if text[index] != ":":
             raise ValueError("expected ':'")
         index = _skip_whitespace(text, index + 1).end()
-        if key == "requests" and text[index] == "[":
+        if key == array_key and text[index] == "[":
             value, texts, index = _scan_array(text, index)
         else:
-            if key == "requests":  # a later duplicate key wins, as in json.loads
+            if key == array_key:  # a later duplicate key wins, as in json.loads
                 texts = None
             value, index = _scan_value(text, index)
         payload[key] = value
@@ -298,18 +382,57 @@ def _open(text: str, index: int, end: str) -> tuple[str, int]:
 
 def _scan_array(text: str, index: int) -> tuple[list[Any], list[str], int]:
     """The array at ``text[index] == "["``: its values, their source texts
-    and the index past its closing bracket."""
+    and the index past its closing bracket.
+
+    A JSON object ends at its closing brace, so when the input at ``index``
+    starts with the complete text of an object scanned before, that text is
+    the whole element, and its value is reused.  Two candidate ends are
+    probed per element: the next occurrence of ``marker`` (the separator
+    and head that followed the first object element), where a repeat ends
+    when an element like it follows, and the body's last ``]``, where the
+    last element ends when the array closes the body.  The marker search
+    resumes where the last one stopped, so it costs one pass over the
+    array, and a candidate is sliced only when an element of its length
+    was seen.
+    """
     values: list[Any] = []
     texts: list[str] = []
+    seen: dict[str, tuple[str, Any]] = {}
+    lengths: set[int] = set()
+    marker: str | None = None
+    boundary = -1
+    tail = text.rfind("]")
+    while tail > index and text[tail - 1] in _WHITESPACE:
+        tail -= 1
     closing, index = _open(text, index, "]")
     while closing == ",":
-        start = index
-        value, index = _scan_value(text, index)
+        known = None
+        if marker is not None and boundary < index:
+            boundary = text.find(marker, index)
+            if boundary < 0:
+                boundary = len(text)
+        for stop in (boundary, tail):
+            if stop - index in lengths:
+                known = seen.get(text[index:stop])
+                if known is not None:
+                    break
+        if known is None:
+            start = index
+            value, index = _scan_value(text, index)
+            element = text[start:index]
+            if element[0] == "{" and element not in seen:
+                seen[element] = (element, value)
+                lengths.add(len(element))
+        else:
+            (element, value), index = known, stop
         values.append(value)
-        texts.append(text[start:index])
+        texts.append(element)
+        end = index
         index = _skip_whitespace(text, index).end()
         closing = text[index]
         index = _skip_whitespace(text, index + 1).end()
+        if marker is None and closing == "," and element[0] == "{":
+            marker = text[end:index] + element[:_HEAD]
     if closing != "]":
         raise ValueError("expected ']'")
     return values, texts, index
@@ -327,6 +450,20 @@ def outcome_json(outcome: SolveOutcome) -> str:
         text = json.dumps(outcome.to_dict(), allow_nan=False)
         object.__setattr__(outcome, "_cached_json", text)
     return text
+
+
+def outcome_document(outcome: SolveOutcome) -> dict[str, Any]:
+    """The wire document of one outcome (``outcome.to_dict()``).
+
+    Memoized on the outcome like :func:`outcome_json`, so every job and
+    poll that returns a shared warm answer hands out the same dict instead
+    of rebuilding it; callers must treat it as read-only.
+    """
+    document = outcome.__dict__.get("_cached_document")
+    if document is None:
+        document = outcome.to_dict()
+        object.__setattr__(outcome, "_cached_document", document)
+    return document
 
 
 def json_with_array(
@@ -480,6 +617,7 @@ def solve_batch(
         if (
             request is not owner
             and outcome.solution is not None
+            and request.problem.platform is not owner.problem.platform
             and canonical_fpga_order(request.problem.platform)
             != canonical_fpga_order(owner.problem.platform)
         ):

@@ -40,6 +40,7 @@ from ..core.solution import SolveOutcome
 from .batch import (
     SolveRequest,
     json_with_array,
+    loads_batch,
     map_distinct,
     request_to_dict,
     requests_to_documents,
@@ -136,6 +137,19 @@ def _parse_retry_after(headers: Any) -> float | None:
         return None
 
 
+def _bind_outcomes(
+    documents: Sequence[Mapping[str, Any]], requests: Sequence[SolveRequest]
+) -> list[SolveOutcome]:
+    """Bind outcome documents to their requests' problems, once per distinct
+    (document, problem) pair; duplicates share one :class:`SolveOutcome`."""
+    pairs = list(zip(documents, requests))
+    return map_distinct(
+        pairs,
+        lambda pair: SolveOutcome.from_dict(pair[0], problem=pair[1].problem),
+        [(id(document), id(request.problem)) for document, request in pairs],
+    )
+
+
 def _batch_body(head: dict[str, Any], requests: Sequence[SolveRequest]) -> str:
     """``json.dumps({**head, "requests": [request_to_dict(r) ...]})``, byte
     for byte, serialising and encoding each distinct request once."""
@@ -215,7 +229,7 @@ class ServiceClient:
             )
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout_seconds) as response:
-                    document = json.loads(response.read().decode("utf-8"))
+                    document = loads_batch(response.read().decode("utf-8"), "outcomes")[0]
             except urllib.error.HTTPError as error:
                 try:
                     message = json.loads(error.read().decode("utf-8")).get("error", str(error))
@@ -298,7 +312,10 @@ class ServiceClient:
         return SolveOutcome.from_dict(response["outcome"], problem=problem)
 
     def solve_batch(self, requests: Sequence[SolveRequest]) -> dict[str, Any]:
-        """POST /solve_batch; returns the raw response document."""
+        """POST /solve_batch; returns the raw response document.
+
+        Duplicate outcome documents in its ``outcomes`` list are one shared
+        dict: treat them as read-only, or copy before editing one."""
         return self._request("/solve_batch", _batch_body({}, requests))
 
     # ------------------------------------------------------------------ #
@@ -341,27 +358,27 @@ class ServiceClient:
         timeout_seconds: float = 60.0,
         poll_seconds: float = 0.05,
     ) -> tuple[list[SolveOutcome], dict[str, Any]]:
-        """Submit async, poll to completion, bind outcomes to the requests."""
+        """Submit async, poll to completion, bind outcomes to the requests.
+
+        Duplicate outcome documents bound to the same problem object come
+        back as one shared :class:`SolveOutcome`, as ``solve_batch`` in
+        process returns them."""
         job_id = self.solve_batch_async(requests)["job_id"]
         document = self.wait_for_job(job_id, timeout_seconds, poll_seconds)
         if document["status"] != "done":
             raise ServiceError(f"job {job_id} failed: {document.get('error', 'unknown')}")
-        outcomes = [
-            SolveOutcome.from_dict(outcome_document, problem=request.problem)
-            for outcome_document, request in zip(document["outcomes"], requests)
-        ]
-        return outcomes, document["report"]
+        return _bind_outcomes(document["outcomes"], requests), document["report"]
 
     def solve_batch_outcomes(
         self, requests: Sequence[SolveRequest]
     ) -> tuple[list[SolveOutcome], dict[str, Any]]:
-        """POST /solve_batch and bind each outcome to its request problem."""
+        """POST /solve_batch and bind each outcome to its request problem.
+
+        Duplicate outcome documents bound to the same problem object come
+        back as one shared :class:`SolveOutcome`, as ``solve_batch`` in
+        process returns them."""
         response = self.solve_batch(requests)
-        outcomes = [
-            SolveOutcome.from_dict(document, problem=request.problem)
-            for document, request in zip(response["outcomes"], requests)
-        ]
-        return outcomes, response["report"]
+        return _bind_outcomes(response["outcomes"], requests), response["report"]
 
     # ------------------------------------------------------------------ #
     # Fleet endpoints

@@ -50,6 +50,7 @@ from .batch import (
     SolveRequest,
     json_with_array,
     map_distinct,
+    outcome_document,
     outcome_json,
     requests_from_documents,
     requests_to_documents,
@@ -355,12 +356,14 @@ class JobQueue:
     def get(self, job_id: str, include_outcomes: bool = True) -> dict[str, Any] | None:
         """Current document of one job, or ``None`` for unknown ids.
 
-        A finished job's outcome documents are built outside the lock, once
-        per distinct outcome; duplicates share one document object.
+        A finished job's outcome documents are read-only and shared: each
+        distinct outcome's document is built once (see
+        :func:`~repro.service.batch.outcome_document`), and duplicates, later
+        polls and other jobs answering the same outcome return that object.
         """
         document, outcomes = self._read(job_id)
         if include_outcomes and outcomes is not None:
-            document["outcomes"] = map_distinct(outcomes, lambda outcome: outcome.to_dict())
+            document["outcomes"] = map_distinct(outcomes, outcome_document)
         return document
 
     def get_json(self, job_id: str) -> str | None:

@@ -30,11 +30,13 @@ existing client works unchanged.  What it adds:
   keep their warm stores, and only the ~1/(N+1) of keys the ring moves go
   cold (the hashing module's minimal-movement guarantee).
 
-Fingerprinting a request requires parsing the problem document, which is
-the expensive part of the submit path; the router memoizes ``raw document
-JSON -> fingerprint`` in a bounded LRU so duplicate-heavy traffic (the
-warm-replay regime this topology exists for) parses each distinct request
-once and routes every repeat with a dictionary hit.
+Fingerprinting a request requires decoding the problem document, which is
+the expensive part of the submit path.  The router decodes through the
+same per-distinct-document path and bounded text -> request memo as a
+single-process server (:func:`~repro.service.batch.requests_from_documents`),
+so duplicate-heavy traffic (the warm-replay regime this topology exists
+for) decodes each distinct request once and routes every repeat with a
+dictionary hit.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from .. import __version__
 from ..obs.metrics import MetricsRegistry
 from ..workloads.serialization import SerializationError
-from .batch import request_from_dict
+from .batch import loads_batch, requests_from_documents
 from .hashing import DEFAULT_REPLICAS, HashRing, ring
 from .pool import WorkerPool
 from .server import BackpressureError, install_shutdown_signals
@@ -86,34 +88,6 @@ class WorkerUnavailableError(RuntimeError):
             "retry later"
         )
         self.group = group
-
-
-class _FingerprintMemo:
-    """Bounded LRU of raw request-document JSON -> canonical fingerprint."""
-
-    def __init__(self, capacity: int = 4096):
-        self.capacity = capacity
-        self._entries: "OrderedDict[str, str]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def fingerprint_of(self, document: Mapping[str, Any]) -> str:
-        key = json.dumps(document, sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return cached
-            self.misses += 1
-        fingerprint = request_from_dict(document).fingerprint()
-        with self._lock:
-            self._entries[key] = fingerprint
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return fingerprint
 
 
 # --------------------------------------------------------------------------- #
@@ -252,8 +226,6 @@ class RouterService:
     job_retention:
         Composite async jobs retained for polling (oldest pruned first;
         the underlying worker jobs are durable regardless).
-    fingerprint_memo:
-        Entries in the document->fingerprint routing memo.
     proxy_timeout_seconds:
         Per-request timeout on the router->worker hop.
     """
@@ -263,7 +235,6 @@ class RouterService:
         pool: WorkerPool,
         replicas: int = DEFAULT_REPLICAS,
         job_retention: int = 256,
-        fingerprint_memo: int = 4096,
         proxy_timeout_seconds: float = 120.0,
         own_pool: bool = True,
     ):
@@ -275,7 +246,7 @@ class RouterService:
         self._ring = ring(pool.num_groups, replicas)
         self._ring_lock = threading.Lock()
         self._resize_lock = threading.Lock()
-        self._memo = _FingerprintMemo(capacity=fingerprint_memo)
+        self._memo_counts = {"hits": 0, "misses": 0}
         self._local = threading.local()
         self._lock = threading.Lock()
         self._requests = 0
@@ -331,12 +302,18 @@ class RouterService:
     def group_of(self, fingerprint: str) -> int:
         return self.ring.group_of(fingerprint)
 
-    def fingerprint_of(self, document: Mapping[str, Any]) -> str:
-        before = self._memo.hits
-        fingerprint = self._memo.fingerprint_of(document)
-        if self._memo.hits > before:
-            self._routing_memo_hits.inc()
-        return fingerprint
+    def fingerprints_of(
+        self, documents: Sequence[Any], texts: Sequence[str] | None = None
+    ) -> list[str]:
+        """Routing fingerprints of request documents (``texts``: their
+        source texts, see :func:`~repro.service.batch.loads_batch`)."""
+        counts: dict[str, int] = {}
+        requests = requests_from_documents(documents, texts, counts)
+        with self._lock:
+            for name, count in counts.items():
+                self._memo_counts[name] += count
+        self._routing_memo_hits.inc(counts.get("hits", 0))
+        return [request.fingerprint() for request in requests]
 
     def resize(self, num_groups: int) -> dict[str, Any]:
         """Grow the pool to ``num_groups`` shard groups, online.
@@ -465,10 +442,11 @@ class RouterService:
         talking straight at a worker.
         """
         try:
-            document = json.loads(body.decode("utf-8"))
+            text = body.decode("utf-8")
+            document = json.loads(text)
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
             raise SerializationError(f"request body is not valid JSON: {error}") from error
-        fingerprint = self.fingerprint_of(document)
+        (fingerprint,) = self.fingerprints_of([document], [text])
         group = self.group_of(fingerprint)
         with self._lock:
             self._requests += 1
@@ -479,10 +457,9 @@ class RouterService:
     # /solve_batch
     # ------------------------------------------------------------------ #
     def _split_batch(
-        self, documents: Sequence[Mapping[str, Any]]
+        self, documents: Sequence[Mapping[str, Any]], texts: Sequence[str] | None
     ) -> "dict[int, list[int]]":
-        fingerprints = [self.fingerprint_of(document) for document in documents]
-        return self.ring.partition(fingerprints)
+        return self.ring.partition(self.fingerprints_of(documents, texts))
 
     def _fan_out(
         self, calls: "list[tuple[int, Callable[[], Any]]]"
@@ -540,10 +517,15 @@ class RouterService:
         return report, fingerprints, outcomes
 
     def solve_batch_documents(
-        self, documents: Sequence[Mapping[str, Any]]
+        self,
+        documents: Sequence[Mapping[str, Any]],
+        texts: Sequence[str] | None = None,
     ) -> dict[str, Any]:
-        """Split a sync batch by ownership, fan out, merge in request order."""
-        owned = self._split_batch(documents)
+        """Split a sync batch by ownership, fan out, merge in request order.
+
+        ``texts`` are the documents' source texts, when the caller has them
+        (see :func:`~repro.service.batch.loads_batch`)."""
+        owned = self._split_batch(documents, texts)
         with self._lock:
             self._requests += len(documents)
             self._batches += 1
@@ -577,13 +559,16 @@ class RouterService:
         return {"report": report, "fingerprints": fingerprints, "outcomes": outcomes}
 
     def submit_batch_documents(
-        self, documents: Sequence[Mapping[str, Any]]
+        self,
+        documents: Sequence[Mapping[str, Any]],
+        texts: Sequence[str] | None = None,
     ) -> dict[str, Any]:
         """Split an async batch, submit one worker job per owning group, and
         register the composite router job.  The 202 is returned only once
         *every* part is acknowledged (each worker fsynced its sub-batch), so
-        the router's ack inherits the workers' durability."""
-        owned = self._split_batch(documents)
+        the router's ack inherits the workers' durability.  ``texts`` as in
+        :meth:`solve_batch_documents`."""
+        owned = self._split_batch(documents, texts)
         with self._lock:
             self._requests += len(documents)
             self._batches += 1
@@ -889,8 +874,8 @@ class RouterService:
                 "part_resubmits": self._part_resubmits,
                 "resizes": self._resizes,
                 "num_groups": self.ring.num_groups,
-                "fingerprint_memo_hits": self._memo.hits,
-                "fingerprint_memo_misses": self._memo.misses,
+                "fingerprint_memo_hits": self._memo_counts["hits"],
+                "fingerprint_memo_misses": self._memo_counts["misses"],
                 "started_unix": self.started_unix,
                 "uptime_seconds": time.time() - self.started_unix,
                 "version": __version__,
@@ -953,6 +938,9 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
 
     server: "RouterHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm the
+    # second waits for the client's delayed ACK of the first.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass
@@ -1083,7 +1071,7 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
             elif self.path == "/solve_batch":
                 body = self._read_body()
                 try:
-                    payload = json.loads(body.decode("utf-8"))
+                    payload, texts = loads_batch(body.decode("utf-8"))
                 except (json.JSONDecodeError, UnicodeDecodeError) as error:
                     raise SerializationError(
                         f"request body is not valid JSON: {error}"
@@ -1099,9 +1087,11 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
                 if not isinstance(documents, list) or not documents:
                     raise SerializationError("'requests' must be a non-empty list")
                 if mode == "async":
-                    self._send_json(router.submit_batch_documents(documents), status=202)
+                    self._send_json(
+                        router.submit_batch_documents(documents, texts), status=202
+                    )
                 else:
-                    self._send_json(router.solve_batch_documents(documents))
+                    self._send_json(router.solve_batch_documents(documents, texts))
             elif self.path == "/admin/resize":
                 body = self._read_body()
                 try:

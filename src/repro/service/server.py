@@ -661,6 +661,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server: "AllocationHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm the
+    # second waits for the client's delayed ACK of the first.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
     # Plumbing

@@ -212,6 +212,31 @@ class TestRoutingEquivalence:
         assert stats["service"]["solves"] == per_worker_solves
         assert stats["wal"]["fsyncs"] >= 1
 
+    def test_routing_fingerprints_come_from_the_request_memo(self, topology):
+        """Every routed document is a memo hit or a decode (a miss); a batch
+        sent again decodes nothing, and the hits feed the metric."""
+        _, router, client = topology
+
+        def counters() -> tuple[int, int, float]:
+            stats = client.stats()["router"]
+            metric = router.metrics.counter(
+                "repro_router_fingerprint_memo_hits_total", ""
+            ).value
+            return stats["fingerprint_memo_hits"], stats["fingerprint_memo_misses"], metric
+
+        requests = [POOL_REQUESTS[index % 3] for index in range(30)]
+        hits, misses, metric = counters()
+        client.solve_batch(requests)
+        first_hits, first_misses, first_metric = counters()
+        assert (first_hits - hits) + (first_misses - misses) == len(requests)
+        assert first_misses - misses <= 3
+        client.solve_batch(requests)
+        second_hits, second_misses, second_metric = counters()
+        assert second_misses == first_misses
+        assert second_hits - first_hits == len(requests)
+        assert second_metric - first_metric == len(requests)
+        assert first_metric - metric == first_hits - hits
+
     def test_metrics_merged_with_worker_labels(self, topology):
         _, _, client = topology
         text = client.metrics()

@@ -30,15 +30,25 @@ from hypothesis import strategies as st
 
 from repro.core.heuristic import HeuristicSettings
 from repro.core.problem import AllocationProblem
+from repro.core.solution import SolveOutcome
 from repro.platform.multi_fpga import DeviceClass, MultiFPGAPlatform
 from repro.platform.presets import XCKU115, XCVU9P, aws_f1
 from repro.platform.resources import ResourceVector
 from repro.service import batch as batch_module
-from repro.service import AllocationService, ServiceClient, SolveRequest, start_server
+from repro.service import (
+    AllocationService,
+    ResultStore,
+    ServiceClient,
+    SolveRequest,
+    start_server,
+)
 from repro.service.jobs import JobQueue
 from repro.service.batch import (
+    decode_memo_clear,
+    decode_outcome,
     loads_batch,
     request_from_dict,
+    request_memo_clear,
     request_to_dict,
     requests_from_documents,
     solve_batch,
@@ -204,6 +214,7 @@ class TestSyncResponse:
 
     def test_duplicates_decode_and_fingerprint_once(self, served, monkeypatch):
         server, _, _ = served
+        request_memo_clear()  # earlier tests sent the pool already
         decodes: list[int] = []
         prints: list[int] = []
         decode, fingerprint = batch_module.request_from_dict, batch_module.compute_fingerprint
@@ -220,6 +231,13 @@ class TestSyncResponse:
         assert status == 200
         assert len(decodes) == len(POOL)
         assert len(prints) == len(POOL)
+        # The same documents in a later batch: answered from the request memo.
+        decodes.clear()
+        prints.clear()
+        status, _ = _post(f"{server.url}/solve_batch", json.dumps({"requests": documents}))
+        assert status == 200
+        assert len(decodes) == 0
+        assert len(prints) == 0
 
 
 class TestJobDocument:
@@ -242,6 +260,45 @@ class TestJobDocument:
         assert jobs.get_json(job_id) == json.dumps(jobs.get(job_id), allow_nan=False)
         assert "outcomes" not in jobs.get(job_id)
         assert jobs.get_json("job-missing") is None
+
+    def test_outcome_documents_are_built_once_per_outcome(self, served, monkeypatch):
+        """A warm replay's job shares the outcome documents of the job before
+        it, and they still equal the single ``/solve`` answers."""
+        _, service, single = served
+        requests = [request_from_dict(POOL[0]), request_from_dict(POOL[3])] * 3
+        first = service.jobs.wait(service.submit_batch(requests)["job_id"], timeout_seconds=120.0)
+        built: list[SolveOutcome] = []
+        to_dict = SolveOutcome.to_dict
+
+        def counting_to_dict(outcome, *args, **kwargs):
+            built.append(outcome)
+            return to_dict(outcome, *args, **kwargs)
+
+        monkeypatch.setattr(SolveOutcome, "to_dict", counting_to_dict)
+        second = service.jobs.wait(service.submit_batch(requests)["job_id"], timeout_seconds=120.0)
+        assert built == []
+        assert all(a is b for a, b in zip(first["outcomes"], second["outcomes"]))
+        assert second["outcomes"] == [single[0], single[3]] * 3
+
+
+class TestDecodeMemo:
+    def test_equal_problem_hits_and_changed_payload_misses(self):
+        request = request_from_dict(POOL[0])
+        twin = request_from_dict(_reversed_keys(POOL[0]))
+        assert twin.problem == request.problem and twin.problem is not request.problem
+        store = ResultStore()
+        solve_batch([request], store=store)
+        fingerprint = request.fingerprint()
+        payload = store.get(fingerprint).payload
+        decode_memo_clear()
+        decoded = decode_outcome(payload, request.problem, fingerprint=fingerprint)
+        assert decode_outcome(payload, request.problem, fingerprint=fingerprint) is decoded
+        assert decode_outcome(payload, twin.problem, fingerprint=fingerprint) is decoded
+        changed = json.dumps({**json.loads(payload), "runtime_seconds": 12.5})
+        redecoded = decode_outcome(changed, request.problem, fingerprint=fingerprint)
+        assert redecoded is not decoded
+        assert redecoded.runtime_seconds == 12.5
+        assert redecoded.solution.counts == decoded.solution.counts
 
 
 class TestErrors:
