@@ -1,26 +1,35 @@
 """Second-step discretisation of the GP result (Section 3.2.2).
 
 The GP step produces fractional totals ``N̂_k``.  Before allocation they must
-become integers ``N_k``.  The paper enforces integrality "by a
-branch-and-bound technique similar to those used in ILP": two subproblems
-with ``N_k <= floor(N̂_k)`` and ``N_k >= ceil(N̂_k)``, pruning subproblems
-whose (relaxed) cost exceeds the best cost found.
+become integers ``N_k``: the integer totals minimising the initiation interval
+``max_k WCET_k / N_k`` subject to ``1 <= N_k <= cap_k`` (``cap_k`` from
+:meth:`~repro.core.problem.AllocationProblem.max_total_cus`) and the
+aggregated capacity constraints ``W @ N <= C`` (eqs. 17-18, with ``W >= 0``).
 
-This module runs that search on top of the generic branch-and-bound engine of
-:mod:`repro.minlp`.  Three optimisations keep the hot path fast:
+The paper enforces integrality with a floor/ceil branch and bound.  This
+module solves the same problem exactly by a **threshold search** instead:
 
-* each node's relaxation is solved by the **vectorized** bisection kernel
-  (:class:`repro.gp.minmax.VectorizedMinMaxProblem`) over matrices built once
-  per call, instead of rebuilding a name-keyed problem per node;
-* child nodes are **warm-started** from their parent's relaxation optimum (a
-  valid lower bound once the box shrinks), which roughly halves the number
-  of bisection iterations, and node relaxations flow through the engine's
-  :class:`~repro.minlp.branch_and_bound.RelaxationCache`;
-* whole results are **memoized** across calls keyed on the problem and the
-  fractional totals, because design-space sweeps (e.g. the Figure 2 T-sweep)
-  re-discretise the identical GP optimum for every heuristic parameter.
+* for a threshold ``v``, ``N(v) = max(1, ceil(WCET / v))`` is the
+  componentwise-smallest integer vector whose II is at most ``v``;
+* any feasible ``N`` with II ``v`` dominates ``N(v)`` componentwise, and
+  ``W >= 0``, so ``N(v)`` is feasible too -- feasibility of ``N(v)`` is
+  monotone in ``v``;
+* the II of an integer vector is always one of the candidates
+  ``WCET_k / n`` (``n = 1..cap_k``), so the optimum is the smallest candidate
+  whose ``N(v)`` is feasible, which a binary search over the sorted
+  candidates finds with one ``W @ N`` per probe;
+* a cap can be huge (a kernel that uses no resources fits 10**9 CUs), so
+  when the caps allow many candidates the II bracket is first bisected on
+  the same monotone test until few candidates remain inside it.
 
-A naive rounding fallback is also provided for ablation.
+The result is II-optimal, like the paper's search; the two can differ only
+in *which* II-optimal vector they return when several exist.  The threshold
+search returns the componentwise-minimal one.
+
+Whole results are **memoized** across calls keyed on the problem, because
+design-space sweeps (e.g. the Figure 2 T-sweep) re-discretise the same
+problem for every heuristic parameter.  A naive rounding fallback is also
+provided for ablation.
 """
 
 from __future__ import annotations
@@ -32,18 +41,6 @@ from typing import Mapping
 
 import numpy as np
 
-from ..gp.errors import InfeasibleError
-from ..minlp.bounds import VariableBounds
-from ..minlp.branch_and_bound import (
-    BBSettings,
-    BBStatus,
-    BranchAndBoundSolver,
-    RelaxationCache,
-    RelaxationResult,
-    shared_relaxation_cache,
-)
-from ..minlp.errors import InfeasibleProblemError
-from .gp_step import build_vectorized_minmax
 from .problem import AllocationProblem
 
 
@@ -55,8 +52,6 @@ class DiscretizationResult:
     ii: float
     nodes_explored: int
     proven_optimal: bool
-    cache_hits: int = 0
-    cache_misses: int = 0
 
 
 class DiscretizationError(Exception):
@@ -85,21 +80,10 @@ def discretization_cache_clear() -> None:
     _memo_misses = 0
 
 
-def _memo_key(
-    problem: AllocationProblem,
-    counts_hat: Mapping[str, float],
-    max_nodes: int,
-    time_limit_seconds: float,
-) -> tuple | None:
+def _memo_key(problem: AllocationProblem) -> tuple | None:
     """Value-based memo key; ``None`` when the problem is unhashable."""
     try:
-        key = (
-            problem.pipeline,
-            problem.platform,
-            tuple(sorted(counts_hat.items())),
-            max_nodes,
-            time_limit_seconds,
-        )
+        key = (problem.pipeline, problem.platform)
         hash(key)  # hashability probe; the key itself is stored (value equality)
     except TypeError:
         return None
@@ -117,21 +101,72 @@ def _achieved_ii(problem: AllocationProblem, counts: Mapping[str, int]) -> float
     return max(problem.wcet[name] / counts[name] for name in problem.kernel_names)
 
 
+_MAX_CANDIDATES = 4096
+
+
+def _threshold_search(problem: AllocationProblem) -> np.ndarray:
+    """Componentwise-minimal integer totals of minimum II (see module docstring)."""
+    arrays = problem.arrays()
+    wcet = arrays.wcet
+    caps = np.asarray(
+        [max(1, problem.max_total_cus(name)) for name in arrays.names], dtype=np.float64
+    )
+    capacity = arrays.aggregate_capacity + 1e-9
+
+    def counts_for(threshold: float) -> np.ndarray | None:
+        # The relative slack makes ``threshold = WCET_j / n_j`` give exactly
+        # ``n_j`` despite the rounding of the two divisions.
+        counts = np.maximum(1.0, np.ceil(wcet / threshold * (1.0 - 1e-12)))
+        if np.any(counts > caps) or np.any(arrays.weights @ counts > capacity):
+            return None
+        return counts
+
+    # The optimum lies in [low, high]: no vector within the caps has a lower
+    # II than ``low``, and ``high`` is the II of one CU per kernel.
+    low, high = float(np.max(wcet / caps)), float(np.max(wcet))
+    best = counts_for(high)
+    if best is None:
+        raise DiscretizationError("even one CU per kernel exceeds the aggregate capacity")
+    # Every candidate in [low, high] has ``floor(WCET / high) <= n <= ceil(WCET / low)``.
+    # A cap can be huge (10**9 for a kernel that uses nothing), so bisect the
+    # bracket until few candidates remain instead of listing all ``sum(caps)``.
+    while True:
+        first = np.maximum(1.0, np.floor(wcet / high))
+        last = np.minimum(caps, np.ceil(wcet / low))
+        middle = math.sqrt(low * high)
+        few = np.sum(np.maximum(0.0, last - first + 1.0)) <= _MAX_CANDIDATES
+        if few or not low < middle < high:
+            break
+        counts = counts_for(middle)
+        if counts is None:
+            low = middle
+        else:
+            high, best = middle, counts
+    candidates = np.unique(
+        np.concatenate([w / np.arange(a, b + 1) for w, a, b in zip(wcet, first, last)])
+    )
+    # Smallest feasible candidate; ``best = N(high)`` covers the optimum ``high``.
+    low_index, high_index = 0, candidates.size
+    while low_index < high_index:
+        middle_index = (low_index + high_index) // 2
+        counts = counts_for(float(candidates[middle_index]))
+        if counts is None:
+            low_index = middle_index + 1
+        else:
+            high_index, best = middle_index, counts
+    return best
+
+
 def discretize_counts(
-    problem: AllocationProblem,
-    counts_hat: Mapping[str, float],
-    max_nodes: int = 20_000,
-    time_limit_seconds: float = 30.0,
-    use_cache: bool = True,
+    problem: AllocationProblem, *, use_cache: bool = True
 ) -> DiscretizationResult:
-    """Branch-and-bound discretisation of the fractional GP totals.
+    """Exact discretisation of the GP step (Section 3.2.2).
 
-    Finds integer ``N_k >= 1`` minimising ``max_k WCET_k / N_k`` subject to
-    the aggregated capacity constraints, starting the search from the
-    fractional optimum (floor/ceil branching as in the paper).
-
-    ``use_cache=False`` bypasses the cross-call memo (the in-run relaxation
-    cache and warm-starting are always active).
+    Returns the componentwise-minimal integer ``N_k >= 1`` minimising
+    ``max_k WCET_k / N_k`` subject to the per-kernel caps and the aggregated
+    capacity constraints.  The exact optimum does not depend on the GP's
+    fractional totals, so unlike :func:`round_counts` it does not take them.
+    ``use_cache=False`` bypasses the cross-call memo.
 
     Raises
     ------
@@ -139,7 +174,7 @@ def discretize_counts(
         If no feasible integer assignment exists.
     """
     global _memo_hits, _memo_misses
-    memo_key = _memo_key(problem, counts_hat, max_nodes, time_limit_seconds) if use_cache else None
+    memo_key = _memo_key(problem) if use_cache else None
     if memo_key is not None:
         cached = _memo.get(memo_key)
         if cached is not None:
@@ -148,108 +183,14 @@ def discretize_counts(
             return cached
         _memo_misses += 1
 
-    names = problem.kernel_names
-    arrays = problem.arrays()
-    upper_bounds: dict[str, int] = {}
-    for name in names:
-        cap = problem.max_total_cus(name)
-        # No point in ever exceeding the (rounded-up) fractional optimum by
-        # more than the slack the capacity allows; the ceil of the GP value is
-        # the natural starting upper bound but the search may go above it, so
-        # keep the capacity-driven cap.
-        upper_bounds[name] = max(1, cap)
-    if any(upper_bounds[name] < 1 for name in names):
-        raise DiscretizationError("a kernel cannot fit even one CU on one FPGA")
-
-    bounds = VariableBounds.from_ranges({name: (1, upper_bounds[name]) for name in names})
-    minmax = build_vectorized_minmax(problem)
-    wcet = arrays.wcet
-    aggregate_capacity = arrays.aggregate_capacity
-    weight_matrix = arrays.weights
-
-    def relaxation(
-        node_bounds: VariableBounds, parent: RelaxationResult | None = None
-    ) -> RelaxationResult:
-        min_counts = np.asarray([node_bounds.lower(name) for name in names], dtype=np.float64)
-        max_counts = np.asarray([node_bounds.upper(name) for name in names], dtype=np.float64)
-        try:
-            if parent is None:
-                # Root node: the plain bisection, so the root bound is
-                # bit-compatible with the standalone GP step.
-                ii, count_vector = minmax.solve(min_counts=min_counts, max_counts=max_counts)
-            else:
-                # Child nodes take the closed-form breakpoint path: exact,
-                # iteration-free, and ~20x cheaper than a cold bisection.
-                ii, count_vector = minmax.solve_exact(
-                    min_counts=min_counts, max_counts=max_counts
-                )
-        except InfeasibleError:
-            return RelaxationResult.infeasible()
-        return RelaxationResult(
-            feasible=True, objective=ii, solution=arrays.mapping(count_vector)
-        )
-
-    def evaluate(candidate: Mapping[str, int]) -> float | None:
-        count_vector = np.asarray([candidate[name] for name in names], dtype=np.float64)
-        if np.any(count_vector < 1):
-            return None
-        if not np.all(weight_matrix @ count_vector <= aggregate_capacity + 1e-9):
-            return None
-        return float(np.max(wcet / count_vector))
-
-    def rounding(fractional: Mapping[str, float], node_bounds: VariableBounds) -> list[dict[str, int]]:
-        floor_candidate = {
-            name: int(max(node_bounds.lower(name), math.floor(fractional.get(name, 1.0))))
-            for name in names
-        }
-        ceil_candidate = {
-            name: int(
-                min(node_bounds.upper(name), max(1, math.ceil(fractional.get(name, 1.0) - 1e-9)))
-            )
-            for name in names
-        }
-        return [ceil_candidate, floor_candidate]
-
-    # Node relaxations depend only on (problem, node bounds) -- not on the
-    # fractional totals being discretised -- so every discretisation of the
-    # same problem shares one cache.  Unhashable (ad hoc) problems get a
-    # private per-call cache.
-    try:
-        relaxation_cache = shared_relaxation_cache(
-            ("discretize", problem.pipeline, problem.platform)
-        )
-    except TypeError:
-        relaxation_cache = RelaxationCache()
-    solver = BranchAndBoundSolver(
-        relaxation_solver=relaxation,
-        incumbent_evaluator=evaluate,
-        rounding_heuristic=rounding,
-        settings=BBSettings(max_nodes=max_nodes, time_limit_seconds=time_limit_seconds),
-        relaxation_cache=relaxation_cache,
-    )
-
-    seed = {name: max(1, int(math.floor(counts_hat.get(name, 1.0)))) for name in names}
-    if not _aggregate_feasible(problem, seed):
-        seed = {name: 1 for name in names}
-    try:
-        result = solver.solve(bounds, initial_incumbent=seed)
-    except InfeasibleProblemError as error:
-        raise DiscretizationError(str(error)) from error
-    if not result.has_solution:
-        raise DiscretizationError("no feasible integer CU totals found")
-    counts = {name: int(result.solution[name]) for name in names}
+    counts = problem.arrays().int_mapping(_threshold_search(problem))
     discretization = DiscretizationResult(
         counts=counts,
         ii=_achieved_ii(problem, counts),
-        nodes_explored=result.nodes_explored,
-        proven_optimal=result.status is BBStatus.OPTIMAL,
-        cache_hits=result.relaxation_cache_hits,
-        cache_misses=result.relaxation_cache_misses,
+        nodes_explored=0,
+        proven_optimal=True,
     )
-    if memo_key is not None and discretization.proven_optimal:
-        # Only proven optima are memoized: a result truncated by the node or
-        # time limit must not pin a machine-load-dependent II for every
-        # later identical call.
+    if memo_key is not None:
         if len(_memo) >= _MEMO_MAX_ENTRIES:
             _memo.popitem(last=False)
         _memo[memo_key] = discretization
@@ -261,8 +202,8 @@ def round_counts(
 ) -> DiscretizationResult:
     """Naive discretisation: ceil everything, floor greedily until feasible.
 
-    Kept as an ablation baseline for the branch-and-bound discretiser: it is
-    fast but can be noticeably worse when the capacity is tight.
+    Kept as an ablation baseline for the exact discretiser: it is fast but
+    can be noticeably worse when the capacity is tight.
     """
     names = problem.kernel_names
     counts = {name: max(1, int(math.ceil(counts_hat.get(name, 1.0) - 1e-9))) for name in names}

@@ -59,7 +59,7 @@ def build_minmax_problem(
     """Build the aggregated min-max-latency problem (eqs. 14-18).
 
     ``min_counts`` / ``max_counts`` override the default bounds
-    (``N̂_k >= 1``, no upper bound); the discretisation branch-and-bound uses
+    (``N̂_k >= 1``, no upper bound); a branch-and-bound over the totals uses
     them to encode its box constraints.
     """
     wcet = problem.wcet
@@ -96,8 +96,8 @@ def build_vectorized_minmax(problem: AllocationProblem) -> VectorizedMinMaxProbl
 
     Shares the kernel-indexed matrices memoized on the problem; capacities
     are the platform-wide aggregates (per-FPGA capacity times ``F``).  Box
-    bounds are supplied per solve, so one instance serves every node of the
-    discretisation branch-and-bound.
+    bounds are supplied per solve, so one instance serves every node of a
+    branch-and-bound over the totals.
     """
     arrays = problem.arrays()
     return VectorizedMinMaxProblem(

@@ -32,8 +32,6 @@ class HeuristicSettings:
     delta_percent: float = 1.0
     criticality: str = "ii-impact"
     use_bb_discretization: bool = True
-    discretization_max_nodes: int = 20_000
-    discretization_time_limit: float = 30.0
 
     def allocator_settings(self) -> AllocatorSettings:
         return AllocatorSettings(
@@ -128,12 +126,7 @@ def solve_gp_a(
     try:
         with span("discretize"):
             if settings.use_bb_discretization:
-                discretization = discretize_counts(
-                    problem,
-                    gp_result.counts_hat,
-                    max_nodes=settings.discretization_max_nodes,
-                    time_limit_seconds=settings.discretization_time_limit,
-                )
+                discretization = discretize_counts(problem)
             else:
                 discretization = round_counts(problem, gp_result.counts_hat)
     except DiscretizationError as error:

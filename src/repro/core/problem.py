@@ -159,7 +159,7 @@ class AllocationProblem:
         """Kernel-indexed NumPy view of the problem (memoized per instance).
 
         The vectorized solver kernels (:mod:`repro.gp.minmax`, the
-        discretisation branch-and-bound and Algorithm 1) all share these
+        discretisation threshold search and Algorithm 1) all share these
         matrices instead of re-deriving per-kernel dicts in their hot loops.
         """
         from .arrays import problem_arrays

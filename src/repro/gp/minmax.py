@@ -19,10 +19,10 @@ Two implementations share that algorithm:
 * :class:`MinMaxLatencyProblem` -- the original name-keyed scalar solver,
   kept as the cross-check reference backend;
 * :class:`VectorizedMinMaxProblem` -- the kernel-indexed NumPy form used by
-  the hot paths (GP step, discretisation branch-and-bound).  It runs the
-  *same* bisection with the same bracket and update sequence, so the two
-  agree to the bisection tolerance, and it accepts a ``lower_hint`` so a
-  branch-and-bound child node can warm-start from its parent's optimum.
+  the GP step's hot path.  It runs the *same* bisection with the same
+  bracket and update sequence, so the two agree to the bisection tolerance,
+  and it accepts box bounds and a ``lower_hint`` so a branch-and-bound child
+  node can warm-start from its parent's optimum.
 """
 
 from __future__ import annotations
@@ -167,10 +167,10 @@ class MinMaxLatencyProblem:
 class VectorizedMinMaxProblem:
     """Array form of :class:`MinMaxLatencyProblem` over a fixed kernel order.
 
-    Built once per allocation problem (or per discretisation run) and then
-    solved many times with different box bounds: each branch-and-bound node
-    only supplies new ``min_counts`` / ``max_counts`` vectors while the WCET
-    vector, the ``(D, K)`` weight matrix and the capacity vector are reused.
+    Built once per allocation problem and then solvable many times with
+    different box bounds: a branch-and-bound node only supplies new
+    ``min_counts`` / ``max_counts`` vectors while the WCET vector, the
+    ``(D, K)`` weight matrix and the capacity vector are reused.
     """
 
     def __init__(
@@ -308,83 +308,6 @@ class VectorizedMinMaxProblem:
             else:
                 low = mid
         counts = self.counts_for_ii(high, min_counts, max_counts)
-        return float(np.max(self.wcet / counts)), counts
-
-    def solve_exact(
-        self,
-        min_counts: np.ndarray | None = None,
-        max_counts: np.ndarray | None = None,
-        tolerance: float = 1e-9,
-    ) -> tuple[float, np.ndarray]:
-        """Closed-form optimum via the piecewise-linear breakpoint structure.
-
-        In ``t = 1/II`` the cheapest counts are ``clip(WCET_k * t, min_k,
-        max_k)``, so every capacity usage is piecewise linear and
-        non-decreasing in ``t`` with kinks only where a kernel starts growing
-        (``t = min_k / WCET_k``) or saturates (``t = max_k / WCET_k``).  The
-        largest feasible ``t`` per dimension is found by evaluating the usage
-        at every kink and interpolating the crossing segment -- no iteration,
-        a handful of small matrix operations per call.  Used by the
-        branch-and-bound node relaxations; agrees with :meth:`solve` to the
-        bisection tolerance (the bisection accepts capacities up to the same
-        ``tolerance`` slack, which is mirrored here).
-
-        Raises
-        ------
-        InfeasibleError
-            If even the minimum CU counts violate a capacity constraint.
-        """
-        if min_counts is None:
-            min_counts = np.ones_like(self.wcet)
-        if np.any(min_counts <= 0):
-            raise ValueError("minimum CU counts must be positive")
-        capacity_slack = self.capacity + tolerance
-        base_usage = self.weights @ min_counts
-        if np.any(base_usage > capacity_slack):
-            raise InfeasibleError(
-                "minimum CU counts already exceed the platform capacity; "
-                "the relaxed allocation problem is infeasible"
-            )
-        # Mirror the bisection's numerical floor (low = 1e-12): never report
-        # an II below it even when the problem is effectively unconstrained.
-        t_limit = 1e12
-        if max_counts is not None:
-            finite = np.isfinite(max_counts)
-            if np.any(finite):
-                t_limit = min(t_limit, float(np.min(max_counts[finite] / self.wcet[finite])))
-        t_starts = min_counts / self.wcet
-        kinks = [t_starts]
-        if max_counts is not None:
-            ends = max_counts / self.wcet
-            kinks.append(ends[np.isfinite(ends)])
-        ts = np.unique(np.concatenate(kinks))
-        ts = ts[ts <= t_limit]
-        if ts.size == 0 or ts[-1] < t_limit:
-            ts = np.append(ts, t_limit)
-        counts_at = np.outer(ts, self.wcet)
-        np.maximum(counts_at, min_counts, out=counts_at)
-        if max_counts is not None:
-            np.minimum(counts_at, max_counts, out=counts_at)
-        usage_at = counts_at @ self.weights.T  # (T, D)
-        t_best = t_limit
-        for dimension in range(self.capacity.size):
-            column = usage_at[:, dimension]
-            exceeding = np.nonzero(column > capacity_slack[dimension])[0]
-            if exceeding.size == 0:
-                continue
-            first = int(exceeding[0])
-            if first == 0:
-                # Usage already above capacity at the smallest kink; the
-                # curve is constant (= base usage <= capacity) below it, so
-                # the crossing sits exactly at that kink.
-                t_best = min(t_best, float(ts[0]))
-                continue
-            run = column[first] - column[first - 1]
-            rise = capacity_slack[dimension] - column[first - 1]
-            t_cross = ts[first - 1] + (ts[first] - ts[first - 1]) * rise / run
-            t_best = min(t_best, float(t_cross))
-        ii = 1.0 / t_best
-        counts = self.counts_for_ii(ii, min_counts, max_counts)
         return float(np.max(self.wcet / counts)), counts
 
     def solve_dict(

@@ -144,12 +144,22 @@ class SolveRequest:
         )
 
 
+#: ``HeuristicSettings`` fields of the retired branch-and-bound discretiser.
+#: Older clients and WAL records still carry them; they are dropped on
+#: decode so journaled jobs replay.
+_RETIRED_HEURISTIC_FIELDS = frozenset({"discretization_max_nodes", "discretization_time_limit"})
+
+
 def _settings_from_dict(cls: type, payload: Mapping[str, Any] | None, label: str):
     """Build a settings dataclass from a JSON mapping, rejecting unknown keys."""
     if payload is None:
         return None
     if not isinstance(payload, Mapping):
         raise SerializationError(f"{label} must be a JSON object")
+    if cls is HeuristicSettings and not _RETIRED_HEURISTIC_FIELDS.isdisjoint(payload):
+        payload = {
+            key: value for key, value in payload.items() if key not in _RETIRED_HEURISTIC_FIELDS
+        }
     known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
     unknown = set(payload) - known
     if unknown:

@@ -1,0 +1,162 @@
+"""Reference discretiser: the paper's floor/ceil branch and bound.
+
+The paper (Section 3.2.2) enforces integrality of the GP totals "by a
+branch-and-bound technique similar to those used in ILP".  This module keeps
+that search, on top of the generic engine of :mod:`repro.minlp`, as the
+oracle the production threshold search in :mod:`repro.core.discretize` is
+checked against.  It is the former production discretiser with two
+differences: it has no cross-call memo, and child nodes solve their
+relaxation with the warm-started bisection (``lower_hint`` = the parent's
+optimum) instead of a closed-form breakpoint kernel.  Its result also
+carries the search's relaxation-cache counters.
+
+It carries one known defect, kept on purpose so differential tests can
+recognise it: the search is seeded with ``floor(N̂)`` without checking the
+per-kernel caps ``max_total_cus``, and can return that seed as proven
+optimal.  Callers must only compare against answers that respect the caps.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Mapping
+
+import numpy as np
+
+from repro.core.discretize import DiscretizationError, DiscretizationResult
+from repro.core.gp_step import build_vectorized_minmax
+from repro.core.problem import AllocationProblem
+from repro.gp.errors import InfeasibleError
+from repro.minlp.bounds import VariableBounds
+from repro.minlp.branch_and_bound import (
+    BBSettings,
+    BBStatus,
+    BranchAndBoundSolver,
+    RelaxationCache,
+    RelaxationResult,
+    shared_relaxation_cache,
+)
+from repro.minlp.errors import InfeasibleProblemError
+
+
+@dataclass(frozen=True)
+class OracleResult(DiscretizationResult):
+    """A discretisation plus the search's relaxation-cache counters."""
+
+    cache_hits: int = 0
+    cache_misses: int = 0
+
+
+def oracle_caps(problem: AllocationProblem) -> dict[str, int]:
+    """The per-kernel upper bounds of the search box."""
+    return {name: max(1, problem.max_total_cus(name)) for name in problem.kernel_names}
+
+
+def _aggregate_feasible(problem: AllocationProblem, counts: Mapping[str, int]) -> bool:
+    arrays = problem.arrays()
+    return arrays.aggregate_feasible(arrays.vector(counts), problem.num_fpgas)
+
+
+def _achieved_ii(problem: AllocationProblem, counts: Mapping[str, int]) -> float:
+    return max(problem.wcet[name] / counts[name] for name in problem.kernel_names)
+
+
+def oracle_discretize(
+    problem: AllocationProblem,
+    counts_hat: Mapping[str, float],
+    max_nodes: int = 20_000,
+    time_limit_seconds: float = 30.0,
+) -> OracleResult:
+    """Branch-and-bound discretisation of the fractional GP totals.
+
+    Finds integer ``N_k >= 1`` minimising ``max_k WCET_k / N_k`` subject to
+    the aggregated capacity constraints, starting the search from the
+    fractional optimum (floor/ceil branching as in the paper).
+
+    Raises
+    ------
+    DiscretizationError
+        If no feasible integer assignment exists.
+    """
+    names = problem.kernel_names
+    arrays = problem.arrays()
+    upper_bounds = oracle_caps(problem)
+
+    bounds = VariableBounds.from_ranges({name: (1, upper_bounds[name]) for name in names})
+    minmax = build_vectorized_minmax(problem)
+    wcet = arrays.wcet
+    aggregate_capacity = arrays.aggregate_capacity
+    weight_matrix = arrays.weights
+
+    def relaxation(
+        node_bounds: VariableBounds, parent: RelaxationResult | None = None
+    ) -> RelaxationResult:
+        min_counts = np.asarray([node_bounds.lower(name) for name in names], dtype=np.float64)
+        max_counts = np.asarray([node_bounds.upper(name) for name in names], dtype=np.float64)
+        lower_hint = parent.objective if parent is not None else None
+        try:
+            ii, count_vector = minmax.solve(
+                min_counts=min_counts, max_counts=max_counts, lower_hint=lower_hint
+            )
+        except InfeasibleError:
+            return RelaxationResult.infeasible()
+        return RelaxationResult(
+            feasible=True, objective=ii, solution=arrays.mapping(count_vector)
+        )
+
+    def evaluate(candidate: Mapping[str, int]) -> float | None:
+        count_vector = np.asarray([candidate[name] for name in names], dtype=np.float64)
+        if np.any(count_vector < 1):
+            return None
+        if not np.all(weight_matrix @ count_vector <= aggregate_capacity + 1e-9):
+            return None
+        return float(np.max(wcet / count_vector))
+
+    def rounding(fractional: Mapping[str, float], node_bounds: VariableBounds) -> list[dict[str, int]]:
+        floor_candidate = {
+            name: int(max(node_bounds.lower(name), math.floor(fractional.get(name, 1.0))))
+            for name in names
+        }
+        ceil_candidate = {
+            name: int(
+                min(node_bounds.upper(name), max(1, math.ceil(fractional.get(name, 1.0) - 1e-9)))
+            )
+            for name in names
+        }
+        return [ceil_candidate, floor_candidate]
+
+    # Node relaxations depend only on (problem, node bounds), so every
+    # discretisation of the same problem shares one cache.
+    try:
+        relaxation_cache = shared_relaxation_cache(
+            ("discretize", problem.pipeline, problem.platform)
+        )
+    except TypeError:
+        relaxation_cache = RelaxationCache()
+    solver = BranchAndBoundSolver(
+        relaxation_solver=relaxation,
+        incumbent_evaluator=evaluate,
+        rounding_heuristic=rounding,
+        settings=BBSettings(max_nodes=max_nodes, time_limit_seconds=time_limit_seconds),
+        relaxation_cache=relaxation_cache,
+    )
+
+    seed = {name: max(1, int(math.floor(counts_hat.get(name, 1.0)))) for name in names}
+    if not _aggregate_feasible(problem, seed):
+        seed = {name: 1 for name in names}
+    try:
+        result = solver.solve(bounds, initial_incumbent=seed)
+    except InfeasibleProblemError as error:
+        raise DiscretizationError(str(error)) from error
+    if not result.has_solution:
+        raise DiscretizationError("no feasible integer CU totals found")
+    counts = {name: int(result.solution[name]) for name in names}
+    return OracleResult(
+        counts=counts,
+        ii=_achieved_ii(problem, counts),
+        nodes_explored=result.nodes_explored,
+        proven_optimal=result.status is BBStatus.OPTIMAL,
+        cache_hits=result.relaxation_cache_hits,
+        cache_misses=result.relaxation_cache_misses,
+    )

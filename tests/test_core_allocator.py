@@ -40,10 +40,8 @@ class TestAllocatorBasics:
 
     def test_allocation_respects_per_fpga_capacity(self, alex16_problem):
         from repro.core.discretize import discretize_counts
-        from repro.core.gp_step import solve_gp_step
 
-        gp = solve_gp_step(alex16_problem)
-        totals = discretize_counts(alex16_problem, gp.counts_hat).counts
+        totals = discretize_counts(alex16_problem).counts
         result = allocate_cus(alex16_problem, totals)
         solution = solution_of(alex16_problem, result)
         assert solution.is_feasible()
@@ -143,10 +141,9 @@ class TestAllocatorBasics:
 
     def test_polish_improves_or_matches_partial_allocations(self, vgg_problem):
         from repro.core.discretize import discretize_counts
-        from repro.core.gp_step import solve_gp_step
 
         problem = vgg_problem.with_resource_constraint(75.0)
-        totals = discretize_counts(problem, solve_gp_step(problem).counts_hat).counts
+        totals = discretize_counts(problem).counts
         raw = allocate_cus(problem, totals, AllocatorSettings(polish=False))
         polished = allocate_cus(problem, totals, AllocatorSettings(polish=True))
 

@@ -1,8 +1,14 @@
-"""Relaxation caching and warm-start plumbing of the branch-and-bound engine."""
+"""Relaxation caching and warm-start plumbing of the branch-and-bound engine.
+
+The engine's discretisation client is the branch-and-bound oracle in
+``tests/discretize_oracle.py``; production discretisation is a threshold
+search with only a cross-call memo.
+"""
 
 import math
 
 import pytest
+from discretize_oracle import oracle_discretize
 
 from repro.core.discretize import (
     discretization_cache_clear,
@@ -129,11 +135,10 @@ class TestDiscretizationMemo:
     def test_memo_hits_on_repeated_discretisation(self):
         discretization_cache_clear()
         problem = case_study("alex-16", resource_limit_percent=70.0)
-        gp = solve_gp_step(problem)
-        first = discretize_counts(problem, gp.counts_hat)
+        first = discretize_counts(problem)
         info = discretization_cache_info()
         assert info["misses"] == 1 and info["hits"] == 0
-        second = discretize_counts(problem, gp.counts_hat)
+        second = discretize_counts(problem)
         info = discretization_cache_info()
         assert info["hits"] == 1
         assert second.counts == first.counts
@@ -144,16 +149,14 @@ class TestDiscretizationMemo:
         discretization_cache_clear()
         for constraint in (65.0, 70.0):
             problem = case_study("alex-16", resource_limit_percent=constraint)
-            gp = solve_gp_step(problem)
-            discretize_counts(problem, gp.counts_hat)
+            discretize_counts(problem)
         assert discretization_cache_info()["entries"] == 2
         discretization_cache_clear()
 
     def test_use_cache_false_bypasses_the_memo(self):
         discretization_cache_clear()
         problem = case_study("alex-16", resource_limit_percent=70.0)
-        gp = solve_gp_step(problem)
-        discretize_counts(problem, gp.counts_hat, use_cache=False)
+        discretize_counts(problem, use_cache=False)
         assert discretization_cache_info() == {"hits": 0, "misses": 0, "entries": 0}
         discretization_cache_clear()
 
@@ -162,13 +165,13 @@ class TestDiscretizationMemo:
         shared_relaxation_caches_clear()
         problem = case_study("vgg-16", resource_limit_percent=70.0)
         gp = solve_gp_step(problem)
-        first = discretize_counts(problem, gp.counts_hat, use_cache=False)
+        first = oracle_discretize(problem, gp.counts_hat)
         # Boxes within one tree are disjoint, so the first run only misses...
         assert first.cache_misses > 0
         assert first.cache_hits == 0
         # ...but a second discretisation of the same problem replays the
         # same boxes out of the shared per-problem cache.
-        second = discretize_counts(problem, gp.counts_hat, use_cache=False)
+        second = oracle_discretize(problem, gp.counts_hat)
         assert second.cache_hits > 0
         assert second.counts == first.counts
         assert second.ii == first.ii
@@ -185,14 +188,16 @@ class TestDiscretizationMemo:
 
 
 def test_warm_start_used_by_discretisation_changes_nothing():
-    """B&B with warm-started vectorized relaxations equals the paper path."""
-    discretization_cache_clear()
+    """B&B with warm-started vectorized relaxations reaches the exact optimum."""
+    shared_relaxation_caches_clear()
     for case in ("alex-16", "alex-32", "vgg-16"):
         problem = case_study(case, resource_limit_percent=70.0)
         gp = solve_gp_step(problem)
-        result = discretize_counts(problem, gp.counts_hat, use_cache=False)
+        result = oracle_discretize(problem, gp.counts_hat)
         assert result.proven_optimal
         assert result.ii == pytest.approx(
             max(problem.wcet[n] / result.counts[n] for n in problem.kernel_names)
         )
-    discretization_cache_clear()
+        exact = discretize_counts(problem, use_cache=False)
+        assert result.ii == pytest.approx(exact.ii, rel=1e-12)
+    shared_relaxation_caches_clear()

@@ -129,6 +129,26 @@ class TestRequestWireFormat:
         with pytest.raises(SerializationError, match="bogus"):
             request_from_dict(payload)
 
+    def test_retired_discretization_fields_are_dropped(self, tiny_problem_at):
+        """Documents from before the threshold-search discretiser still
+        decode, to the same request as without the two retired fields."""
+        payload = request_to_dict(SolveRequest(problem=tiny_problem_at(70.0)))
+        payload["heuristic_settings"] = {
+            "t_percent": 5.0,
+            "discretization_max_nodes": 20_000,
+            "discretization_time_limit": 30.0,
+        }
+        request = request_from_dict(payload)
+        assert request.heuristic_settings == HeuristicSettings(t_percent=5.0)
+        # Only those two keys, and only for the heuristic settings.
+        payload["heuristic_settings"]["bogus"] = 1
+        with pytest.raises(SerializationError, match="bogus"):
+            request_from_dict(payload)
+        payload["heuristic_settings"] = None
+        payload["exact_settings"] = {"discretization_max_nodes": 20_000}
+        with pytest.raises(SerializationError, match="discretization_max_nodes"):
+            request_from_dict(payload)
+
     def test_missing_problem_rejected(self):
         with pytest.raises(SerializationError, match="problem"):
             request_from_dict({"method": "gp+a"})

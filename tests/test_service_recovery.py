@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.discretize import discretization_cache_clear
+from repro.core.heuristic import HeuristicSettings
 from repro.core.problem import AllocationProblem
 from repro.minlp.binpacking import shared_packing_memos_clear
 from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
@@ -257,6 +258,35 @@ class TestDedupedAsyncReplay:
                 _comparable(doc) for doc in expected["outcomes"]
             ]
             assert recovered.job_json(job_id) == json.dumps(finished, allow_nan=False)
+        finally:
+            recovered.close()
+
+
+class TestRetiredSettingsReplay:
+    def test_record_with_retired_discretization_fields_replays(self, tmp_path):
+        """A job journaled by a server that still had the branch-and-bound
+        discretiser's node and time limits is recovered and answered, not
+        dropped as undecodable."""
+        request = SolveRequest(
+            problem=POOL[0].problem, method="gp+a", heuristic_settings=HeuristicSettings()
+        )
+        document = request_to_dict(request)
+        document["heuristic_settings"].update(
+            discretization_max_nodes=20_000, discretization_time_limit=30.0
+        )
+        wal_dir = tmp_path / "wal"
+        with JobWal(wal_dir) as wal:
+            wal.journal_submit("job-00000001", 1, _time.time(), [document, document])
+
+        _clear_solver_memos()
+        recovered = AllocationService(store=ResultStore(), wal=wal_dir, job_workers=1)
+        try:
+            assert recovered.recovered_jobs == 1
+            finished = recovered.jobs.wait("job-00000001", timeout_seconds=60.0)
+            assert finished["status"] == "done"
+            assert finished["fingerprints"] == [request.fingerprint()] * 2
+            assert all(doc["status"] != "error" for doc in finished["outcomes"])
+            assert recovered.wal.stats()["live_jobs"] == 0
         finally:
             recovered.close()
 
