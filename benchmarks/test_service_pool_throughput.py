@@ -32,8 +32,8 @@ from repro.platform.presets import aws_f1
 from repro.service import (
     AllocationService,
     RetryPolicy,
+    ResultStore,
     ServiceClient,
-    ShardedResultStore,
     SolveRequest,
     WorkerPool,
     WorkerSpec,
@@ -198,7 +198,7 @@ def test_pool_submit_latency_vs_single_process(benchmark, tmp_path):
         return statistics.median(samples)
 
     service = AllocationService(
-        store=ShardedResultStore(num_shards=4),
+        store=ResultStore(),
         job_workers=1,
         wal=tmp_path / "single-wal",
     )

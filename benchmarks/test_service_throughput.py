@@ -1,6 +1,6 @@
 """Allocation service benchmarks: warm-cache latency, batch dedupe, async queue.
 
-Four service-level numbers matter for the ROADMAP's serving story:
+Three service-level numbers matter for the ROADMAP's serving story:
 
 * the request rate a warm cache sustains on ``/solve``-equivalent calls
   (the in-process ``AllocationService.solve_request`` path -- no HTTP, so
@@ -10,8 +10,7 @@ Four service-level numbers matter for the ROADMAP's serving story:
 * the async job queue (PR 5): submitting that same 1000-request batch must
   return a job id in well under 5 ms, the drained job must still perform
   exactly 64 solves, and a warm async replay must sustain at least the
-  PR 2 warm replay throughput (the queue may not tax the hot path);
-* the sharded store must not slow the single-threaded batch path.
+  recorded sync warm replay throughput (the queue may not tax the hot path).
 
 The snapshots land in ``BENCH_<rev>.json`` via ``benchmarks/conftest.py``.
 """
@@ -25,7 +24,6 @@ from repro.platform.presets import aws_f1
 from repro.service import (
     AllocationService,
     ResultStore,
-    ShardedResultStore,
     SolveRequest,
     solve_batch,
 )
@@ -99,19 +97,6 @@ def test_batch_warm_replay_throughput(benchmark):
     assert report.memory_hits == BATCH_UNIQUE
 
 
-def test_batch_warm_replay_sharded_store(benchmark):
-    """The same warm replay against a 4-shard store: the routing layer must
-    not tax the single-threaded hot path (its win is under contention)."""
-    problems = _problems(BATCH_UNIQUE)
-    requests = [SolveRequest(problem=problems[index % BATCH_UNIQUE]) for index in range(BATCH_TOTAL)]
-    store = ShardedResultStore(num_shards=4)
-    solve_batch(requests, store=store)
-
-    _, report = benchmark(solve_batch, requests, store=store)
-    assert report.solves == 0
-    assert report.memory_hits == BATCH_UNIQUE
-
-
 def test_async_batch_cold_dedupe_and_submit_latency(benchmark):
     """Async 1000-request/64-unique batch: the job id returns in < 5 ms and
     the drained job performs exactly 64 solves (the acceptance scenario)."""
@@ -119,7 +104,7 @@ def test_async_batch_cold_dedupe_and_submit_latency(benchmark):
     requests = [SolveRequest(problem=problems[index % BATCH_UNIQUE]) for index in range(BATCH_TOTAL)]
 
     def run():
-        service = AllocationService(store=ShardedResultStore(num_shards=4), job_workers=2)
+        service = AllocationService(store=ResultStore(), job_workers=2)
         try:
             start = time.perf_counter()
             submitted = service.submit_batch(requests)
@@ -144,7 +129,7 @@ def test_async_warm_replay_throughput(benchmark):
     zero solves, and the queue sustains the PR 2 warm replay throughput."""
     problems = _problems(BATCH_UNIQUE)
     requests = [SolveRequest(problem=problems[index % BATCH_UNIQUE]) for index in range(BATCH_TOTAL)]
-    service = AllocationService(store=ShardedResultStore(num_shards=4), job_workers=2)
+    service = AllocationService(store=ResultStore(), job_workers=2)
     warmup = service.submit_batch(requests)
     service.jobs.wait(warmup["job_id"], timeout_seconds=300.0)
 
@@ -175,7 +160,7 @@ def test_async_warm_replay_with_wal(benchmark, tmp_path):
     problems = _problems(BATCH_UNIQUE)
     requests = [SolveRequest(problem=problems[index % BATCH_UNIQUE]) for index in range(BATCH_TOTAL)]
     service = AllocationService(
-        store=ShardedResultStore(num_shards=4), job_workers=2, wal=tmp_path / "wal"
+        store=ResultStore(), job_workers=2, wal=tmp_path / "wal"
     )
     warmup = service.submit_batch(requests)
     service.jobs.wait(warmup["job_id"], timeout_seconds=300.0)
@@ -199,7 +184,7 @@ def test_async_submit_latency_warm_queue(benchmark):
     """Steady-state submit latency: one lock + one queue put, microseconds."""
     problems = _problems(BATCH_UNIQUE)
     requests = [SolveRequest(problem=problems[index % BATCH_UNIQUE]) for index in range(BATCH_TOTAL)]
-    service = AllocationService(store=ShardedResultStore(num_shards=4), job_workers=2)
+    service = AllocationService(store=ResultStore(), job_workers=2)
     warmup = service.submit_batch(requests)
     service.jobs.wait(warmup["job_id"], timeout_seconds=300.0)
 

@@ -70,7 +70,6 @@ def wait_for_health(client: ServiceClient, timeout_seconds: float = 30.0) -> Non
 
 def spawn_server(
     port: int,
-    shards: int = 1,
     workers: int = 1,
     trace: bool = False,
     worker_processes: int = 1,
@@ -82,7 +81,7 @@ def spawn_server(
     environment["PYTHONPATH"] = source_root + (os.pathsep + existing if existing else "")
     command = [
         sys.executable, "-m", "repro", "serve", "--port", str(port),
-        "--shards", str(shards), "--workers", str(workers), "--quiet",
+        "--workers", str(workers), "--quiet",
     ]
     if worker_processes > 1:
         command += ["--worker-processes", str(worker_processes)]
@@ -132,7 +131,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7, help="shuffle seed")
     parser.add_argument("--mode", choices=("sync", "async"), default="sync",
                         help="drive /solve_batch synchronously or through the job queue")
-    parser.add_argument("--shards", type=int, default=1, help="result-store shards (with --spawn)")
     parser.add_argument("--workers", type=int, default=1, help="async job workers (with --spawn)")
     parser.add_argument("--trace", action="store_true",
                         help="enable solve tracing on the spawned server and check /trace")
@@ -155,7 +153,6 @@ def main() -> int:
         if args.spawn:
             process = spawn_server(
                 args.port,
-                shards=args.shards,
                 workers=args.workers,
                 trace=args.trace,
                 worker_processes=args.worker_processes,

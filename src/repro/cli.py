@@ -9,7 +9,7 @@ Three sub-commands cover the common workflows::
     repro-fpga experiment figure2 --jobs 4   # sweep on a 4-worker process pool
     repro-fpga experiment hetero-skew        # heterogeneous class-skew sweep
     repro-fpga serve --port 8000 --jobs 4 --cache-dir ~/.cache/repro-fpga
-    repro-fpga serve --shards 8 --workers 4 --cache-cap 268435456 --cache-ttl 86400
+    repro-fpga serve --workers 4 --cache-cap 268435456 --cache-ttl 86400
     repro-fpga serve --trace --quiet          # record solve traces, no access log
     repro-fpga fleet --tenants 3 --classes 2,2   # multi-tenant fleet allocation
     repro-fpga fleet --spec fleet.json --mode exact
@@ -23,9 +23,9 @@ Three sub-commands cover the common workflows::
 ``serve`` starts the long-running allocation service: an HTTP JSON API
 (``/solve``, ``/solve_batch`` with sync and async modes, ``/jobs``,
 ``/health``, ``/stats``) backed by the fingerprint-keyed result cache of
-:mod:`repro.service` -- optionally sharded (``--shards``), bounded
-(``--cache-cap``/``--cache-ttl``) and drained by an async job worker pool
-(``--workers``).
+:mod:`repro.service` -- bounded (``--cache-cap``/``--cache-ttl``), drained by
+an async job worker pool (``--workers``) and scaled out over worker
+processes (``--worker-processes``).
 
 ``python -m repro`` is equivalent to ``repro-fpga``.
 """
@@ -129,13 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory-capacity",
         type=int,
         default=4096,
-        help="entries held by the in-memory LRU tier (per store, split across shards)",
-    )
-    serve_parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="independent result-store shards selected by fingerprint prefix (1 = single store)",
+        help="entries held by the in-memory LRU tier (per store)",
     )
     serve_parser.add_argument(
         "--workers",
@@ -374,7 +368,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     from .service import (
         AllocationService,
         ResultStore,
-        ShardedResultStore,
         StoreLimits,
         run_server,
     )
@@ -391,9 +384,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         executor = SweepExecutor(
             ExecutorSettings(parallel=True, max_workers=jobs), persistent=True
         )
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
@@ -402,12 +392,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         disk_bytes=args.cache_cap,
         ttl_seconds=args.cache_ttl,
     )
-    if args.shards == 1:
-        store = ResultStore(cache_dir=args.cache_dir, limits=limits)
-    else:
-        store = ShardedResultStore(
-            cache_dir=args.cache_dir, num_shards=args.shards, limits=limits
-        )
+    store = ResultStore(cache_dir=args.cache_dir, limits=limits)
     service = AllocationService(
         store=store,
         executor=executor,
@@ -420,7 +405,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     tier = f"memory+disk ({args.cache_dir})" if args.cache_dir else "memory-only"
     durability = f"wal ({args.wal_dir})" if args.wal_dir else "none"
     print(
-        f"result cache: {tier}; shards: {args.shards}; batch workers: {jobs}; "
+        f"result cache: {tier}; batch workers: {jobs}; "
         f"async job workers: {args.workers}; tracing: "
         f"{'on' if service.tracing else 'off'}; durability: {durability}",
         flush=True,
@@ -453,8 +438,8 @@ def _run_serve_pool(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shards < 1 or args.workers < 1:
-        print("--shards and --workers must be >= 1", file=sys.stderr)
+    if args.workers < 1:
+        print("--workers must be >= 1", file=sys.stderr)
         return 2
     data_dir = args.data_dir
     if data_dir is None:
@@ -468,7 +453,6 @@ def _run_serve_pool(args: argparse.Namespace) -> int:
         group=0,
         data_dir="",
         host=args.host,
-        shards=args.shards,
         job_workers=args.workers,
         memory_capacity=args.memory_capacity,
         cache_cap=args.cache_cap,
@@ -496,8 +480,7 @@ def _run_serve_pool(args: argparse.Namespace) -> int:
     router = RouterService(pool)
     print(
         f"worker pool: {args.worker_processes} shard-group processes under "
-        f"{data_dir}; per-worker shards: {args.shards}; async job workers: "
-        f"{args.workers}; durability: per-group wal",
+        f"{data_dir}; async job workers: {args.workers}; durability: per-group wal",
         flush=True,
     )
     run_router(router, host=args.host, port=args.port, quiet=args.quiet)

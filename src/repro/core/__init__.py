@@ -24,8 +24,6 @@ from .exact import (
 )
 from .gp_step import (
     GPStepResult,
-    build_gp_model,
-    build_minmax_problem,
     build_vectorized_minmax,
     solve_gp_step,
 )
@@ -72,8 +70,6 @@ __all__ = [
     "ValidationReport",
     "allocate_cus",
     "balanced_weights",
-    "build_gp_model",
-    "build_minmax_problem",
     "build_problem_arrays",
     "build_vectorized_minmax",
     "candidate_ii_values",

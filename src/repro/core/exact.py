@@ -409,16 +409,8 @@ def seed_sweep_relaxations(
 def solve_exact_weighted(
     problem: AllocationProblem,
     settings: ExactSettings = ExactSettings(),
-    bb_child_order: str = "fixed",
 ) -> SolveOutcome:
-    """Exact (bounded-gap) solver for the weighted II + spreading objective.
-
-    ``bb_child_order`` selects the branch-and-bound child ordering
-    (``"fixed"`` or ``"bound"``, see :class:`~repro.minlp.branch_and_bound.
-    BBSettings`).  It is a search-path knob, deliberately not part of
-    :class:`ExactSettings`: it can change which of several optimal incumbents
-    is returned, so it must not silently alter cached-request fingerprints.
-    """
+    """Exact (bounded-gap) solver for the weighted II + spreading objective."""
     start = time.perf_counter()
     names = problem.kernel_names
     num_fpgas = problem.num_fpgas
@@ -490,7 +482,6 @@ def solve_exact_weighted(
             max_nodes=settings.max_nodes,
             time_limit_seconds=settings.time_limit_seconds,
             gap_tolerance=settings.gap_tolerance,
-            child_order=bb_child_order,
         ),
         # LP node relaxations are the dominant cost of this solver; runs
         # over the same weighted problem (sweep re-solves) share one cache,

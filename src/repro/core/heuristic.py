@@ -25,13 +25,24 @@ from .solution import AllocationSolution, SolveOutcome, SolveStatus
 
 @dataclass(frozen=True)
 class HeuristicSettings:
-    """Configuration of the GP+A heuristic."""
+    """Configuration of the GP+A heuristic.
+
+    ``gp_backend`` names the GP-step solver.  Bisection is the only one, but
+    the field stays: it is part of every gp+a request fingerprint and of the
+    outcome's ``details["gp_backend"]``.
+    """
 
     gp_backend: str = "bisection"
     t_percent: float = 0.0
     delta_percent: float = 1.0
     criticality: str = "ii-impact"
     use_bb_discretization: bool = True
+
+    def __post_init__(self) -> None:
+        if self.gp_backend != "bisection":
+            raise ValueError(
+                f"unknown GP backend {self.gp_backend!r}; the only option is 'bisection'"
+            )
 
     def allocator_settings(self) -> AllocatorSettings:
         return AllocatorSettings(
@@ -111,7 +122,7 @@ def solve_gp_a(
     details: dict[str, object] = {"gp_backend": settings.gp_backend}
 
     try:
-        gp_result = solve_gp_step(problem, backend=settings.gp_backend)
+        gp_result = solve_gp_step(problem)
     except InfeasibleError as error:
         return SolveOutcome(
             method="gp+a",

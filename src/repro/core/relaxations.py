@@ -40,13 +40,13 @@ can assert LP-solves-per-node budgets end to end.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import optimize
 
 from ..minlp.bounds import VariableBounds
 from ..minlp.branch_and_bound import RelaxationResult
@@ -74,7 +74,13 @@ class _HighsBindings:
         self.HighsModelStatus = module.HighsModelStatus
 
 
-def _load_highs_bindings() -> "_HighsBindings | None":
+@functools.cache
+def _highs_bindings() -> "_HighsBindings | None":
+    """The HiGHS bindings, loaded on first use.
+
+    SciPy is imported only when a process first solves an LP, so a server
+    that answers only GP+A requests never pays its import time or memory.
+    """
     try:  # pragma: no cover - exercised only where highspy is installed
         import highspy
 
@@ -89,8 +95,6 @@ def _load_highs_bindings() -> "_HighsBindings | None":
         return None
 
 
-_HIGHS_BINDINGS = _load_highs_bindings()
-
 #: Safety margin subtracted from node bounds so that the inexactness of the
 #: scalar search can never prune the true optimum.
 BOUND_SAFETY = 1e-7
@@ -101,7 +105,7 @@ _II_CACHE_LIMIT = 4096
 
 def highspy_available() -> bool:
     """Whether the persistent HiGHS LP backend can be used in this process."""
-    return _HIGHS_BINDINGS is not None
+    return _highs_bindings() is not None
 
 
 class _HighsBackendError(RuntimeError):
@@ -119,7 +123,7 @@ class _PersistentHighsLP:
     """
 
     def __init__(self, cost: np.ndarray, matrix: np.ndarray, rhs: np.ndarray, bounds: np.ndarray):
-        binding = _HIGHS_BINDINGS
+        binding = _highs_bindings()
         if binding is None:  # pragma: no cover - guarded by the caller
             raise _HighsBackendError("no HiGHS bindings are available")
         num_rows, num_cols = matrix.shape
@@ -701,7 +705,9 @@ class AllocationRelaxation:
                 self._drop_highs()
             else:
                 return solved
-        result = optimize.linprog(
+        from scipy.optimize import linprog
+
+        result = linprog(
             c=cost, A_ub=matrix, b_ub=rhs, bounds=bounds, method="highs"
         )
         if not result.success:

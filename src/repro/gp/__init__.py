@@ -1,76 +1,16 @@
 """Geometric programming substrate.
 
 The paper's heuristic links its allocator to "an existing efficient GP
-solver" (GPkit).  No GP library is available offline, so this package is a
-self-contained replacement: a monomial/posynomial modelling layer, log-space
-convexification, two solver backends (scipy SLSQP and a from-scratch barrier
-interior-point method), and an exact bisection solver specialised for the
-min-max-latency GPs produced by the allocation problem.
+solver" (GPkit).  The GP its first step produces (eqs. 14-18) is a min-max
+program whose optimum bisection finds exactly, so this package holds just
+that solver (:mod:`repro.gp.minmax`) and its errors.
 """
 
-from .errors import GPError, InfeasibleError, ModelError, NotMonomialError, SolverError
-from .expressions import (
-    Monomial,
-    Posynomial,
-    PosynomialConstraint,
-    Variable,
-    as_monomial,
-    as_posynomial,
-)
-from .interior_point import BarrierSettings, solve_interior_point
-from .logspace import LogSpaceProgram, LogSumExpFunction, compile_to_logspace
-from .minmax import CapacityConstraint, MinMaxLatencyProblem, VectorizedMinMaxProblem
-from .model import GPModel, GPSolution, SolveStatus
-from .slsqp_backend import solve_slsqp
-
-#: Registry of general-purpose GP backends by name.
-BACKENDS = {
-    "slsqp": solve_slsqp,
-    "interior-point": solve_interior_point,
-}
-
-
-def solve(model: GPModel, backend: str = "slsqp", **kwargs) -> GPSolution:
-    """Solve a geometric program with the named backend.
-
-    Parameters
-    ----------
-    model:
-        The GP to solve.
-    backend:
-        ``"slsqp"`` (default) or ``"interior-point"``.
-    kwargs:
-        Passed through to the backend (e.g. ``initial_values``).
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown GP backend {backend!r}; options: {sorted(BACKENDS)}")
-    return BACKENDS[backend](model, **kwargs)
-
+from .errors import GPError, InfeasibleError
+from .minmax import VectorizedMinMaxProblem
 
 __all__ = [
-    "BACKENDS",
-    "BarrierSettings",
-    "CapacityConstraint",
     "GPError",
-    "GPModel",
-    "GPSolution",
     "InfeasibleError",
-    "LogSpaceProgram",
-    "LogSumExpFunction",
-    "MinMaxLatencyProblem",
     "VectorizedMinMaxProblem",
-    "ModelError",
-    "Monomial",
-    "NotMonomialError",
-    "Posynomial",
-    "PosynomialConstraint",
-    "SolveStatus",
-    "SolverError",
-    "Variable",
-    "as_monomial",
-    "as_posynomial",
-    "compile_to_logspace",
-    "solve",
-    "solve_interior_point",
-    "solve_slsqp",
 ]

@@ -7,17 +7,5 @@ class GPError(Exception):
     """Base class for all geometric-programming errors."""
 
 
-class NotMonomialError(GPError):
-    """Raised when a monomial was required but a general posynomial was given."""
-
-
-class ModelError(GPError):
-    """Raised when a model is structurally invalid (e.g. no objective)."""
-
-
 class InfeasibleError(GPError):
-    """Raised when the solver proves (or strongly suspects) infeasibility."""
-
-
-class SolverError(GPError):
-    """Raised when a backend fails to converge for numerical reasons."""
+    """Raised when the solver proves infeasibility."""

@@ -194,26 +194,12 @@ class BBResult:
 
 @dataclass(frozen=True)
 class BBSettings:
-    """Limits and tolerances of the search.
-
-    ``child_order`` controls the order in which a node's children enter the
-    frontier: ``"fixed"`` (the historical floor-then-ceiling order) or
-    ``"bound"`` (children sorted by their relaxation lower bound, so among
-    equal-bound frontier entries the better-bounded child is expanded
-    first).  The best-first heap makes this a tie-breaking refinement; it
-    changes the search path -- and with it which optimal incumbent is found
-    -- only when bounds tie, which is why ``"fixed"`` stays the default.
-    """
+    """Limits and tolerances of the search."""
 
     max_nodes: int = 20_000
     time_limit_seconds: float = 120.0
     gap_tolerance: float = 1e-6
     integrality_tolerance: float = INTEGRALITY_TOLERANCE
-    child_order: str = "fixed"
-
-    def __post_init__(self) -> None:
-        if self.child_order not in ("fixed", "bound"):
-            raise ValueError("child_order must be 'fixed' or 'bound'")
 
 
 #: A relaxation solver maps node bounds to a bound + fractional solution; it
@@ -414,7 +400,6 @@ class BranchAndBoundSolver:
                 if floor_value + 1 <= upper:
                     children.append(node.bounds.with_lower(branch_name, floor_value + 1))
 
-                solved_children = []
                 for child_bounds in children:
                     relaxation = self._solve_relaxation(child_bounds, node.relaxation)
                     if not relaxation.feasible:
@@ -423,14 +408,6 @@ class BranchAndBoundSolver:
                         1.0, abs(best_objective)
                     ):
                         continue
-                    solved_children.append((child_bounds, relaxation))
-                if settings.child_order == "bound":
-                    # Lower-bound-guided ordering: the better-bounded child
-                    # gets the smaller sequence number, so it wins heap ties
-                    # against its sibling (and any other equal-bound frontier
-                    # node).
-                    solved_children.sort(key=lambda entry: entry[1].objective)
-                for child_bounds, relaxation in solved_children:
                     heapq.heappush(
                         heap,
                         _Node(

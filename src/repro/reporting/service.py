@@ -24,7 +24,6 @@ def cache_stats_table(stats: Mapping[str, Any], title: str = "Result cache") -> 
         "evictions",
         "disk_evictions",
         "ttl_evictions",
-        "rebalances",
         "lookups",
     ):
         if counter in stats:
@@ -101,8 +100,6 @@ def service_stats_table(stats: Mapping[str, Any]) -> TextTable:
             table.add_row(counter, int(service[counter]))
     if "uptime_seconds" in service:
         table.add_row("uptime_seconds", f"{float(service['uptime_seconds']):.1f}")
-    if "cache_shards" in stats:
-        table.add_row("cache_shards", int(stats["cache_shards"]))
     for tier, size in stats.get("cache_sizes", {}).items():
         table.add_row(f"{tier}_entries", int(size))
     for tier, size in stats.get("cache_bytes", {}).items():

@@ -6,10 +6,10 @@ cache-backed engine:
 * :mod:`repro.service.canonical` -- stable content fingerprints of
   ``(problem, method, settings)`` requests;
 * :mod:`repro.service.store` -- bounded in-memory LRU + on-disk SQLite
-  result tiers, single-store or sharded by fingerprint prefix;
+  result tiers;
 * :mod:`repro.service.batch` -- deduped, memo-grouped batch solving;
 * :mod:`repro.service.jobs` -- the async batch job queue and worker pool;
-* :mod:`repro.service.wal` -- the per-shard write-ahead job journal that
+* :mod:`repro.service.wal` -- the segmented write-ahead job journal that
   makes async acks durable across ``kill -9``;
 * :mod:`repro.service.faults` -- seeded fault injection (crashes, IO
   errors, latency) at named sites, for the durability test harness;
@@ -57,11 +57,9 @@ from .store import (
     CacheStats,
     MemoryTier,
     ResultStore,
-    ShardedResultStore,
     SqliteTier,
     StoreLimits,
     StoreLookup,
-    shard_of,
 )
 from .wal import JobWal, WalError, WalSegment, decode_records, encode_record
 
@@ -88,7 +86,6 @@ __all__ = [
     "RouterService",
     "ServiceClient",
     "ServiceError",
-    "ShardedResultStore",
     "SolveRequest",
     "SqliteTier",
     "StoreLimits",
@@ -115,7 +112,6 @@ __all__ = [
     "run_router",
     "run_server",
     "set_injector",
-    "shard_of",
     "solve_batch",
     "start_router",
     "start_server",

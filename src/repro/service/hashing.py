@@ -28,22 +28,14 @@ key and its old successor, i.e. only onto the new group.
 tool computes identical ownership.  Ring structures are memoized per
 ``(num_groups, replicas)`` -- building one is ``O(groups * replicas)`` and
 routing is one binary search.
-
-For placement *analysis* (and for batch partitioning where a strict load
-cap matters more than per-key purity), :meth:`HashRing.place_bounded`
-implements consistent hashing with bounded loads (Mirrokni et al.): keys
-walk clockwise past groups already at ``ceil(load_factor * keys/groups)``
-keys, guaranteeing a hard per-group ceiling at the cost of the placement
-depending on the key set.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-import math
 import threading
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 #: Virtual points each group projects onto the ring.  128 keeps the maximal
 #: arc-share imbalance of any group within ~25% of fair share for realistic
@@ -65,10 +57,9 @@ def _hash64(token: str) -> int:
 def fingerprint_point(fingerprint: str) -> int:
     """Ring position of a request fingerprint.
 
-    Fingerprints are already SHA-256 hex (uniform by construction), but they
-    are re-hashed with a distinct prefix so ring geometry never correlates
-    with the store-shard selector (:func:`repro.service.store.shard_of`
-    uses the leading hex nibbles directly).
+    Fingerprints are already SHA-256 hex (uniform by construction); they
+    are re-hashed with a distinct prefix so ring geometry stays independent
+    of any other use of the digest's leading bits.
     """
     return _hash64("key/" + fingerprint)
 
@@ -138,41 +129,6 @@ class HashRing:
             for fingerprint in fingerprints
             if self.group_of(fingerprint) != new_ring.group_of(fingerprint)
         ]
-
-    # ------------------------------------------------------------------ #
-    # Bounded-load placement
-    # ------------------------------------------------------------------ #
-    def place_bounded(
-        self, fingerprints: Sequence[str], load_factor: float = 1.25
-    ) -> Dict[str, int]:
-        """Place a key *set* with a hard per-group load ceiling.
-
-        Consistent hashing with bounded loads: each key starts at its ring
-        successor and walks clockwise past any group already holding
-        ``ceil(load_factor * len(keys) / num_groups)`` keys.  Guarantees
-        ``max_load <= ceil(load_factor * fair_share)`` by construction;
-        unlike :meth:`group_of` the result depends on the key set, so this
-        is a placement/analysis tool, not the per-request routing function.
-        """
-        if load_factor <= 1.0:
-            raise ValueError("load_factor must be > 1.0")
-        total = len(fingerprints)
-        if total == 0:
-            return {}
-        capacity = math.ceil(load_factor * total / self.num_groups)
-        loads = [0] * self.num_groups
-        placement: Dict[str, int] = {}
-        for fingerprint in fingerprints:
-            index = bisect.bisect_left(self._points, fingerprint_point(fingerprint))
-            for probe in range(len(self._points)):
-                owner = self._owners[(index + probe) % len(self._points)]
-                if loads[owner] < capacity:
-                    loads[owner] += 1
-                    placement[fingerprint] = owner
-                    break
-            else:  # pragma: no cover - capacity * groups >= total always
-                raise RuntimeError("bounded placement ran out of capacity")
-        return placement
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -221,6 +221,8 @@ class JobQueue:
         self.failed = 0
         self.pruned = 0
         self.recovered = 0
+        #: Journaled jobs recovered as ``failed`` because they no longer decode.
+        self.unrecoverable = 0
         self.rejected = 0
         #: Accumulated queue-wait and worker-run time over finished jobs.
         self.wait_seconds_total = 0.0
@@ -313,7 +315,12 @@ class JobQueue:
         fingerprints from the result store, so replay is idempotent.  The
         id counter resumes past every journaled sequence, and recovery
         ignores ``max_queue_depth``: these jobs were already acknowledged.
-        Returns the number of jobs re-enqueued.
+
+        A journaled job whose documents no longer decode (for example a
+        settings value a newer version rejects) cannot run, but its ack
+        still stands: it comes back under its original id as ``failed``,
+        with the decode error as its reason, and counts as
+        ``unrecoverable``.  Returns the number of jobs re-enqueued.
         """
         if self.wal is None:
             return 0
@@ -325,21 +332,19 @@ class JobQueue:
             self._next_id = max(self._next_id, max_sequence)
         recovered = 0
         for record in records:
-            try:
-                requests = requests_from_documents(record["requests"])
-            except Exception:
-                # A journaled document that no longer parses (schema drift
-                # across versions) must not wedge recovery of the rest.
-                continue
-            sequence = int(record.get("seq", 0))
+            documents = record.get("requests")
             job = Job(
                 id=str(record["job_id"]),
-                total=len(requests),
+                total=len(documents) if isinstance(documents, list) else 0,
                 created_unix=float(record.get("created_unix", self._clock())),
-                requests=requests,
-                sequence=sequence,
+                sequence=int(record.get("seq", 0)),
                 recovered=True,
             )
+            try:
+                job.requests = requests_from_documents(documents)
+            except Exception as error:
+                self._fail_unrecoverable(job, error)
+                continue
             with self._lock:
                 if self._closed:
                     break
@@ -352,6 +357,27 @@ class JobQueue:
                 self._queue.put(job.id)
             recovered += 1
         return recovered
+
+    def _fail_unrecoverable(self, job: Job, error: Exception) -> None:
+        """Register a journaled job that cannot be decoded as ``failed``."""
+        with self._lock:
+            if self._closed or job.id in self._jobs:
+                return
+            job.status = "failed"
+            job.error = f"unrecoverable WAL record: {type(error).__name__}: {error}"
+            job.finished_unix = self._clock()
+            job.finished_event.set()
+            self._jobs[job.id] = job
+            self.submitted += 1
+            self.failed += 1
+            self.unrecoverable += 1
+            self._finished_order.append(job.id)
+            self._prune_locked()
+        if self.wal is not None:
+            try:
+                self.wal.journal_complete(job.id, job.sequence, job.status)
+            except OSError:
+                pass  # the record is replayed, and failed again, next restart
 
     def get(self, job_id: str, include_outcomes: bool = True) -> dict[str, Any] | None:
         """Current document of one job, or ``None`` for unknown ids.
@@ -424,6 +450,7 @@ class JobQueue:
                 "failed": self.failed,
                 "pruned": self.pruned,
                 "recovered": self.recovered,
+                "unrecoverable": self.unrecoverable,
                 "rejected": self.rejected,
                 "max_queue_depth": self.max_queue_depth,
                 "retained": len(self._jobs),

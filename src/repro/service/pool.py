@@ -76,7 +76,6 @@ class WorkerSpec:
     group: int
     data_dir: str
     host: str = "127.0.0.1"
-    shards: int = 1
     job_workers: int = 1
     memory_capacity: int = 4096
     cache_cap: int | None = None
@@ -103,19 +102,14 @@ def build_worker_service(spec: WorkerSpec) -> Any:
     group's directory re-enqueues every acknowledged-but-unfinished job.
     """
     from .server import AllocationService
-    from .store import ResultStore, ShardedResultStore, StoreLimits
+    from .store import ResultStore, StoreLimits
 
     limits = StoreLimits(
         memory_entries=spec.memory_capacity,
         disk_bytes=spec.cache_cap,
         ttl_seconds=spec.cache_ttl,
     )
-    if spec.shards <= 1:
-        store: Any = ResultStore(cache_dir=spec.cache_dir, limits=limits)
-    else:
-        store = ShardedResultStore(
-            cache_dir=spec.cache_dir, num_shards=spec.shards, limits=limits
-        )
+    store = ResultStore(cache_dir=spec.cache_dir, limits=limits)
     return AllocationService(
         store=store,
         job_workers=spec.job_workers,

@@ -845,7 +845,7 @@ class RouterService:
                 key: document.get("cache", {}).get(key, 0)
                 for key in (
                     "memory_hits", "disk_hits", "misses", "puts", "evictions",
-                    "disk_evictions", "ttl_evictions", "rebalances", "quarantines",
+                    "disk_evictions", "ttl_evictions", "quarantines",
                 )
             }))
             for tier, count in document.get("cache_sizes", {}).items():

@@ -26,11 +26,10 @@ usable directly from Python (tests, notebooks, the batch API) -- and
 ========================  ==========================================================
 
 The server is a ``ThreadingHTTPServer``: requests are handled concurrently
-and meet at the thread-safe result store (a single :class:`~repro.service.
-store.ResultStore` or a :class:`~repro.service.store.ShardedResultStore`
-whose shards each carry their own lock).  Solver fan-out inside a batch goes
-through the shared :class:`~repro.explore.executor.SweepExecutor` (use a
-persistent pool via ``repro serve --jobs N``); async batches drain through a
+and meet at the thread-safe :class:`~repro.service.store.ResultStore`.
+Solver fan-out inside a batch goes through the shared
+:class:`~repro.explore.executor.SweepExecutor` (use a persistent pool via
+``repro serve --jobs N``); async batches drain through a
 :class:`~repro.service.jobs.JobQueue` worker pool (``repro serve
 --workers N``).
 
@@ -87,7 +86,7 @@ from .batch import (
     solve_batch,
 )
 from .jobs import JobQueue, QueueFullError
-from .store import ResultStore, ShardedResultStore
+from .store import ResultStore
 from .wal import JobWal
 
 
@@ -113,9 +112,7 @@ class AllocationService:
     ----------
     store:
         Result store; defaults to a memory-only store.  Pass one with a
-        ``cache_dir`` to survive restarts, or a
-        :class:`~repro.service.store.ShardedResultStore` for concurrent
-        writers.
+        ``cache_dir`` to survive restarts.
     executor:
         Sweep executor used by :meth:`solve_batch` fan-out; defaults to the
         chunked-serial engine.
@@ -157,7 +154,7 @@ class AllocationService:
 
     def __init__(
         self,
-        store: "ResultStore | ShardedResultStore | None" = None,
+        store: ResultStore | None = None,
         executor: SweepExecutor | None = None,
         job_workers: int = 1,
         job_retention: int = 256,
@@ -260,11 +257,6 @@ class AllocationService:
             "repro_cache_entries",
             "Result-store entries per cache tier.",
             label_names=("tier",),
-        )
-        self._cache_shard_entries_gauge = metrics.gauge(
-            "repro_cache_shard_entries",
-            "Result-store entries per shard and tier (skew observability).",
-            label_names=("shard", "tier"),
         )
         self._fleet_allocations_total = metrics.counter(
             "repro_fleet_allocations_total",
@@ -551,9 +543,7 @@ class AllocationService:
         overreport warm capacity by every entry that expired and was never
         queried again.  Swept entries count into ``ttl_evictions``.
         """
-        sweep = getattr(self.store, "sweep_expired", None)
-        if callable(sweep):
-            sweep()
+        self.store.sweep_expired()
 
     def stats(self) -> dict[str, Any]:
         """Service counters + cache/job tier counters, JSON-compatible."""
@@ -582,7 +572,7 @@ class AllocationService:
         if self.wal is not None:
             wal_stats.update(self.wal.stats())
             wal_stats["recovered_jobs"] = self.recovered_jobs
-        stats: dict[str, Any] = {
+        return {
             "service": service,
             "cache": self.store.stats().as_dict(),
             "cache_sizes": self.store.sizes(),
@@ -591,14 +581,8 @@ class AllocationService:
             "admission": admission,
             "wal": wal_stats,
             "fleet": self.fleet.stats(),
+            "cache_bytes": self.store.payload_bytes(),
         }
-        shards = getattr(self.store, "num_shards", None)
-        if shards is not None:
-            stats["cache_shards"] = shards
-        payload_bytes = getattr(self.store, "payload_bytes", None)
-        if callable(payload_bytes):
-            stats["cache_bytes"] = payload_bytes()
-        return stats
 
     def trace(self, fingerprint: str) -> dict[str, Any] | None:
         """The retained span tree of one fingerprint, or ``None``."""
@@ -608,8 +592,8 @@ class AllocationService:
         """Prometheus text exposition of every instrument.
 
         Gauges are sampled here (scrape time) from the live stats rather
-        than maintained on the hot path -- queue depth, cache entry and
-        shard-skew counts are cheap to read and only dashboards need them.
+        than maintained on the hot path -- queue depth and cache entry counts
+        are cheap to read and only dashboards need them.
         """
         self._sweep_expired_entries()
         job_stats = self.jobs.stats()
@@ -619,13 +603,6 @@ class AllocationService:
         self._job_workers_gauge.set(job_stats["workers"])
         for tier, count in self.store.sizes().items():
             self._cache_entries_gauge.labels(tier=tier).set(count)
-        per_shard = getattr(self.store, "per_shard_sizes", None)
-        if callable(per_shard):
-            for index, sizes in enumerate(per_shard()):
-                for tier, count in sizes.items():
-                    self._cache_shard_entries_gauge.labels(
-                        shard=str(index), tier=tier
-                    ).set(count)
         fleet_stats = self.fleet.stats()
         self._fleet_tenants_gauge.set(fleet_stats["tenants"])
         self._fleet_devices_gauge.set(fleet_stats["devices"])

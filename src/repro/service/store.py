@@ -1,4 +1,4 @@
-"""Result store tiers: bounded LRU memory + SQLite disk, optionally sharded.
+"""Result store tiers: bounded LRU memory + SQLite disk.
 
 Payloads are opaque JSON strings (serialised :class:`~repro.core.solution.
 SolveOutcome` documents) keyed by the canonical request fingerprint of
@@ -9,15 +9,9 @@ misses, evictions and writes are counted per tier and surfaced through the
 reporting layer (:func:`repro.reporting.service.cache_stats_table`) and the
 server's ``/stats`` endpoint.
 
-Two store shapes share one interface (``get``/``put``/``stats``/``sizes``/
-``close``):
-
-* :class:`ResultStore` -- one LRU front + one SQLite file behind one lock
-  (the PR 2 design, still the right choice for a single-threaded client);
-* :class:`ShardedResultStore` -- ``N`` independent :class:`ResultStore`
-  shards selected by fingerprint prefix, each with its own lock, LRU front
-  and SQLite file, so concurrent writers on distinct fingerprints stop
-  serialising behind one global lock.
+:class:`ResultStore` is one LRU front and one SQLite file behind one lock.
+The service scales out with worker processes, each owning its own store
+(:mod:`repro.service.pool`), not with shards inside one process.
 
 Both tiers accept :class:`StoreLimits`: entry caps, byte caps and a TTL.
 Admission is never refused -- an acknowledged ``put`` is always readable
@@ -33,11 +27,11 @@ thread pool and shares one store with the async job workers.
 
 Durability hardening (PR 8): every SQLite connection runs with
 ``journal_mode=WAL``, ``synchronous=NORMAL`` and a 5 s ``busy_timeout``
-(concurrent shard writers stop failing fast on lock contention), and a
+(concurrent writers stop failing fast on lock contention), and a
 corrupt database file -- at open *or* mid-operation -- is **quarantined**:
 renamed to ``results.sqlite.corrupt-<n>`` next to a fresh empty file, the
 ``quarantines`` counter incremented, and the store continues cold.  Losing
-a cache shard costs recomputation, never availability.
+the cache file costs recomputation, never availability.
 """
 
 from __future__ import annotations
@@ -45,7 +39,6 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,25 +75,6 @@ class StoreLimits:
         if self.ttl_seconds is not None and self.ttl_seconds <= 0:
             raise ValueError("ttl_seconds must be positive (or None for no expiry)")
 
-    def per_shard(self, num_shards: int) -> "StoreLimits":
-        """Split the caps evenly across ``num_shards`` independent shards.
-
-        Entry/byte caps are divided (rounding up, and never below one entry
-        per shard) so the fleet-wide total stays at most ``caps + shards``;
-        the TTL applies to every shard unchanged.
-        """
-
-        def split(value: int | None) -> int | None:
-            return None if value is None else max(1, -(-value // num_shards))
-
-        return StoreLimits(
-            memory_entries=max(1, -(-self.memory_entries // num_shards)),
-            memory_bytes=split(self.memory_bytes),
-            disk_entries=split(self.disk_entries),
-            disk_bytes=split(self.disk_bytes),
-            ttl_seconds=self.ttl_seconds,
-        )
-
 
 @dataclass
 class CacheStats:
@@ -113,7 +87,6 @@ class CacheStats:
     evictions: int = 0
     disk_evictions: int = 0
     ttl_evictions: int = 0
-    rebalances: int = 0
     quarantines: int = 0
 
     @property
@@ -134,7 +107,6 @@ class CacheStats:
             "evictions": self.evictions,
             "disk_evictions": self.disk_evictions,
             "ttl_evictions": self.ttl_evictions,
-            "rebalances": self.rebalances,
             "quarantines": self.quarantines,
             "lookups": self.lookups,
             "hit_rate": self.hit_rate,
@@ -149,12 +121,11 @@ class CacheStats:
             evictions=self.evictions,
             disk_evictions=self.disk_evictions,
             ttl_evictions=self.ttl_evictions,
-            rebalances=self.rebalances,
             quarantines=self.quarantines,
         )
 
     def add(self, other: "CacheStats") -> "CacheStats":
-        """Sum per-shard counters into one fleet-wide view (in place)."""
+        """Add another store's counters into this one (in place)."""
         self.memory_hits += other.memory_hits
         self.disk_hits += other.disk_hits
         self.misses += other.misses
@@ -162,7 +133,6 @@ class CacheStats:
         self.evictions += other.evictions
         self.disk_evictions += other.disk_evictions
         self.ttl_evictions += other.ttl_evictions
-        self.rebalances += other.rebalances
         self.quarantines += other.quarantines
         return self
 
@@ -276,14 +246,6 @@ class MemoryTier:
                 evicted += 1
         self.evictions += evicted
         return evicted
-
-    def set_caps(self, capacity: int, max_bytes: int | None) -> int:
-        """Re-cap the tier in place (load-aware rebalancing); evicts if shrunk."""
-        if capacity < 1:
-            raise ValueError("memory tier capacity must be >= 1")
-        self.capacity = capacity
-        self.max_bytes = max_bytes
-        return self._evict_over_caps(self._clock())
 
     def sweep_expired(self) -> int:
         """Drop every expired entry now (telemetry-time sweep); returns count.
@@ -535,23 +497,6 @@ class SqliteTier:
         self.ttl_evictions += count
         return count
 
-    def set_caps(self, max_entries: int | None, max_bytes: int | None) -> int:
-        """Re-cap the tier in place (load-aware rebalancing); evicts if shrunk.
-
-        The newest row is protected, mirroring the put-path guarantee that an
-        acknowledged write is never evicted by the pass it triggered.
-        """
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        newest = self._connection.execute(
-            "SELECT fingerprint FROM results ORDER BY created_unix DESC, fingerprint DESC LIMIT 1"
-        ).fetchone()
-        if newest is None:
-            return 0
-        evicted = self._evict_over_caps(protect=newest[0], now=self._clock())
-        self._connection.commit()
-        return evicted
-
     def close(self) -> None:
         self._connection.close()
 
@@ -661,26 +606,6 @@ class ResultStore:
             if self._disk is not None:
                 self._disk.put(fingerprint, payload)
 
-    def apply_limits(self, limits: StoreLimits) -> None:
-        """Re-cap both tiers in place (load-aware shard rebalancing).
-
-        Shrinking a cap evicts oldest-first immediately, so the store honours
-        its new budget as soon as the call returns; growing a cap simply
-        stops future evictions.  The TTL is not changed -- expiry bounds
-        staleness, not capacity, so rebalancing must not touch it.
-        """
-        with self._lock:
-            self.limits = StoreLimits(
-                memory_entries=limits.memory_entries,
-                memory_bytes=limits.memory_bytes,
-                disk_entries=limits.disk_entries,
-                disk_bytes=limits.disk_bytes,
-                ttl_seconds=self.limits.ttl_seconds,
-            )
-            self._memory.set_caps(limits.memory_entries, limits.memory_bytes)
-            if self._disk is not None:
-                self._disk.set_caps(limits.disk_entries, limits.disk_bytes)
-
     def sweep_expired(self) -> int:
         """Drop expired entries in both tiers now; returns the total dropped.
 
@@ -752,232 +677,6 @@ class ResultStore:
                 self._disk = None
 
     def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def split_cap_by_weight(cap: int | None, weights: list[int]) -> list[int | None]:
-    """Split an integer cap across shards proportionally to demand weights.
-
-    Largest-remainder rounding keeps the total at ``cap`` exactly, except
-    that every shard is floored at one entry/byte (matching the
-    :meth:`StoreLimits.per_shard` contract of at most ``cap + shards``
-    fleet-wide).  Zero total weight degrades to an even split.
-    """
-    if cap is None:
-        return [None] * len(weights)
-    total = sum(weights)
-    if total <= 0:
-        return [max(1, -(-cap // len(weights)))] * len(weights)
-    raw = [cap * weight / total for weight in weights]
-    shares = [int(value) for value in raw]
-    remainder = cap - sum(shares)
-    by_fraction = sorted(range(len(raw)), key=lambda i: raw[i] - shares[i], reverse=True)
-    for index in by_fraction[:remainder]:
-        shares[index] += 1
-    return [max(1, share) for share in shares]
-
-
-def shard_of(fingerprint: str, num_shards: int) -> int:
-    """Deterministic shard index of a fingerprint.
-
-    Fingerprints are SHA-256 hex digests, so the leading 32 bits are already
-    uniformly distributed; anything else (tests, ad hoc keys) falls back to a
-    CRC so the mapping stays stable across processes and restarts -- shard
-    files written by one server must be found by the next.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    try:
-        prefix = int(fingerprint[:8], 16)
-    except ValueError:
-        prefix = zlib.crc32(fingerprint.encode("utf-8"))
-    return prefix % num_shards
-
-
-class ShardedResultStore:
-    """``N`` independent :class:`ResultStore` shards behind one interface.
-
-    The shard of a fingerprint is chosen by its hex prefix
-    (:func:`shard_of`), so each fingerprint lives in exactly one shard and a
-    restart with the same ``num_shards`` finds every entry again.  Each shard
-    owns its lock, LRU front and SQLite file (``shard-<i>/results.sqlite``
-    under ``cache_dir``); concurrent operations on different shards never
-    contend.  Store-level caps start evenly split across the shards via
-    :meth:`StoreLimits.per_shard`.
-
-    Load-aware rebalancing
-    ----------------------
-    Fingerprints hash uniformly, but real workloads do not: a sweep replay
-    can hammer a handful of shards while the rest sit idle, and an even cap
-    split then makes the hot shards thrash (evict entries the next request
-    needs) while cold shards hoard unused budget.  :meth:`rebalance`
-    re-splits the store-level caps by *observed* per-shard pressure --
-    current occupancy plus the evictions suffered since the last rebalance
-    -- so hot shards grow at the expense of cold ones while the fleet-wide
-    total stays within the configured caps.  Pass ``rebalance_interval=N``
-    to trigger it automatically every ``N`` puts; each pass increments the
-    ``rebalances`` counter surfaced through ``stats()`` and ``/stats``.
-    """
-
-    def __init__(
-        self,
-        cache_dir: str | Path | None = None,
-        num_shards: int = 4,
-        memory_capacity: int = 4096,
-        limits: StoreLimits | None = None,
-        clock: Callable[[], float] = time.time,
-        monotonic_clock: Callable[[], float] | None = None,
-        rebalance_interval: int | None = None,
-    ):
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        if rebalance_interval is not None and rebalance_interval < 1:
-            raise ValueError("rebalance_interval must be >= 1 (or None to disable)")
-        self.limits = limits if limits is not None else StoreLimits(memory_entries=memory_capacity)
-        self.num_shards = num_shards
-        shard_limits = self.limits.per_shard(num_shards)
-        self._shards = [
-            ResultStore(
-                cache_dir=(Path(cache_dir) / f"shard-{index:02d}") if cache_dir else None,
-                limits=shard_limits,
-                clock=clock,
-                monotonic_clock=monotonic_clock,
-            )
-            for index in range(num_shards)
-        ]
-        self.rebalances = 0
-        self._rebalance_interval = rebalance_interval
-        self._rebalance_lock = threading.Lock()
-        self._puts_since_rebalance = 0
-        self._evictions_at_rebalance = [0] * num_shards
-        self._disk_evictions_at_rebalance = [0] * num_shards
-
-    def shard_index(self, fingerprint: str) -> int:
-        return shard_of(fingerprint, self.num_shards)
-
-    def shard(self, fingerprint: str) -> ResultStore:
-        return self._shards[self.shard_index(fingerprint)]
-
-    # ------------------------------------------------------------------ #
-    # Lookup / insert (route to the owning shard)
-    # ------------------------------------------------------------------ #
-    def get(self, fingerprint: str) -> StoreLookup:
-        return self.shard(fingerprint).get(fingerprint)
-
-    def put(self, fingerprint: str, payload: str) -> None:
-        self.shard(fingerprint).put(fingerprint, payload)
-        if self._rebalance_interval is not None:
-            with self._rebalance_lock:
-                self._puts_since_rebalance += 1
-                due = self._puts_since_rebalance >= self._rebalance_interval
-                if due:
-                    self._puts_since_rebalance = 0
-            if due:
-                self.rebalance()
-
-    # ------------------------------------------------------------------ #
-    # Load-aware cap rebalancing
-    # ------------------------------------------------------------------ #
-    def rebalance(self) -> list[StoreLimits]:
-        """Re-split the store caps by observed per-shard pressure.
-
-        A shard's pressure is its current occupancy plus the cap evictions it
-        suffered since the last rebalance (entries that *wanted* to be there
-        but were pushed out -- the thrashing signal).  Memory and disk tiers
-        are weighted independently; every shard keeps at least one entry of
-        budget, so a cold shard can always warm back up and earn budget at
-        the next pass.  Returns the limits applied to each shard.
-        """
-        with self._rebalance_lock:
-            stats = [shard.stats() for shard in self._shards]
-            sizes = [shard.sizes() for shard in self._shards]
-            memory_weights = []
-            disk_weights = []
-            for index, shard_stats in enumerate(stats):
-                evicted = shard_stats.evictions - self._evictions_at_rebalance[index]
-                disk_evicted = (
-                    shard_stats.disk_evictions
-                    - self._disk_evictions_at_rebalance[index]
-                )
-                # "+ 1" keeps an idle shard's weight positive so a burst of
-                # traffic toward it is never starved down to a zero share.
-                memory_weights.append(sizes[index].get("memory", 0) + max(0, evicted) + 1)
-                disk_weights.append(sizes[index].get("disk", 0) + max(0, disk_evicted) + 1)
-                self._evictions_at_rebalance[index] = shard_stats.evictions
-                self._disk_evictions_at_rebalance[index] = shard_stats.disk_evictions
-            # Byte caps follow the same pressure weights as entry caps: the
-            # shards store payloads of one service, so entry skew and byte
-            # skew track each other closely.
-            memory_entries = split_cap_by_weight(self.limits.memory_entries, memory_weights)
-            memory_bytes = split_cap_by_weight(self.limits.memory_bytes, memory_weights)
-            disk_entries = split_cap_by_weight(self.limits.disk_entries, disk_weights)
-            disk_bytes = split_cap_by_weight(self.limits.disk_bytes, disk_weights)
-            applied = []
-            for index, shard in enumerate(self._shards):
-                shard_limits = StoreLimits(
-                    memory_entries=memory_entries[index],
-                    memory_bytes=memory_bytes[index],
-                    disk_entries=disk_entries[index],
-                    disk_bytes=disk_bytes[index],
-                    ttl_seconds=self.limits.ttl_seconds,
-                )
-                shard.apply_limits(shard_limits)
-                applied.append(shard_limits)
-            self.rebalances += 1
-            return applied
-
-    def shard_limits(self) -> list[StoreLimits]:
-        """The cap split currently in force (one entry per shard)."""
-        return [shard.limits for shard in self._shards]
-
-    def sweep_expired(self) -> int:
-        """Drop expired entries in every shard now; returns the total dropped."""
-        return sum(shard.sweep_expired() for shard in self._shards)
-
-    # ------------------------------------------------------------------ #
-    # Introspection / lifecycle
-    # ------------------------------------------------------------------ #
-    def stats(self) -> CacheStats:
-        """Fleet-wide counters (the sum over every shard)."""
-        total = CacheStats()
-        for shard in self._shards:
-            total.add(shard.stats())
-        total.rebalances = self.rebalances
-        return total
-
-    def per_shard_stats(self) -> list[CacheStats]:
-        return [shard.stats() for shard in self._shards]
-
-    def per_shard_sizes(self) -> list[dict[str, int]]:
-        """Entry counts per tier for each shard (shard-skew observability)."""
-        return [shard.sizes() for shard in self._shards]
-
-    def sizes(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for shard in self._shards:
-            for tier, size in shard.sizes().items():
-                totals[tier] = totals.get(tier, 0) + size
-        return totals
-
-    def payload_bytes(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for shard in self._shards:
-            for tier, size in shard.payload_bytes().items():
-                totals[tier] = totals.get(tier, 0) + size
-        return totals
-
-    @property
-    def has_disk_tier(self) -> bool:
-        return any(shard.has_disk_tier for shard in self._shards)
-
-    def close(self) -> None:
-        for shard in self._shards:
-            shard.close()
-
-    def __enter__(self) -> "ShardedResultStore":
         return self
 
     def __exit__(self, *exc_info: object) -> None:

@@ -1,4 +1,4 @@
-"""Per-shard append-only write-ahead log of acknowledged async jobs.
+"""Segmented append-only write-ahead log of acknowledged async jobs.
 
 The async job queue acknowledges a submission before solving it, which
 makes the ack a *promise*: once ``/solve_batch mode=async`` has returned a

@@ -5,10 +5,9 @@ branch-and-bound technique similar to those used in ILP".  This module keeps
 that search, on top of the generic engine of :mod:`repro.minlp`, as the
 oracle the production threshold search in :mod:`repro.core.discretize` is
 checked against.  It is the former production discretiser with two
-differences: it has no cross-call memo, and child nodes solve their
-relaxation with the warm-started bisection (``lower_hint`` = the parent's
-optimum) instead of a closed-form breakpoint kernel.  Its result also
-carries the search's relaxation-cache counters.
+differences: it has no cross-call memo, and every node solves its
+relaxation with a cold bisection instead of a closed-form breakpoint
+kernel.  Its result also carries the search's relaxation-cache counters.
 
 It carries one known defect, kept on purpose so differential tests can
 recognise it: the search is seeded with ``floor(N̂)`` without checking the
@@ -89,16 +88,11 @@ def oracle_discretize(
     aggregate_capacity = arrays.aggregate_capacity
     weight_matrix = arrays.weights
 
-    def relaxation(
-        node_bounds: VariableBounds, parent: RelaxationResult | None = None
-    ) -> RelaxationResult:
+    def relaxation(node_bounds: VariableBounds) -> RelaxationResult:
         min_counts = np.asarray([node_bounds.lower(name) for name in names], dtype=np.float64)
         max_counts = np.asarray([node_bounds.upper(name) for name in names], dtype=np.float64)
-        lower_hint = parent.objective if parent is not None else None
         try:
-            ii, count_vector = minmax.solve(
-                min_counts=min_counts, max_counts=max_counts, lower_hint=lower_hint
-            )
+            ii, count_vector = minmax.solve(min_counts=min_counts, max_counts=max_counts)
         except InfeasibleError:
             return RelaxationResult.infeasible()
         return RelaxationResult(

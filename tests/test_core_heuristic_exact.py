@@ -64,9 +64,14 @@ class TestHeuristic:
         assert t30.initiation_interval <= t0.initiation_interval * 1.25 + 1e-9
 
     def test_gp_backend_choice(self, tiny_problem):
-        slsqp = solve_gp_a(tiny_problem, HeuristicSettings(gp_backend="slsqp"))
+        """Bisection is the only GP backend; any other name fails up front."""
+        default = solve_gp_a(tiny_problem)
         bisect = solve_gp_a(tiny_problem, HeuristicSettings(gp_backend="bisection"))
-        assert slsqp.initiation_interval == pytest.approx(bisect.initiation_interval, rel=1e-6)
+        assert bisect.initiation_interval == default.initiation_interval
+        assert bisect.details["gp_backend"] == "bisection"
+        for retired in ("slsqp", "interior-point", "bogus"):
+            with pytest.raises(ValueError, match="unknown GP backend"):
+                HeuristicSettings(gp_backend=retired)
 
 
 class TestExactMinII:

@@ -1,196 +1,51 @@
-"""Tests for the GP model, log-space compilation and solver backends."""
-
-import math
+"""Tests for the bisection min-max solver on small hand-checked programs."""
 
 import numpy as np
 import pytest
 
-from repro.gp import (
-    GPModel,
-    Monomial,
-    SolveStatus,
-    Variable,
-    compile_to_logspace,
-    solve,
-    solve_interior_point,
-    solve_slsqp,
-)
-from repro.gp.errors import InfeasibleError, ModelError
-from repro.gp.minmax import CapacityConstraint, MinMaxLatencyProblem
+from minmax_oracle import lp_min_max_ii
+from repro.gp.errors import InfeasibleError
+from repro.gp.minmax import VectorizedMinMaxProblem
 
 
-def simple_model() -> GPModel:
-    """minimize x + y subject to xy >= 4, x,y >= 1 (optimum x=y=2, value 4)."""
-    model = GPModel(name="simple")
-    x, y = model.new_variable("x"), model.new_variable("y")
-    model.set_objective(x + y)
-    model.add_constraint(Monomial(4.0) / (x * y) <= 1.0)
-    model.add_lower_bound(x, 1.0)
-    model.add_lower_bound(y, 1.0)
-    return model
-
-
-def allocation_like_model() -> GPModel:
-    """A tiny instance of the paper's relaxed problem with a known optimum.
-
-    minimize II s.t. 10/N1 <= II, 4/N2 <= II, N1,N2 >= 1, 0.2 N1 + 0.1 N2 <= 1.
-    At the optimum the capacity binds and both kernels hit the II:
-    N1 = 10/II, N2 = 4/II -> 2/II + 0.4/II = 1 -> II = 2.4.
-    """
-    model = GPModel(name="alloc")
-    ii = model.new_variable("II")
-    n1, n2 = model.new_variable("N1"), model.new_variable("N2")
-    model.set_objective(ii)
-    model.add_constraint(Monomial(10.0) / (ii * n1) <= 1.0)
-    model.add_constraint(Monomial(4.0) / (ii * n2) <= 1.0)
-    model.add_lower_bound(n1, 1.0)
-    model.add_lower_bound(n2, 1.0)
-    model.add_constraint(0.2 * n1 + 0.1 * n2 <= 1.0)
-    return model
-
-
-class TestGPModel:
-    def test_objective_required(self):
-        model = GPModel()
-        model.new_variable("x")
-        with pytest.raises(ModelError):
-            model.validate()
-
-    def test_add_constraint_rejects_non_constraint(self):
-        model = GPModel()
-        with pytest.raises(TypeError):
-            model.add_constraint("x <= 1")
-
-    def test_bounds_must_be_positive(self):
-        model = GPModel()
-        with pytest.raises(ValueError):
-            model.add_lower_bound("x", 0.0)
-        with pytest.raises(ValueError):
-            model.add_upper_bound("x", -1.0)
-
-    def test_check_feasible_and_violation(self):
-        model = simple_model()
-        assert model.check_feasible({"x": 2.0, "y": 2.0})
-        assert not model.check_feasible({"x": 1.0, "y": 1.0})
-        assert model.total_violation({"x": 1.0, "y": 1.0}) > 0
-
-    def test_str_rendering(self):
-        text = str(simple_model())
-        assert "minimize" in text and "s.t." in text
-
-
-class TestLogSpaceCompilation:
-    def test_gradient_matches_finite_differences(self):
-        program = compile_to_logspace(allocation_like_model())
-        rng = np.random.default_rng(0)
-        y = rng.normal(size=program.num_variables)
-        for function in (program.objective, *program.constraints):
-            grad = function.gradient(y)
-            for i in range(len(y)):
-                eps = 1e-6
-                plus = y.copy(); plus[i] += eps
-                minus = y.copy(); minus[i] -= eps
-                numeric = (function.value(plus) - function.value(minus)) / (2 * eps)
-                assert grad[i] == pytest.approx(numeric, abs=1e-5)
-
-    def test_hessian_is_positive_semidefinite(self):
-        program = compile_to_logspace(allocation_like_model())
-        y = np.zeros(program.num_variables)
-        for function in (program.objective, *program.constraints):
-            eigenvalues = np.linalg.eigvalsh(function.hessian(y))
-            assert eigenvalues.min() >= -1e-9
-
-    def test_point_conversions_round_trip(self):
-        program = compile_to_logspace(simple_model())
-        values = {"x": 2.0, "y": 3.0}
-        y = program.point_from_values(values)
-        back = program.values_from_point(y)
-        assert back["x"] == pytest.approx(2.0)
-        assert back["y"] == pytest.approx(3.0)
-        with pytest.raises(KeyError):
-            program.point_from_values({"x": 1.0})
-
-
-class TestBackends:
-    @pytest.mark.parametrize("backend", ["slsqp", "interior-point"])
-    def test_simple_model_optimum(self, backend):
-        result = solve(simple_model(), backend=backend)
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(4.0, rel=1e-3)
-        assert result["x"] == pytest.approx(2.0, rel=1e-2)
-
-    @pytest.mark.parametrize("backend", ["slsqp", "interior-point"])
-    def test_allocation_like_model_optimum(self, backend):
-        result = solve(allocation_like_model(), backend=backend)
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(2.4, rel=1e-3)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            solve(simple_model(), backend="does-not-exist")
-
-    def test_infeasible_model_reported(self):
-        model = GPModel()
-        x = model.new_variable("x")
-        model.set_objective(x)
-        model.add_lower_bound(x, 10.0)
-        model.add_upper_bound(x, 1.0)
-        result = solve_slsqp(model)
-        assert result.status is SolveStatus.INFEASIBLE
-
-    def test_backends_agree_with_each_other(self):
-        model = allocation_like_model()
-        a = solve_slsqp(model)
-        b = solve_interior_point(model)
-        assert a.objective == pytest.approx(b.objective, rel=1e-4)
+def minmax(wcet, weights, capacity) -> VectorizedMinMaxProblem:
+    return VectorizedMinMaxProblem(
+        names=[f"k{index + 1}" for index in range(len(wcet))],
+        wcet=np.asarray(wcet, dtype=np.float64),
+        weights=np.asarray([weights], dtype=np.float64),
+        capacity=np.asarray([capacity], dtype=np.float64),
+    )
 
 
 class TestMinMaxBisection:
-    def make_problem(self) -> MinMaxLatencyProblem:
-        return MinMaxLatencyProblem(
-            wcet={"k1": 10.0, "k2": 4.0},
-            min_counts={"k1": 1.0, "k2": 1.0},
-            capacities=[CapacityConstraint(name="dsp", weights={"k1": 0.2, "k2": 0.1}, capacity=1.0)],
-        )
+    def make_problem(self) -> VectorizedMinMaxProblem:
+        # min II  s.t.  N1 >= 10/II, N2 >= 4/II, 0.2*N1 + 0.1*N2 <= 1
+        # -> II* = 2 + 0.4 = 2.4.
+        return minmax([10.0, 4.0], [0.2, 0.1], 1.0)
 
     def test_matches_analytic_optimum(self):
         ii, counts = self.make_problem().solve()
         assert ii == pytest.approx(2.4, rel=1e-6)
-        assert counts["k1"] == pytest.approx(10.0 / 2.4, rel=1e-5)
+        assert counts[0] == pytest.approx(10.0 / 2.4, rel=1e-5)
 
-    def test_agrees_with_general_gp_backend(self):
-        ii, _ = self.make_problem().solve()
-        gp_result = solve_slsqp(allocation_like_model())
-        assert ii == pytest.approx(gp_result.objective, rel=1e-4)
+    def test_agrees_with_lp_oracle(self):
+        problem = self.make_problem()
+        ii, _ = problem.solve()
+        expected = lp_min_max_ii(problem.wcet, problem.weights, problem.capacity)
+        assert ii == pytest.approx(expected, rel=1e-9)
 
     def test_minimum_counts_respected(self):
-        problem = MinMaxLatencyProblem(
-            wcet={"k1": 1.0, "k2": 100.0},
-            min_counts={"k1": 1.0, "k2": 1.0},
-            capacities=[CapacityConstraint(name="dsp", weights={"k1": 0.01, "k2": 0.005}, capacity=1.0)],
-        )
-        ii, counts = problem.solve()
-        assert counts["k1"] >= 1.0 - 1e-9
+        ii, counts = minmax([1.0, 100.0], [0.01, 0.005], 1.0).solve()
+        assert counts[0] >= 1.0 - 1e-9
         assert ii < 1.0  # k2 dominates; k1 stays at its minimum
 
     def test_infeasible_when_min_counts_exceed_capacity(self):
-        problem = MinMaxLatencyProblem(
-            wcet={"k1": 1.0},
-            min_counts={"k1": 1.0},
-            capacities=[CapacityConstraint(name="dsp", weights={"k1": 2.0}, capacity=1.0)],
-        )
         with pytest.raises(InfeasibleError):
-            problem.solve()
+            minmax([1.0], [2.0], 1.0).solve()
 
     def test_max_counts_cap_ii(self):
-        problem = MinMaxLatencyProblem(
-            wcet={"k1": 10.0},
-            min_counts={"k1": 1.0},
-            capacities=[CapacityConstraint(name="dsp", weights={"k1": 0.001}, capacity=1.0)],
-            max_counts={"k1": 2.0},
-        )
-        ii, counts = problem.solve()
-        assert counts["k1"] <= 2.0 + 1e-9
+        ii, counts = minmax([10.0], [0.001], 1.0).solve(max_counts=np.asarray([2.0]))
+        assert counts[0] <= 2.0 + 1e-9
         assert ii == pytest.approx(5.0, rel=1e-6)
 
     def test_lower_bound_below_optimum(self):
@@ -200,6 +55,6 @@ class TestMinMaxBisection:
 
     def test_capacity_constraint_validation(self):
         with pytest.raises(ValueError):
-            CapacityConstraint(name="dsp", weights={"k": -1.0}, capacity=1.0)
+            minmax([1.0], [-1.0], 1.0)
         with pytest.raises(ValueError):
-            CapacityConstraint(name="dsp", weights={"k": 1.0}, capacity=-1.0)
+            minmax([1.0], [1.0], -1.0)

@@ -148,36 +148,3 @@ class TestBranchAndBound:
         result = RelaxationResult.infeasible()
         assert not result.feasible
         assert math.isinf(result.objective)
-
-
-class TestChildOrdering:
-    """The lower-bound-guided child ordering (PR 4 satellite)."""
-
-    def test_invalid_child_order_rejected(self):
-        with pytest.raises(ValueError):
-            BBSettings(child_order="random")
-
-    @pytest.mark.parametrize("child_order", ["fixed", "bound"])
-    def test_both_orders_reach_the_optimum(self, child_order):
-        values = [6.0, 5.0, 4.0, 3.0, 2.0]
-        weights = [5.0, 4.0, 3.0, 2.0, 1.0]
-        capacity = 9.0
-        solver, bounds = make_knapsack_solver(
-            values, weights, capacity, settings=BBSettings(child_order=child_order)
-        )
-        result = solver.solve(bounds)
-        assert result.status is BBStatus.OPTIMAL
-        assert -result.objective == pytest.approx(
-            brute_force_knapsack(values, weights, capacity)
-        )
-
-    def test_bound_order_solves_the_weighted_allocation(self, tiny_weighted_problem):
-        from repro.core.exact import ExactSettings, solve_exact_weighted
-
-        fixed = solve_exact_weighted(tiny_weighted_problem, ExactSettings())
-        bound = solve_exact_weighted(
-            tiny_weighted_problem, ExactSettings(), bb_child_order="bound"
-        )
-        assert fixed.succeeded and bound.succeeded
-        # Both orders prove the same optimum; only the path may differ.
-        assert bound.objective == pytest.approx(fixed.objective, abs=1e-9)

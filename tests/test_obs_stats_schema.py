@@ -72,6 +72,7 @@ STATS_SCHEMA = {
         "failed": int,
         "pruned": int,
         "recovered": int,
+        "unrecoverable": int,
         "rejected": int,
         "retained": int,
         "queue_depth": int,

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import math
-
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.allocator import AllocatorSettings, allocate_cus
@@ -11,8 +10,7 @@ from repro.core.gp_step import solve_gp_step
 from repro.core.problem import AllocationProblem
 from repro.core.solution import AllocationSolution
 from repro.gp.errors import InfeasibleError
-from repro.gp.expressions import Monomial, Variable, as_posynomial
-from repro.gp.minmax import CapacityConstraint, MinMaxLatencyProblem
+from repro.gp.minmax import VectorizedMinMaxProblem
 from repro.minlp.binpacking import PackingItemType, VectorBinPacker
 from repro.minlp.secant import spreading_secant, spreading_term
 from repro.platform.presets import aws_f1
@@ -94,40 +92,6 @@ def test_sum_always_fits_within_itself(a, b):
 
 
 # --------------------------------------------------------------------------- #
-# GP expressions
-# --------------------------------------------------------------------------- #
-@given(
-    st.floats(min_value=0.1, max_value=10.0),
-    st.floats(min_value=0.1, max_value=10.0),
-    st.floats(min_value=0.1, max_value=5.0),
-    st.floats(min_value=0.1, max_value=5.0),
-)
-def test_monomial_product_evaluates_to_product(c1, c2, x, y):
-    m1 = Monomial(c1, {"x": 1.0})
-    m2 = Monomial(c2, {"y": 2.0})
-    values = {"x": x, "y": y}
-    product = m1 * m2
-    assert math.isclose(product.evaluate(values), m1.evaluate(values) * m2.evaluate(values), rel_tol=1e-9)
-
-
-@given(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=5),
-       st.floats(min_value=0.1, max_value=5.0))
-def test_posynomial_evaluation_is_sum_of_terms(coefficients, x):
-    posy = as_posynomial(Monomial(coefficients[0], {"x": 1.0}))
-    for coefficient in coefficients[1:]:
-        posy = posy + Monomial(coefficient, {"x": 1.0})
-    assert math.isclose(posy.evaluate({"x": x}), sum(coefficients) * x, rel_tol=1e-9)
-
-
-@given(st.floats(min_value=0.1, max_value=20.0), st.floats(min_value=0.1, max_value=20.0))
-def test_constraint_normalization_preserves_satisfaction(wcet, ii_value):
-    ii, n = Variable("II"), Variable("N")
-    constraint = Monomial(wcet) / n <= ii
-    values = {"II": ii_value, "N": max(1.0, wcet / ii_value)}
-    assert constraint.is_satisfied(values, tolerance=1e-9)
-
-
-# --------------------------------------------------------------------------- #
 # Spreading secants (MINLP relaxation validity)
 # --------------------------------------------------------------------------- #
 @given(
@@ -153,20 +117,19 @@ def test_secant_never_overestimates_spreading_term(lower, width, position):
 @settings(max_examples=50)
 def test_minmax_solution_is_feasible_and_tight(wcets, weights, slack_factor):
     size = min(len(wcets), len(weights))
-    wcet = {f"k{i}": wcets[i] for i in range(size)}
-    weight = {f"k{i}": weights[i] for i in range(size)}
-    capacity = sum(weight.values()) * slack_factor  # room for one CU each, plus slack
-    problem = MinMaxLatencyProblem(
+    wcet = np.asarray(wcets[:size])
+    weight = np.asarray(weights[:size])
+    capacity = weight.sum() * slack_factor  # room for one CU each, plus slack
+    problem = VectorizedMinMaxProblem(
+        names=[f"k{i}" for i in range(size)],
         wcet=wcet,
-        min_counts={name: 1.0 for name in wcet},
-        capacities=[CapacityConstraint(name="r", weights=weight, capacity=capacity)],
+        weights=weight[None, :],
+        capacity=np.asarray([capacity]),
     )
     ii, counts = problem.solve()
-    usage = sum(weight[name] * counts[name] for name in wcet)
-    assert usage <= capacity * (1 + 1e-6)
-    for name in wcet:
-        assert counts[name] >= 1.0 - 1e-9
-        assert wcet[name] / counts[name] <= ii * (1 + 1e-6)
+    assert weight @ counts <= capacity * (1 + 1e-6)
+    assert np.all(counts >= 1.0 - 1e-9)
+    assert np.all(wcet / counts <= ii * (1 + 1e-6))
     # Optimality: lower bound from work conservation must not exceed the optimum.
     assert problem.lower_bound() <= ii + 1e-9
 

@@ -119,10 +119,13 @@ class TestGroupKey:
         ) == group_key(problem, heuristic_settings=HeuristicSettings(t_percent=30.0))
 
     def test_gp_backend_splits_groups(self, tiny_pipeline):
+        """The backend is part of the group key; a non-bisection one never decodes."""
         problem = problem_with(tiny_pipeline)
-        assert group_key(
-            problem, heuristic_settings=HeuristicSettings(gp_backend="slsqp")
-        ) != group_key(problem)
+        key = group_key(problem, heuristic_settings=HeuristicSettings(gp_backend="bisection"))
+        assert key == group_key(problem)
+        assert json.loads(key)["heuristic_settings"]["gp_backend"] == "bisection"
+        with pytest.raises(ValueError, match="unknown GP backend"):
+            HeuristicSettings(gp_backend="slsqp")
 
     def test_different_constraints_split_groups(self, tiny_pipeline):
         problem = problem_with(tiny_pipeline)

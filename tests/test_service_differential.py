@@ -1,12 +1,11 @@
-"""Differential harness: the scaled-out service equals the single-store one.
+"""Differential harness: the async service equals the synchronous one.
 
-PR 5 rebuilt the service for concurrency -- sharded stores, an async job
-queue, bounded caches.  None of that may be *observable* in the answers: a
-randomized request stream replayed through
+The service answers through two paths -- synchronous batches and the
+async job queue.  Which one a client picks may not be *observable* in the
+answers: a randomized request stream replayed through
 
-* a single-store synchronous service (the PR 2 design),
-* an N-shard synchronous service, and
-* an N-shard service driven through the async job queue
+* a synchronous service, and
+* a service driven through the async job queue
 
 must yield byte-identical ``SolveOutcome`` documents for every request and
 consistent aggregate hit/miss counters.  The solver stack is deterministic,
@@ -44,7 +43,6 @@ from repro.platform.resources import ResourceVector
 from repro.service import (
     AllocationService,
     ResultStore,
-    ShardedResultStore,
     SolveRequest,
     StoreLimits,
 )
@@ -205,28 +203,27 @@ def _replay(stream, make_store, mode: str, poll_seed: int = 0):
 
 
 CONFIGURATIONS = (
-    ("single-sync", lambda: ResultStore(), "sync"),
-    ("sharded-sync", lambda: ShardedResultStore(num_shards=5), "sync"),
-    ("sharded-async", lambda: ShardedResultStore(num_shards=3), "async"),
+    ("sync", lambda: ResultStore(), "sync"),
+    ("async", lambda: ResultStore(), "async"),
 )
 
 
 @settings(max_examples=12, deadline=None)
 @given(stream=_STREAM, poll_seed=st.integers(min_value=0, max_value=2**16))
 def test_randomized_streams_are_configuration_invariant(stream, poll_seed):
-    """The tentpole contract: {1-shard sync, N-shard sync, N-shard async}
-    yield byte-identical outcome documents and identical aggregate
-    hit/miss/solve counters on randomized request streams."""
+    """The tentpole contract: sync and async yield byte-identical outcome
+    documents and identical aggregate hit/miss/solve counters on randomized
+    request streams."""
     results = {
         name: _replay(stream, make_store, mode, poll_seed)
         for name, make_store, mode in CONFIGURATIONS
     }
-    reference_documents, reference_counters = results["single-sync"]
+    reference_documents, reference_counters = results["sync"]
     assert len(reference_documents) == sum(
         1 if operation == "solve" else len(payload) for operation, payload in stream
     )
     for name, (documents, counters) in results.items():
-        assert documents == reference_documents, f"{name} diverged from single-sync"
+        assert documents == reference_documents, f"{name} diverged from sync"
         assert counters == reference_counters, f"{name} counters diverged"
 
 
@@ -314,7 +311,7 @@ def test_multi_worker_pool_preserves_solutions():
         reference_service.close()
 
     _clear_solver_memos()
-    service = AllocationService(store=ShardedResultStore(num_shards=4), job_workers=4)
+    service = AllocationService(store=ResultStore(), job_workers=4)
     try:
         submissions = [
             service.submit_batch([POOL[i] for i in batch])["job_id"] for batch in batches
@@ -335,7 +332,7 @@ def test_multi_worker_pool_preserves_solutions():
 def test_out_of_order_polls_against_inflight_queue():
     """Polling jobs that are still queued/running (last submitted polled
     first) returns valid lifecycle states and never blocks the queue."""
-    service = AllocationService(store=ShardedResultStore(num_shards=2), job_workers=1)
+    service = AllocationService(store=ResultStore(), job_workers=1)
     try:
         job_ids = [
             service.submit_batch([POOL[index % len(POOL)] for index in range(3)])["job_id"]

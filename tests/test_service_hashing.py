@@ -179,44 +179,13 @@ def test_resize_is_incremental_across_sizes():
 
 
 # --------------------------------------------------------------------------- #
-# Bounded-load placement
-# --------------------------------------------------------------------------- #
-
-
-@given(
-    num_groups=st.integers(min_value=1, max_value=8),
-    seed=_SEED,
-    load_factor=st.floats(min_value=1.05, max_value=2.0),
-)
-@settings(max_examples=15, deadline=None)
-def test_place_bounded_respects_the_ceiling(num_groups: int, seed: int, load_factor: float):
-    fingerprints = _fingerprints(seed, 400)
-    placement = ring(num_groups).place_bounded(fingerprints, load_factor=load_factor)
-    assert sorted(placement) == sorted(fingerprints)
-    capacity = math.ceil(load_factor * len(fingerprints) / num_groups)
-    loads = [0] * num_groups
-    for group in placement.values():
-        loads[group] += 1
-    assert max(loads) <= capacity
-
-
-def test_place_bounded_rejects_bad_load_factor():
-    with pytest.raises(ValueError):
-        ring(2).place_bounded(_fingerprints(1, 10), load_factor=1.0)
-
-
-def test_place_bounded_empty_keyset():
-    assert ring(3).place_bounded([]) == {}
-
-
-# --------------------------------------------------------------------------- #
-# Decorrelation from the store-shard selector
+# Decorrelation from the fingerprint's own bits
 # --------------------------------------------------------------------------- #
 
 
 def test_ring_position_not_correlated_with_fingerprint_prefix():
-    """Keys sharing a store shard (same leading nibbles) must still spread
-    across groups -- the ring re-hashes with a distinct prefix."""
+    """Keys sharing their leading nibbles must still spread across groups
+    -- the ring re-hashes with a distinct prefix."""
     fingerprints = [
         "00" + hashlib.sha256(str(i).encode()).hexdigest()[2:] for i in range(256)
     ]

@@ -40,14 +40,13 @@ from repro.service import (
     RetryPolicy,
     ServiceClient,
     ServiceError,
-    ShardedResultStore,
     SolveRequest,
     start_server,
 )
 from repro.service import batch as batch_module
 from repro.service.batch import request_to_dict
 from repro.service.store import SQLITE_FILENAME, SqliteTier
-from repro.service.wal import JobWal, decode_records
+from repro.service.wal import SEGMENT_PATTERN, JobWal, decode_records, encode_record
 from repro.workloads.kernel import Kernel
 from repro.workloads.pipeline import Pipeline
 from repro.platform.resources import ResourceVector
@@ -289,6 +288,57 @@ class TestRetiredSettingsReplay:
             assert recovered.wal.stats()["live_jobs"] == 0
         finally:
             recovered.close()
+
+
+class TestUndecodableRecordReplay:
+    def test_undecodable_job_is_recovered_as_failed_under_its_id(self, tmp_path):
+        """A hand-written WAL record whose documents no longer decode (a GP
+        backend this version rejects) comes back as a failed job under its
+        acknowledged id -- never a 404 -- while its neighbour replays."""
+        good = request_to_dict(POOL[0])
+        bad = request_to_dict(
+            SolveRequest(problem=POOL[0].problem, heuristic_settings=HeuristicSettings())
+        )
+        bad["heuristic_settings"]["gp_backend"] = "slsqp"
+        wal_dir = tmp_path / "wal"
+        wal_dir.mkdir()
+        records = [
+            {"type": "submit", "job_id": "job-00000001", "seq": 1,
+             "created_unix": 1000.0, "requests": [good, bad]},
+            {"type": "submit", "job_id": "job-00000002", "seq": 2,
+             "created_unix": 1001.0, "requests": [good]},
+        ]
+        with JobWal(wal_dir) as wal:  # creates the empty segment files
+            segments = wal.num_segments
+        for record in records:  # each record goes to its sequence's segment
+            segment = wal_dir / SEGMENT_PATTERN.format(index=record["seq"] % segments)
+            with open(segment, "ab") as log:
+                log.write(encode_record(record))
+
+        service = AllocationService(store=ResultStore(), wal=wal_dir, job_workers=1)
+        server, _ = start_server(service, port=0)
+        try:
+            assert service.recovered_jobs == 1
+            client = ServiceClient(server.url)
+            with urllib.request.urlopen(f"{server.url}/jobs/job-00000001", timeout=30) as reply:
+                assert reply.status == 200
+                failed = json.loads(reply.read())
+            assert failed["status"] == "failed"
+            assert failed["recovered"] is True
+            assert failed["total"] == 2
+            assert "slsqp" in failed["error"]
+            assert client.wait_for_job("job-00000002", timeout_seconds=60.0)["status"] == "done"
+            jobs = client.stats()["jobs"]
+            assert jobs["unrecoverable"] == 1
+            assert jobs["failed"] == 1 and jobs["recovered"] == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+
+        # The failure was journaled as terminal: the next restart replays nothing.
+        with JobWal(wal_dir) as wal:
+            assert wal.replay()[0] == []
 
 
 class TestSubmitDuringReplayStress:
@@ -557,22 +607,6 @@ class TestQuarantine:
         finally:
             store.close()
 
-    def test_corrupt_shard_quarantined_others_untouched(self, tmp_path):
-        seeded = ShardedResultStore(cache_dir=tmp_path, num_shards=2)
-        seeded.put("00aaaaaa", '{"x": 1}')  # shard 0
-        seeded.put("01bbbbbb", '{"y": 2}')  # shard 1
-        seeded.close()
-        (tmp_path / "shard-00" / SQLITE_FILENAME).write_bytes(b"garbage" * 500)
-        store = ShardedResultStore(cache_dir=tmp_path, num_shards=2)
-        try:
-            assert store.stats().quarantines == 1
-            assert not store.get("00aaaaaa").hit  # shard 0 rebuilt cold
-            assert store.get("01bbbbbb").hit  # shard 1 intact
-            store.put("00aaaaaa", '{"x": 1}')  # recompute path works
-            assert store.get("00aaaaaa").hit
-        finally:
-            store.close()
-
     def test_runtime_corruption_degrades_to_miss_and_put_retries(self, tmp_path):
         tier = SqliteTier(tmp_path / SQLITE_FILENAME)
         tier.put("print", "{}")
@@ -592,7 +626,7 @@ class TestQuarantine:
         tier.close()
 
     def test_service_rides_through_corrupt_shard(self, tmp_path):
-        """End to end: a service whose disk shard is corrupt answers by
+        """End to end: a service whose disk tier is corrupt answers by
         recompute and reports the quarantine in /stats."""
         cache_dir = tmp_path / "cache"
         warm = AllocationService(store=ResultStore(cache_dir=cache_dir))

@@ -8,7 +8,6 @@ import time
 from repro.service.store import (
     MemoryTier,
     ResultStore,
-    ShardedResultStore,
     SqliteTier,
     StoreLimits,
 )
@@ -205,22 +204,3 @@ class TestResultStore:
         assert store.stats().puts == 1
         assert store.get("k").tier == "memory"  # memory tier still serves
         store.put("late", "x")  # no crash; memory-only from here on
-
-
-class TestShardedSweep:
-    def test_sweep_expired_sums_over_shards(self, tmp_path):
-        now = [1000.0]
-        store = ShardedResultStore(
-            cache_dir=tmp_path,
-            num_shards=4,
-            limits=StoreLimits(ttl_seconds=10.0),
-            clock=lambda: now[0],
-        )
-        keys = [f"{index:08x}" for index in range(16)]  # hex: spreads by prefix
-        for key in keys:
-            store.put(key, "payload")
-        now[0] += 11.0
-        assert store.sweep_expired() == 2 * len(keys)  # once per tier per entry
-        assert store.sizes() == {"memory": 0, "disk": 0}
-        assert store.stats().ttl_evictions == 2 * len(keys)
-        store.close()

@@ -1,6 +1,6 @@
-"""Concurrency stress tests for the sharded result store.
+"""Concurrency stress tests for the result store.
 
-Eight threads hammer one :class:`ShardedResultStore` with mixed put/get
+Eight threads hammer one :class:`ResultStore` with mixed put/get
 traffic (overlapping keys, eviction pressure, disk tiers) and the suite
 asserts the store's concurrency contract:
 
@@ -20,21 +20,14 @@ from __future__ import annotations
 import hashlib
 import threading
 
-import pytest
-
-from repro.service.store import (
-    ResultStore,
-    ShardedResultStore,
-    StoreLimits,
-    shard_of,
-)
+from repro.service.store import ResultStore, StoreLimits
 
 THREADS = 8
 KEYS_PER_THREAD = 120
 
 
 def _fingerprint(tag: str) -> str:
-    """SHA-256 hex keys, like the production fingerprints (hex prefix routing)."""
+    """SHA-256 hex keys, like the production fingerprints."""
     return hashlib.sha256(tag.encode("utf-8")).hexdigest()
 
 
@@ -74,9 +67,8 @@ class TestNoLostWrites:
     def test_disjoint_keys_all_acknowledged_writes_readable(self, tmp_path):
         """8 threads x disjoint keys, caps never binding: zero lost writes,
         zero misses on readback, exact counters."""
-        store = ShardedResultStore(
+        store = ResultStore(
             cache_dir=tmp_path,
-            num_shards=4,
             limits=StoreLimits(memory_entries=THREADS * KEYS_PER_THREAD * 2),
         )
         keys = {
@@ -112,7 +104,7 @@ class TestNoLostWrites:
     def test_overlapping_keys_no_torn_reads(self):
         """8 threads racing put/get on 24 shared keys: every observed payload
         is a complete write of that key (version-tagged, self-validating)."""
-        store = ShardedResultStore(num_shards=4)
+        store = ResultStore()
         shared = [_fingerprint(f"shared-{index}") for index in range(24)]
         gets_per_thread = 300
 
@@ -135,10 +127,10 @@ class TestNoLostWrites:
 
 class TestEvictionUnderPressure:
     def test_bounded_store_stays_consistent_and_within_caps(self, tmp_path):
-        """Tiny per-shard caps + 8 threads: no exceptions, sizes within caps,
-        eviction counters advance, stats arithmetic stays exact."""
+        """Tiny caps + 8 threads: no exceptions, sizes within caps, eviction
+        counters advance, stats arithmetic stays exact."""
         limits = StoreLimits(memory_entries=32, disk_entries=64)
-        store = ShardedResultStore(cache_dir=tmp_path, num_shards=4, limits=limits)
+        store = ResultStore(cache_dir=tmp_path, limits=limits)
         operations_per_thread = 200
 
         def worker(index: int) -> None:
@@ -158,9 +150,8 @@ class TestEvictionUnderPressure:
         assert stats.memory_hits + stats.disk_hits + stats.misses == stats.lookups
         assert stats.evictions + stats.disk_evictions > 0  # the caps did bind
         sizes = store.sizes()
-        # per_shard splits the caps; totals may not exceed cap + num_shards.
-        assert sizes["memory"] <= 32 + 4
-        assert sizes["disk"] <= 64 + 4
+        assert sizes["memory"] <= 32
+        assert sizes["disk"] <= 64
         store.close()
 
     def test_eviction_never_drops_the_in_flight_entry(self, tmp_path):
@@ -216,56 +207,3 @@ class TestEvictionUnderPressure:
         assert not store.get("old").hit, "promotion stretched the TTL"
         assert store.stats().ttl_evictions >= 1
         store.close()
-
-
-class TestShardingContract:
-    def test_shard_routing_is_deterministic_and_covers_all_shards(self):
-        fingerprints = [_fingerprint(str(index)) for index in range(512)]
-        for num_shards in (1, 2, 4, 8):
-            indices = [shard_of(print_, num_shards) for print_ in fingerprints]
-            assert indices == [shard_of(print_, num_shards) for print_ in fingerprints]
-            assert set(indices) == set(range(num_shards))  # no dead shard
-        with pytest.raises(ValueError):
-            shard_of("abc", 0)
-
-    def test_non_hex_keys_route_stably(self):
-        assert shard_of("not hex!", 4) == shard_of("not hex!", 4)
-        assert 0 <= shard_of("not hex!", 4) < 4
-
-    def test_restart_finds_every_shard_on_disk(self, tmp_path):
-        """A restarted sharded store (same shard count) answers every key
-        from its disk tier without re-solving."""
-        keys = [_fingerprint(f"persist-{index}") for index in range(64)]
-        with ShardedResultStore(cache_dir=tmp_path, num_shards=4) as store:
-            for key in keys:
-                store.put(key, _payload(key))
-        with ShardedResultStore(cache_dir=tmp_path, num_shards=4) as reborn:
-            for key in keys:
-                lookup = reborn.get(key)
-                assert lookup.hit and lookup.tier == "disk"
-                _check_payload(key, lookup.payload)
-            assert reborn.stats().disk_hits == len(keys)
-
-    def test_per_shard_stats_sum_to_fleet_stats(self):
-        store = ShardedResultStore(num_shards=4)
-        keys = [_fingerprint(f"s{index}") for index in range(40)]
-        for key in keys:
-            store.put(key, _payload(key))
-            assert store.get(key).hit
-        fleet = store.stats()
-        per_shard = store.per_shard_stats()
-        assert sum(shard.puts for shard in per_shard) == fleet.puts == len(keys)
-        assert sum(shard.memory_hits for shard in per_shard) == fleet.memory_hits
-        assert len(per_shard) == store.num_shards
-
-    def test_single_shard_matches_plain_store_observably(self):
-        """``ShardedResultStore(num_shards=1)`` is a drop-in for ``ResultStore``."""
-        plain, sharded = ResultStore(), ShardedResultStore(num_shards=1)
-        keys = [_fingerprint(f"drop-in-{index}") for index in range(16)]
-        for store in (plain, sharded):
-            for key in keys:
-                assert not store.get(key).hit
-                store.put(key, _payload(key))
-                assert store.get(key).tier == "memory"
-        assert plain.stats().as_dict() == sharded.stats().as_dict()
-        assert plain.sizes() == sharded.sizes()
