@@ -34,9 +34,10 @@ EXACT_SETTINGS = ExactSettings(max_nodes=3, time_limit_seconds=120.0)
 #: (PR 6) decides every runtime-table packing at the root, so the node
 #: ceiling drops from the branching packer's 25k to 100 (measured: 0 search
 #: nodes on all three cases; the PR 3 branching packer needed ~2.9k on
-#: alex-16 and the seed ~400k on vgg-16).  The LP ceiling is just above the
-#: measured cold 11.4 LPs/node on vgg-16 (seed: ~62).
-MAX_LP_SOLVES_PER_NODE = 12.0
+#: alex-16 and the seed ~400k on vgg-16).  The LP ceiling is 1.5x the
+#: measured cold 3.0 LPs/node on vgg-16 (21 LPs over 7 nodes; the
+#: derivative-sign bisection needed 7.0, the seed ~62).
+MAX_LP_SOLVES_PER_NODE = 4.5
 MAX_PACKER_SEARCH_NODES = 100
 
 #: Batched sweep seeding solves at most the goal + feasibility LP pair per
@@ -95,11 +96,11 @@ def test_exact_path_wall_clock_budget(benchmark):
 
 
 def test_exact_path_work_counters():
-    """Packer search nodes and LP solves per node stay at their PR 6 levels
-    (0 search nodes: bin-completion decides every table packing at the root;
-    ~11 LPs/node cold).  Pre-PR 3 baselines were ~62 LPs/node and ~400k
-    packer nodes on the vgg-16 row; the PR 3-5 branching packer still burned
-    ~2.9k nodes on alex-16."""
+    """Packer search nodes and LP solves per node stay at their measured
+    levels (0 search nodes: bin-completion decides every table packing at
+    the root; at most 3.0 LPs/node cold, on vgg-16).  Pre-PR 3 baselines
+    were ~62 LPs/node and ~400k packer nodes on the vgg-16 row; the PR 3-5
+    branching packer still burned ~2.9k nodes on alex-16."""
     for case in ("alex-16", "vgg-16"):
         cold_caches()
         problem = case_study(case, resource_limit_percent=70.0)

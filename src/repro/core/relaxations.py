@@ -25,14 +25,17 @@ node low:
 * **One-LP feasibility** -- the smallest feasible II of a box is the optimum
   of a single auxiliary LP (maximise ``t`` subject to
   ``sum_f n_kf >= WCET_k * t``), replacing the former 60-step feasibility
-  bisection; the result is memoized per bound box so sibling nodes sharing a
-  box never recompute it.
-* **Derivative-bracketed probing** -- the convex goal is minimised by
-  bracketing the sign change of its derivative, read off the coverage-row
-  duals of each probe LP, with a guarded regula-falsi step; this replaces the
-  fixed ~80-iteration golden-section search and typically needs an order of
-  magnitude fewer probes.  When a parent node's relaxation is available its
-  optimal II warm-starts the bracket.
+  bisection; the result is memoized per bound box, and a child box that
+  still contains the point its parent's feasibility LP found takes the
+  parent's answer without an LP.
+* **Tangent-cut II search** -- in ``s = 1/II`` the relaxed spreading is
+  convex and piecewise linear, so each probe LP yields a tangent cut (its
+  value plus a subgradient read off the coverage-row duals).  The next probe
+  is the minimiser of the cut model -- the stationary point of one piece or
+  the kink where two tangents meet -- and the search stops once a probe
+  certifies the model minimum, which is the node bound: never above the
+  relaxation's true minimum and within ``ii_search_tolerance`` of it.
+  Nodes typically need one to three probes.
 
 Every LP solve, probe and memo hit is counted (:meth:`counters`), so callers
 can assert LP-solves-per-node budgets end to end.
@@ -41,7 +44,6 @@ can assert LP-solves-per-node budgets end to end.
 from __future__ import annotations
 
 import functools
-import math
 import os
 from dataclasses import dataclass
 from typing import Mapping
@@ -98,6 +100,10 @@ def _highs_bindings() -> "_HighsBindings | None":
 #: Safety margin subtracted from node bounds so that the inexactness of the
 #: scalar search can never prune the true optimum.
 BOUND_SAFETY = 1e-7
+
+#: Probe LPs after which the II search returns its (still valid) cut-model
+#: bound uncertified; it converges in a handful.
+_MAX_PROBES = 40
 
 #: Entries kept in the per-bound-box minimum-feasible-II memo.
 _II_CACHE_LIMIT = 4096
@@ -163,6 +169,7 @@ class _PersistentHighsLP:
                 raise _HighsBackendError("HiGHS rejected the LP model")
             self._solver = solver
             self._inf = inf
+            self._matrix = np.array(matrix, dtype=np.float64)
             self._last_rhs = np.asarray(rhs, dtype=np.float64).copy()
             self._last_bounds = np.asarray(bounds, dtype=np.float64).copy()
         except _HighsBackendError:
@@ -200,10 +207,16 @@ class _PersistentHighsLP:
             raise _HighsBackendError(f"failed to update the HiGHS model: {error}") from error
 
     def set_coefficients(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
-        """Hot-swap individual matrix coefficients (the secant rows)."""
+        """Hot-swap individual matrix coefficients (the secant rows).
+
+        Only coefficients that differ from the model's are pushed: a branch
+        moves one variable's bounds, so most secant slopes stay put.
+        """
         try:
-            for row, col, value in zip(rows, cols, values):
-                self._solver.changeCoeff(int(row), int(col), float(value))
+            changed = np.nonzero(self._matrix[rows, cols] != values)[0]
+            for index in changed:
+                self._solver.changeCoeff(int(rows[index]), int(cols[index]), float(values[index]))
+            self._matrix[rows, cols] = values
         except Exception as error:  # pragma: no cover - API drift guard
             raise _HighsBackendError(f"failed to patch HiGHS coefficients: {error}") from error
 
@@ -360,6 +373,8 @@ class AllocationRelaxation:
     ``"highs"`` force a specific backend.  Both backends solve the same
     arrays, so relaxation values are identical; the persistent model skips
     scipy's per-call model parse (~40 % of per-LP time).
+    ``ii_search_tolerance`` is the relative gap between the best probed goal
+    and the cut-model minimum at which the II search stops.
     """
 
     problem: AllocationProblem
@@ -418,15 +433,23 @@ class AllocationRelaxation:
         variable (``"scipy"`` or ``"highs"``) before probing for ``highspy``
         -- the lever for pinning byte-reproducible scipy vertex choices (the
         recorded homogeneous baseline) on hosts that have highspy installed.
+        The choice is resolved on first use and kept for the instance's life.
         """
+        backend = self.__dict__.get("_cached_backend")
+        if backend is None:
+            backend = self._resolve_lp_backend()
+            object.__setattr__(self, "_cached_backend", backend)
+        if self.__dict__.get("_cached_highs_failed"):
+            return "scipy"
+        return backend
+
+    def _resolve_lp_backend(self) -> str:
         backend = self.lp_backend
         if backend == "auto":
             backend = os.environ.get("REPRO_LP_BACKEND") or "auto"
         if backend == "scipy":
             return "scipy"
         if backend in ("auto", "highs"):
-            if self.__dict__.get("_cached_highs_failed"):
-                return "scipy"
             if highspy_available():
                 return "highs"
             if backend == "highs":
@@ -474,7 +497,8 @@ class AllocationRelaxation:
         """Lower bound + fractional solution for a node's box bounds.
 
         ``parent`` (the enclosing node's relaxation, passed by the
-        branch-and-bound engine) warm-starts the scalar II search.
+        branch-and-bound engine) may spare the feasibility LP: see
+        :meth:`_min_feasible_ii`.
         """
         with span("relaxation"):
             model = self._model
@@ -483,10 +507,10 @@ class AllocationRelaxation:
             lower = np.array([bounds.lower(name) for name in model.var_names], dtype=float)
             upper = np.array([bounds.upper(name) for name in model.var_names], dtype=float)
 
-            ii_min, feasible_point = self._min_feasible_ii(lower, upper)
+            feasibility = self._min_feasible_ii(lower, upper, parent)
+            ii_min, feasible_point = feasibility
             if ii_min is None:
                 return RelaxationResult.infeasible()
-            ii_high = model.ii_high
 
             if not self.weights.spreading_enabled:
                 # Pure II objective: phi is irrelevant and the feasibility
@@ -496,42 +520,47 @@ class AllocationRelaxation:
                     feasible=True,
                     objective=self.weights.alpha * ii_min - BOUND_SAFETY,
                     solution=self._to_mapping(feasible_point),
-                    metadata={"best_ii": ii_min},
+                    metadata={"feasibility": feasibility},
                 )
 
             self._patch_box(lower, upper)
-            evaluations: dict[float, tuple[np.ndarray, float, float]] = {}
+            evaluations: dict[float, tuple[np.ndarray, float]] = {}
 
             def probe(ii: float) -> "tuple[float, float] | None":
                 solved = self._solve_goal_lp(ii)
                 if solved is None:
                     return None
-                values, phi, derivative = solved
-                evaluations[ii] = (values, phi, derivative)
-                return self.weights.goal(ii, phi), derivative
+                values, phi, slope = solved
+                evaluations[ii] = (values, phi)
+                return phi, slope
 
-            self._bracket_minimum(probe, ii_min, ii_high, parent)
-            if not evaluations:
+            bound = self._certified_minimum(probe, ii_min, model.ii_high)
+            if bound is None:
                 return RelaxationResult.infeasible()
             best_ii = min(
                 evaluations, key=lambda ii: self.weights.goal(ii, evaluations[ii][1])
             )
-            values, phi, _ = evaluations[best_ii]
             return RelaxationResult(
                 feasible=True,
-                objective=self.weights.goal(best_ii, phi) - BOUND_SAFETY,
-                solution=self._to_mapping(values),
-                metadata={"best_ii": best_ii},
+                objective=bound - BOUND_SAFETY,
+                solution=self._to_mapping(evaluations[best_ii][0]),
+                metadata={"feasibility": feasibility},
             )
 
     # ------------------------------------------------------------------ #
     # Minimum feasible II (one LP, memoized per bound box)
     # ------------------------------------------------------------------ #
     def _min_feasible_ii(
-        self, lower: np.ndarray, upper: np.ndarray
+        self, lower: np.ndarray, upper: np.ndarray, parent: RelaxationResult | None = None
     ) -> "tuple[float, np.ndarray] | tuple[None, None]":
         """Smallest II for which the box admits a feasible point, plus one
-        such point; ``(None, None)`` if the box is infeasible outright."""
+        such point; ``(None, None)`` if the box is infeasible outright.
+
+        A child box lies inside its parent's, so when the parent's
+        feasibility-LP point also lies inside the child box it attains the
+        parent's optimum ``t*`` there too, and the parent's answer is the
+        child's -- no LP needed.
+        """
         model = self._model
         counters = self._counters
         cache = self._ii_cache
@@ -542,11 +571,18 @@ class AllocationRelaxation:
             return cached
         counters["ii_cache_misses"] += 1
 
+        inherited = parent.metadata.get("feasibility") if parent is not None else None
         result: "tuple[float, np.ndarray] | tuple[None, None]"
         # Cheap screen: every kernel must be able to reach one CU in total.
         totals_upper = upper.reshape(model.num_k, model.num_fpgas).sum(axis=1)
         if np.any(totals_upper < 1.0 - 1e-9):
             result = (None, None)
+        elif (
+            inherited is not None
+            and np.all(lower <= inherited[1])
+            and np.all(inherited[1] <= upper)
+        ):
+            result = inherited
         else:
             ii_floor = float(np.max(model.wcet / np.maximum(totals_upper, 1e-12)))
             ii_floor = max(ii_floor, 1e-9)
@@ -572,87 +608,69 @@ class AllocationRelaxation:
         return result
 
     # ------------------------------------------------------------------ #
-    # Scalar search: derivative-sign bracketing of the convex goal
+    # Scalar search: tangent cuts of the convex spreading in s = 1/II
     # ------------------------------------------------------------------ #
-    def _bracket_minimum(
-        self,
-        probe,
-        ii_low: float,
-        ii_high: float,
-        parent: RelaxationResult | None,
-    ) -> float | None:
-        """Minimise the convex goal over ``[ii_low, ii_high]``.
+    def _certified_minimum(self, probe, ii_low: float, ii_high: float) -> float | None:
+        """Certified lower bound on the goal's minimum over ``[ii_low, ii_high]``.
 
-        Each probe returns ``(goal, derivative)``; the derivative comes from
-        the LP duals, so bracketing its sign change costs one LP per step
-        (versus two-probes-per-step golden sectioning without derivatives).
-        The parent node's optimal II, when inside the interval, tightens the
-        initial bracket.
+        ``probe(ii)`` solves the goal LP and returns ``(phi, slope)``, or
+        ``None`` when it is infeasible.  The search works in ``s = 1/II``,
+        where the relaxed spreading ``phi(s)`` is convex: the LP value is
+        convex and nondecreasing in the coverage right-hand sides
+        ``max(1, WCET_k * s)``, which are convex in ``s``.  ``slope`` (from
+        the coverage-row duals) is a subgradient of ``phi`` at the probe, so
+        the tangent ``phi_i + slope_i * (s - s_i)`` lies below ``phi``
+        everywhere.  Hence the cut model
+        ``M(s) = alpha / s + beta * max_i tangent_i(s)`` lies below the goal
+        ``G(s) = alpha / s + beta * phi(s)`` on the whole bracket, and
+        ``min M`` is a valid lower bound on ``min G`` whatever the probes
+        were.  ``M`` is convex, so its minimiser is an endpoint, the
+        stationary point ``sqrt(alpha / (beta * slope_i))`` of a tangent
+        piece, or the intersection of two tangents (a kink of ``phi``); all
+        of them are enumerated and the best is the next probe.  The search
+        stops once the best probed goal is within ``ii_search_tolerance``
+        (relative) of ``min M``: then ``min M <= min G <= min M + tol``, and
+        ``min M`` is the bound returned.  ``phi`` is piecewise linear, so
+        a probe on the optimal piece, or on both sides of the optimal kink,
+        makes the model exact there; the gap then closes to rounding noise.
         """
         alpha, beta = self.weights.alpha, self.weights.beta
-        tolerance = self.ii_search_tolerance
-
-        def model_minimizer(ii: float, derivative: float) -> float:
-            """Stationary point of the local model of the goal around a probe.
-
-            The LP value ``phi*`` is piecewise linear in ``s = 1/II``; the
-            probe's dual derivative identifies the local slope ``c`` of that
-            piece (``g' = alpha - beta * c / II^2``), whose piece-wide model
-            ``alpha * II + beta * (const + c / II)`` is minimised at
-            ``sqrt(beta * c / alpha)``.  Once the bracket reaches the optimal
-            piece this lands on the exact minimiser, so the search converges
-            in a handful of probes instead of a fixed golden-section budget.
-            """
-            c = (alpha - derivative) * ii * ii / beta
-            if c <= 0.0 or alpha <= 0.0:
-                return math.nan
-            return math.sqrt(beta * c / alpha)
-
-        probed_low = probe(ii_low)
-        if probed_low is None:
+        probed = probe(ii_low)
+        if probed is None:
             # The feasibility LP and the goal LP disagree within solver
             # tolerance; nudge upward once before declaring infeasibility.
             ii_low = min(ii_low * (1.0 + 1e-9) + 1e-12, ii_high)
-            probed_low = probe(ii_low)
-            if probed_low is None:
+            probed = probe(ii_low)
+            if probed is None:
                 return None
-        goal_low, derivative_low = probed_low
-        if derivative_low >= 0.0 or ii_high <= ii_low * (1 + 1e-12):
-            return ii_low  # convex goal: nondecreasing derivative
-
-        lo, d_lo = ii_low, derivative_low
-        # At ii_high every coverage requirement is the constant 1, so the
-        # goal's derivative is exactly alpha > 0 -- no LP needed.
-        hi = ii_high
-        candidate = model_minimizer(lo, d_lo)
-
-        warm = parent.metadata.get("best_ii") if parent is not None else None
-        if warm is not None and lo < warm < hi:
-            candidate = float(warm)
-
-        best = lo
-        for _ in range(80):
-            if (hi - lo) <= tolerance * max(1.0, hi):
+        bracket = np.array([1.0 / ii_high, 1.0 / ii_low])
+        points, phis, slopes = [bracket[1]], [probed[0]], [probed[1]]
+        best_goal = alpha * ii_low + beta * probed[0]
+        for _ in range(_MAX_PROBES):
+            s, slope = np.array(points), np.array(slopes)
+            offset = np.array(phis) - slope * s
+            with np.errstate(divide="ignore", invalid="ignore"):
+                candidates = np.concatenate((
+                    bracket,
+                    np.sqrt(alpha / (beta * slope)),
+                    ((offset[:, None] - offset) / (slope - slope[:, None])).ravel(),
+                ))
+            candidates = candidates[(candidates >= bracket[0]) & (candidates <= bracket[1])]
+            model = alpha / candidates + beta * np.max(
+                offset[:, None] + slope[:, None] * candidates, axis=0
+            )
+            best = int(np.argmin(model))
+            bound = float(model[best])
+            if best_goal - bound <= self.ii_search_tolerance * max(1.0, abs(bound)):
                 break
-            width = hi - lo
-            margin = 1e-2 * width
-            if not math.isfinite(candidate) or not (lo + margin <= candidate <= hi - margin):
-                candidate = 0.5 * (lo + hi)
-            probed = probe(candidate)
+            probed = probe(1.0 / float(candidates[best]))
             if probed is None:  # pragma: no cover - should stay feasible
                 break
-            goal_value, derivative = probed
-            if derivative >= 0.0:
-                hi = candidate
-            else:
-                lo, d_lo = candidate, derivative
-            best = candidate
-            # Certified-enough minimum: for a convex goal the error of the
-            # best probe is at most |g'| times the bracket width.
-            if abs(derivative) * (hi - lo) <= tolerance * max(1.0, abs(goal_value)):
-                break
-            candidate = model_minimizer(best, derivative)
-        return best
+            points.append(float(candidates[best]))
+            phis.append(probed[0])
+            slopes.append(probed[1])
+            best_goal = min(best_goal, alpha / points[-1] + beta * probed[0])
+        return bound
 
     # ------------------------------------------------------------------ #
     # The fixed-II linear program (patched, never rebuilt)
@@ -717,8 +735,8 @@ class AllocationRelaxation:
     def _solve_goal_lp(self, ii: float) -> "tuple[np.ndarray, float, float] | None":
         """Minimise relaxed spreading at fixed II; ``None`` if infeasible.
 
-        Returns the variable values, phi and the goal's derivative in II at
-        this probe (from the coverage-row duals).
+        Returns the variable values, phi and a subgradient of phi in
+        ``s = 1/II`` at this probe (from the coverage-row duals).
         """
         model = self._model
         counters = self._counters
@@ -732,17 +750,15 @@ class AllocationRelaxation:
         full_values, duals = solved
         values = full_values[: model.num_n]
         phi = float(full_values[-1])
-        # d(goal)/d(II) = alpha + beta * sum_k marginal_k * WCET_k / II^2 over
-        # the kernels whose coverage requirement is still WCET_k / II > 1
-        # (marginals of A_ub x <= b_ub are nonpositive, so the sum is <= 0;
-        # HiGHS row duals follow the same convention, being what scipy's
-        # "highs" method reports as the marginals).
+        # d(phi)/ds = -sum_k marginal_k * WCET_k over the kernels whose
+        # coverage requirement WCET_k * s is still above 1 (marginals of
+        # A_ub x <= b_ub are nonpositive, so the slope is >= 0; HiGHS row
+        # duals follow the same convention, being what scipy's "highs"
+        # method reports as the marginals).
         marginals = duals[: model.num_k]
         active = model.wcet > ii
-        derivative = self.weights.alpha + self.weights.beta * float(
-            np.sum(marginals[active] * model.wcet[active])
-        ) / (ii * ii)
-        return values, phi, derivative
+        slope = -float(np.sum(marginals[active] * model.wcet[active]))
+        return values, phi, slope
 
     def _symmetry_dimension(self):
         """Dimension used for the symmetry-breaking ordering (largest demand)."""
@@ -755,13 +771,7 @@ class AllocationRelaxation:
     # Helpers
     # ------------------------------------------------------------------ #
     def _to_mapping(self, values: np.ndarray) -> dict[str, float]:
-        names = self._model.names
-        num_fpgas = self._model.num_fpgas
-        mapping: dict[str, float] = {}
-        for index, name in enumerate(names):
-            for fpga in range(num_fpgas):
-                mapping[variable_name(name, fpga)] = float(values[index * num_fpgas + fpga])
-        return mapping
+        return dict(zip(self._model.var_names, values.tolist()))
 
 
 def _capacity_matrix(problem: AllocationProblem) -> np.ndarray:

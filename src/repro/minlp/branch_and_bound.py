@@ -36,7 +36,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from ..obs.trace import span
 from .bounds import VariableBounds
@@ -50,15 +50,15 @@ INTEGRALITY_TOLERANCE = 1e-6
 class RelaxationResult:
     """Outcome of solving one node's continuous relaxation.
 
-    ``metadata`` carries solver-specific warm-start hints (e.g. the optimal
-    II of the allocation relaxation); the engine passes the parent's result
-    to the relaxation solver, which may read them back.
+    ``metadata`` carries solver-specific warm-start hints (e.g. the
+    allocation relaxation's feasibility point); the engine passes the
+    parent's result to the relaxation solver, which may read them back.
     """
 
     feasible: bool
     objective: float
     solution: Mapping[str, float] = field(default_factory=dict)
-    metadata: Mapping[str, float] = field(default_factory=dict)
+    metadata: Mapping[str, Any] = field(default_factory=dict)
 
     @classmethod
     def infeasible(cls) -> "RelaxationResult":

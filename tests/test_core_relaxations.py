@@ -1,5 +1,7 @@
 """Tests for the LP-based node relaxation of the exact weighted solver."""
 
+import math
+
 import pytest
 
 from repro.core.objective import ObjectiveWeights
@@ -109,9 +111,10 @@ class TestAllocationRelaxation:
         assert counters["node_solves"] == 1
         assert counters["feasibility_lps"] == 1  # one aux LP, no bisection
         assert counters["probe_lps"] >= 1
-        # The derivative-bracketed search stays far below the pre-PR 3
-        # ~62-LPs-per-node cost (feasibility bisection + golden section).
-        assert counters["lp_solves"] <= 12
+        # Measured: 2 (one feasibility LP, one probe certifying the minimum
+        # at the smallest feasible II); the pre-PR 3 feasibility bisection
+        # plus golden section needed ~62.
+        assert counters["lp_solves"] <= 3
         assert counters["lp_solves"] == counters["feasibility_lps"] + counters["probe_lps"]
 
     def test_min_feasible_ii_memoized_per_bound_box(self, tiny_weighted_problem):
@@ -133,15 +136,38 @@ class TestAllocationRelaxation:
         )
         parent_bounds = full_bounds(tiny_weighted_problem)
         parent = relaxation.solve(parent_bounds)
-        assert "best_ii" in parent.metadata
+        # Branch on a variable whose parent feasibility point stays inside
+        # the child box: the child reuses the parent's minimum feasible II.
+        point = dict(zip(relaxation._model.var_names, parent.metadata["feasibility"][1]))
         name = variable_name(tiny_weighted_problem.kernel_names[0], 0)
-        child_bounds = parent_bounds.with_upper(name, 2)
-        cold = relaxation.solve(child_bounds)
+        child_bounds = parent_bounds.with_upper(name, math.ceil(point[name]))
+        before = relaxation.counters()
         warm = relaxation.solve(child_bounds, parent)
-        # Warm-starting changes the probe sequence, never the bound's meaning.
+        after = relaxation.counters()
+        assert after["feasibility_lps"] == before["feasibility_lps"]
+        cold = AllocationRelaxation(
+            problem=tiny_weighted_problem, weights=tiny_weighted_problem.weights
+        ).solve(child_bounds)
         assert warm.feasible == cold.feasible
-        assert warm.objective == pytest.approx(cold.objective, rel=1e-5, abs=1e-6)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
         assert warm.objective >= parent.objective - 1e-6
+
+    def test_parent_point_outside_child_box_is_not_reused(self, tiny_weighted_problem):
+        relaxation = AllocationRelaxation(
+            problem=tiny_weighted_problem, weights=tiny_weighted_problem.weights
+        )
+        parent_bounds = full_bounds(tiny_weighted_problem)
+        parent = relaxation.solve(parent_bounds)
+        point = dict(zip(relaxation._model.var_names, parent.metadata["feasibility"][1]))
+        name = variable_name(tiny_weighted_problem.kernel_names[0], 0)
+        child_bounds = parent_bounds.with_lower(name, math.floor(point[name]) + 1)
+        before = relaxation.counters()["feasibility_lps"]
+        warm = relaxation.solve(child_bounds, parent)
+        assert relaxation.counters()["feasibility_lps"] == before + 1
+        cold = AllocationRelaxation(
+            problem=tiny_weighted_problem, weights=tiny_weighted_problem.weights
+        ).solve(child_bounds)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
     def test_symmetry_breaking_keeps_bound_valid(self, tiny_weighted_problem):
         with_symmetry = AllocationRelaxation(

@@ -1,0 +1,85 @@
+"""The node relaxation's certified II search against a brute-force oracle.
+
+``tests/relaxation_oracle.py`` minimises each node relaxation over a dense
+II grid refined at the kinks of the relaxed spreading, through
+``scipy.optimize.linprog`` and without LP duals.  The relaxation's bound must
+never exceed that minimum (it is a lower bound) and must stay within
+``1e-6`` relative of it (it is certified).  Both LP backends run, because
+they report the coverage-row duals the search turns into tangent cuts
+through different code.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from relaxation_oracle import oracle_minimum
+from repro.core.exact import weighted_root_bounds
+from repro.core.relaxations import AllocationRelaxation, highspy_available
+from repro.minlp.bounds import VariableBounds
+from repro.reporting.experiments import case_study
+
+APPS = ("alex-16", "alex-32", "vgg-16")
+LIMITS = (55.0, 70.0, 85.0)
+#: Lower bounds rarely move: raised ones quickly overflow the capacity.
+LOWER_SHIFTS = (0,) * 12 + (1,)
+
+
+@functools.cache
+def root(app: str, limit: float):
+    problem = case_study(app, limit)
+    return problem, weighted_root_bounds(problem)
+
+
+def assert_matches_oracle(problem, box: VariableBounds, result) -> None:
+    minimum = oracle_minimum(problem, box)
+    if minimum is None:
+        assert not result.feasible
+        return
+    assert result.feasible
+    assert minimum - 1e-6 * max(1.0, abs(minimum)) <= result.objective <= minimum
+    for name, value in result.solution.items():
+        low, high = box[name]
+        assert low - 1e-9 <= value <= high + 1e-9
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "scipy",
+        pytest.param(
+            "highs",
+            marks=pytest.mark.skipif(
+                not highspy_available(), reason="no HiGHS bindings in this environment"
+            ),
+        ),
+    ],
+)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_node_bound_is_certified(backend, data):
+    problem, root_box = root(data.draw(st.sampled_from(APPS)), data.draw(st.sampled_from(LIMITS)))
+    ranges = {}
+    for name in root_box:
+        low, high = root_box[name]
+        low = min(low + data.draw(st.sampled_from(LOWER_SHIFTS)), high)
+        ranges[name] = (low, max(high - data.draw(st.integers(0, 4)), low))
+    box = VariableBounds.from_ranges(ranges)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_LP_BACKEND", backend)
+        relaxation = AllocationRelaxation(problem=problem, weights=problem.weights)
+        result = relaxation.solve(box)
+        assert relaxation.active_lp_backend == backend
+        assert_matches_oracle(problem, box, result)
+        if not result.feasible:
+            return
+        # A branching child, solved with its parent as the engine does: the
+        # parent may hand down its feasibility point instead of an LP.
+        name = data.draw(st.sampled_from(sorted(ranges)))
+        low, high = ranges[name]
+        split = data.draw(st.integers(low, high))
+        child = box.with_upper(name, split) if data.draw(st.booleans()) else box.with_lower(name, split)
+        assert_matches_oracle(problem, child, relaxation.solve(child, result))
