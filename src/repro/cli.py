@@ -8,7 +8,8 @@ Three sub-commands cover the common workflows::
     repro-fpga experiment figure3 --output figure3.csv
     repro-fpga experiment figure2 --jobs 4   # sweep on a 4-worker process pool
     repro-fpga experiment hetero-skew        # heterogeneous class-skew sweep
-    repro-fpga serve --port 8000 --jobs 4 --cache-dir ~/.cache/repro-fpga
+    repro-fpga serve --port 8000 --cache-dir ~/.cache/repro-fpga
+    repro-fpga serve --worker-processes 4 --data-dir /var/lib/repro-fpga
     repro-fpga serve --workers 4 --cache-cap 268435456 --cache-ttl 86400
     repro-fpga serve --trace --quiet          # record solve traces, no access log
     repro-fpga fleet --tenants 3 --classes 2,2   # multi-tenant fleet allocation
@@ -22,10 +23,12 @@ Three sub-commands cover the common workflows::
 
 ``serve`` starts the long-running allocation service: an HTTP JSON API
 (``/solve``, ``/solve_batch`` with sync and async modes, ``/jobs``,
-``/health``, ``/stats``) backed by the fingerprint-keyed result cache of
-:mod:`repro.service` -- bounded (``--cache-cap``/``--cache-ttl``), drained by
-an async job worker pool (``--workers``) and scaled out over worker
-processes (``--worker-processes``).
+``/health``, ``/stats``, ``/fleet``) backed by the fingerprint-keyed result
+cache of :mod:`repro.service` -- bounded (``--cache-cap``/``--cache-ttl``)
+and drained by an async job worker pool (``--workers``).  One process
+solves its batches serially; ``--worker-processes`` is the one way to use
+more CPUs: it scales out over worker processes behind a router that
+serves the same API.
 
 ``python -m repro`` is equivalent to ``repro-fpga``.
 """
@@ -113,12 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_parser.add_argument("--port", type=int, default=8000, help="TCP port (0 = ephemeral)")
-    serve_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="persistent worker processes for batch fan-out (0 = one per CPU, 1 = in-process)",
-    )
     serve_parser.add_argument(
         "--cache-dir",
         type=Path,
@@ -377,13 +374,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         return 2
     if args.worker_processes > 1:
         return _run_serve_pool(args)
-    jobs = available_workers() if args.jobs == 0 else args.jobs
-    if jobs <= 1:
-        executor = SweepExecutor(ExecutorSettings(parallel=False))
-    else:
-        executor = SweepExecutor(
-            ExecutorSettings(parallel=True, max_workers=jobs), persistent=True
-        )
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
@@ -395,7 +385,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     store = ResultStore(cache_dir=args.cache_dir, limits=limits)
     service = AllocationService(
         store=store,
-        executor=executor,
         job_workers=args.workers,
         tracing=True if args.trace else None,
         wal=args.wal_dir,
@@ -405,7 +394,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     tier = f"memory+disk ({args.cache_dir})" if args.cache_dir else "memory-only"
     durability = f"wal ({args.wal_dir})" if args.wal_dir else "none"
     print(
-        f"result cache: {tier}; batch workers: {jobs}; "
+        f"result cache: {tier}; "
         f"async job workers: {args.workers}; tracing: "
         f"{'on' if service.tracing else 'off'}; durability: {durability}",
         flush=True,
@@ -428,7 +417,7 @@ def _run_serve_pool(args: argparse.Namespace) -> int:
     import json as _json
     import tempfile
 
-    from .service import RouterService, WorkerPool, WorkerSpec, run_router
+    from .service import RouterService, WorkerPool, WorkerSpec, run_server
 
     if args.cache_dir is not None or args.wal_dir is not None:
         print(
@@ -483,7 +472,7 @@ def _run_serve_pool(args: argparse.Namespace) -> int:
         f"{data_dir}; async job workers: {args.workers}; durability: per-group wal",
         flush=True,
     )
-    run_router(router, host=args.host, port=args.port, quiet=args.quiet)
+    run_server(router, host=args.host, port=args.port, quiet=args.quiet)
     return 0
 
 

@@ -183,6 +183,10 @@ class SweepExecutor:
 #: Default executor: serial chunks unless the host has CPUs to spare.
 DEFAULT_EXECUTOR = SweepExecutor()
 
+#: Never a process pool: timing runs and the allocation service, whose one
+#: layer of process parallelism is ``repro serve --worker-processes``.
+SERIAL_EXECUTOR = SweepExecutor(ExecutorSettings(parallel=False))
+
 
 # --------------------------------------------------------------------------- #
 # The standard sweep work unit

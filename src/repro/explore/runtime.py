@@ -18,10 +18,7 @@ from ..core.exact import ExactSettings
 from ..core.heuristic import HeuristicSettings
 from ..core.problem import AllocationProblem
 from ..core.solvers import solve
-from .executor import ExecutorSettings, SweepExecutor
-
-#: Timing default: never auto-parallelize a measurement run.
-_SERIAL_EXECUTOR = SweepExecutor(ExecutorSettings(parallel=False))
+from .executor import SERIAL_EXECUTOR, SweepExecutor
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ def runtime_comparison(
     executor: SweepExecutor | None = None,
 ) -> list[RuntimeMeasurement]:
     """Measure every method on every case (the Section 4 runtime table)."""
-    executor = executor or _SERIAL_EXECUTOR
+    executor = executor or SERIAL_EXECUTOR
     tasks = [
         _MeasureTask(
             case=case_name,

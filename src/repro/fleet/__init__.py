@@ -19,7 +19,7 @@ from .allocator import (
     carve_shares,
     demand_weight,
 )
-from .manager import FleetManager
+from .manager import Conflict, FleetManager
 from .state import (
     ClassShare,
     FleetState,
@@ -33,6 +33,7 @@ from .state import (
 __all__ = [
     "FLEET_MODES",
     "ClassShare",
+    "Conflict",
     "FleetManager",
     "FleetOutcome",
     "FleetSettings",

@@ -29,6 +29,11 @@ from .allocator import (
 from .state import FleetState, Tenant
 
 
+class Conflict(RuntimeError):
+    """A well-formed request that conflicts with the current fleet state
+    (HTTP 409), e.g. a tenant operation before any fleet was allocated."""
+
+
 class FleetManager:
     """Current fleet + persistent solve memo + counters, all thread-safe."""
 
@@ -65,7 +70,7 @@ class FleetManager:
         """Tenant arrival; returns the new fleet snapshot."""
         with self._lock:
             if self._fleet is None:
-                raise RuntimeError("no fleet configured; POST /fleet/allocate first")
+                raise Conflict("no fleet configured; POST /fleet/allocate first")
             # A reused id must not be served from the departed tenant's memo.
             self._memo.forget_tenant(tenant.id)
             self._fleet = self._fleet.with_tenant(tenant)
@@ -76,7 +81,7 @@ class FleetManager:
         """Tenant departure; returns the new fleet snapshot."""
         with self._lock:
             if self._fleet is None:
-                raise RuntimeError("no fleet configured; POST /fleet/allocate first")
+                raise Conflict("no fleet configured; POST /fleet/allocate first")
             self._fleet = self._fleet.without_tenant(tenant_id)
             self._memo.forget_tenant(tenant_id)
             self._departures += 1
@@ -115,7 +120,7 @@ class FleetManager:
             if fleet is not None:
                 self._install_locked(fleet)
             if self._fleet is None:
-                raise RuntimeError("no fleet to allocate")
+                raise Conflict("no fleet to allocate")
             snapshot = self._fleet
             memo = self._memo
         outcome = allocate_fleet(snapshot, mode=mode, settings=self._settings, memo=memo)

@@ -13,15 +13,17 @@ cache-backed engine:
   makes async acks durable across ``kill -9``;
 * :mod:`repro.service.faults` -- seeded fault injection (crashes, IO
   errors, latency) at named sites, for the durability test harness;
-* :mod:`repro.service.server` -- the resident service and its HTTP JSON API;
+* :mod:`repro.service.server` -- the resident, cache-backed service;
+* :mod:`repro.service.frontdoor` -- the HTTP JSON API of both topologies:
+  one route table, request handler, error map and threading server;
 * :mod:`repro.service.client` -- a small stdlib client (sync + async polls)
   with capped-exponential retry/backoff on 429/503;
 * :mod:`repro.service.hashing` -- the consistent hash ring mapping request
   fingerprints onto shard groups (minimal remap on resize);
 * :mod:`repro.service.pool` -- the shard-group worker *processes*: spawn,
   heartbeat, graceful drain, crash restart + WAL replay;
-* :mod:`repro.service.router` -- the front-end that routes the whole HTTP
-  surface across the pool and aggregates /stats and /metrics.
+* :mod:`repro.service.router` -- the application that routes the whole HTTP
+  API across the pool and aggregates /stats and /metrics.
 """
 
 from .batch import BatchReport, SolveRequest, request_from_dict, request_to_dict, solve_batch
@@ -37,22 +39,17 @@ from .faults import (
 )
 from .hashing import DEFAULT_REPLICAS, HashRing, ring, ring_of
 from .jobs import Job, JobQueue, QueueFullError
-from .pool import WorkerPool, WorkerSpec, build_worker_service, group_dir, worker_main
-from .router import (
-    RouterHTTPServer,
-    RouterService,
-    WorkerUnavailableError,
-    merge_prometheus,
-    run_router,
-    start_router,
-)
-from .server import (
+from .frontdoor import (
+    MAX_BODY_BYTES,
+    ROUTES,
     AllocationHTTPServer,
-    AllocationService,
     BackpressureError,
     run_server,
     start_server,
 )
+from .pool import WorkerPool, WorkerSpec, build_worker_service, group_dir, worker_main
+from .router import RouterService, WorkerUnavailableError, merge_prometheus, start_router
+from .server import AllocationService
 from .store import (
     CacheStats,
     MemoryTier,
@@ -78,11 +75,12 @@ __all__ = [
     "Job",
     "JobQueue",
     "JobWal",
+    "MAX_BODY_BYTES",
     "MemoryTier",
     "QueueFullError",
+    "ROUTES",
     "ResultStore",
     "RetryPolicy",
-    "RouterHTTPServer",
     "RouterService",
     "ServiceClient",
     "ServiceError",
@@ -109,7 +107,6 @@ __all__ = [
     "request_to_dict",
     "ring",
     "ring_of",
-    "run_router",
     "run_server",
     "set_injector",
     "solve_batch",

@@ -77,6 +77,10 @@ class QueueFullError(RuntimeError):
         self.max_depth = max_depth
 
 
+class QueueClosedError(RuntimeError):
+    """A submission arrived after :meth:`JobQueue.close` (shutdown)."""
+
+
 @dataclass
 class Job:
     """One asynchronous batch submission and (eventually) its result."""
@@ -262,7 +266,7 @@ class JobQueue:
             raise ValueError("an async batch needs at least one request")
         with self._lock:
             if self._closed:
-                raise RuntimeError("job queue is closed")
+                raise QueueClosedError("job queue is closed")
             if self.max_queue_depth is not None:
                 depth = self._queued_depth_locked()
                 if depth >= self.max_queue_depth:

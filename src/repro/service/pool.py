@@ -48,6 +48,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Callable
 
@@ -125,10 +126,12 @@ def worker_main(spec: WorkerSpec, conn: Any) -> None:
 
     Builds the group's service (replaying its WAL), binds an ephemeral
     port, reports ``("ready", port)`` through ``conn``, then serves until
-    SIGTERM/SIGINT.  The drain path is the graceful one: stop accepting,
-    finish queued jobs, final-fsync and close the WAL, exit 0.
+    SIGTERM/SIGINT or until the supervising process dies, however it died
+    (``kill -9`` included), so a worker never outlives its pool.  The drain
+    path is the graceful one: stop accepting, finish queued jobs,
+    final-fsync and close the WAL, exit 0.
     """
-    from .server import AllocationHTTPServer, install_shutdown_signals
+    from .frontdoor import AllocationHTTPServer, install_shutdown_signals
 
     try:
         service = build_worker_service(spec)
@@ -140,6 +143,16 @@ def worker_main(spec: WorkerSpec, conn: Any) -> None:
             conn.close()
         raise
     install_shutdown_signals(server)
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+
+        def drain_when_orphaned() -> None:
+            wait([parent.sentinel])  # readable once the parent is gone
+            server.shutdown()
+
+        threading.Thread(
+            target=drain_when_orphaned, name="repro-parent-watch", daemon=True
+        ).start()
     conn.send(("ready", server.server_address[1]))
     conn.close()
     try:

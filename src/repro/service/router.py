@@ -1,10 +1,11 @@
 """The routing front-end of the multi-process serving topology.
 
 One :class:`RouterService` sits in front of a :class:`~repro.service.pool.
-WorkerPool` and speaks the exact HTTP surface of a single-process
-allocation server -- ``/solve``, ``/solve_batch`` (sync and async),
-``/jobs``, ``/health``, ``/stats``, ``/metrics``, ``/trace`` -- so every
-existing client works unchanged.  What it adds:
+WorkerPool` and is served by the same front door as a single-process
+allocation server (:mod:`repro.service.frontdoor`), so it answers every
+route of that API and every existing client works unchanged.  The
+``/fleet`` routes are forwarded verbatim to the worker of group 0
+(:data:`FLEET_GROUP`), which owns the fleet state.  What it adds:
 
 * **ownership routing** -- each request document's canonical fingerprint
   is mapped onto a shard group by the consistent hash ring of
@@ -43,27 +44,38 @@ from __future__ import annotations
 
 import http.client
 import json
-import math
-import sys
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .. import __version__
 from ..obs.metrics import MetricsRegistry
-from ..workloads.serialization import SerializationError
-from .batch import loads_batch, requests_from_documents
+from .batch import requests_from_documents
+from .frontdoor import (
+    JSON,
+    BackpressureError,
+    FrontDoorHandler,
+    HTTPError,
+    HTTPRoutes,
+    Reply,
+    Request,
+    json_reply,
+    section,
+    start_server,
+)
 from .hashing import DEFAULT_REPLICAS, HashRing, ring
 from .pool import WorkerPool
-from .server import BackpressureError, install_shutdown_signals
 from .store import CacheStats
 
 #: Retry hint handed to clients whose owning worker is down: the pool's
 #: restart-and-replay cycle is sub-second for small WALs, so the floor.
 WORKER_DOWN_RETRY_AFTER_SECONDS = 1.0
+
+#: The shard group whose worker owns the fleet state; every ``/fleet``
+#: call is forwarded to it.  Group 0 always exists: the pool never shrinks.
+FLEET_GROUP = 0
 
 #: Report fields summed across per-worker batch reports (``runtime_seconds``
 #: is a max -- the parts ran concurrently -- and ``solver_counters`` is a
@@ -79,13 +91,15 @@ _REPORT_SUM_FIELDS = (
 )
 
 
-class WorkerUnavailableError(RuntimeError):
-    """The owning worker of a request is down or unreachable."""
+class WorkerUnavailableError(BackpressureError):
+    """The owning worker of a request is down or unreachable (HTTP 503)."""
 
     def __init__(self, group: int):
         super().__init__(
+            503,
+            WORKER_DOWN_RETRY_AFTER_SECONDS,
             f"shard group {group} is unavailable (worker down or restarting); "
-            "retry later"
+            "retry later",
         )
         self.group = group
 
@@ -212,7 +226,7 @@ class RouterJob:
         self.lock = threading.Lock()
 
 
-class RouterService:
+class RouterService(HTTPRoutes):
     """Route the allocation-service HTTP surface across a worker pool.
 
     Parameters
@@ -403,21 +417,10 @@ class RouterService:
             document = {"error": f"worker {group} returned a non-JSON body"}
         return status, headers, document
 
-    def _reject(self, status: int, message: str) -> BackpressureError:
-        code = str(status)
-        self._admission_rejected_total.labels(code=code).inc()
-        with self._lock:
-            self._rejected[code] = self._rejected.get(code, 0) + 1
-        return BackpressureError(status, WORKER_DOWN_RETRY_AFTER_SECONDS, message)
-
     def _propagate_backpressure(
         self, status: int, headers: Mapping[str, str], document: Any
     ) -> BackpressureError:
         """Re-raise a worker's own 429/503 with its Retry-After intact."""
-        code = str(status)
-        self._admission_rejected_total.labels(code=code).inc()
-        with self._lock:
-            self._rejected[code] = self._rejected.get(code, 0) + 1
         retry_after = WORKER_DOWN_RETRY_AFTER_SECONDS
         if isinstance(document, Mapping):
             try:
@@ -432,35 +435,38 @@ class RouterService:
         return BackpressureError(status, retry_after, message)
 
     # ------------------------------------------------------------------ #
-    # /solve
+    # Routes forwarded verbatim
     # ------------------------------------------------------------------ #
-    def solve_raw(self, body: bytes) -> tuple[int, dict[str, str], bytes]:
-        """Route one ``/solve`` body to its owner, forwarding the raw bytes.
+    def _forward(self, group: int, method: str, path: str, body: bytes) -> Reply:
+        """Forward raw request bytes to ``group`` and its answer back
+        verbatim, so a client talking to the router receives byte-identical
+        answers to one talking straight at a worker."""
+        status, headers, data = self._proxy(group, method, path, body=body or None)
+        retry_after = headers.get("Retry-After")
+        extra = {"Retry-After": retry_after} if retry_after else None
+        return Reply(data, status, headers.get("Content-Type", JSON), extra)
 
-        The response bytes come back verbatim too, so a client talking to
-        the router receives byte-identical ``/solve`` answers to one
-        talking straight at a worker.
-        """
-        try:
-            text = body.decode("utf-8")
-            document = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise SerializationError(f"request body is not valid JSON: {error}") from error
-        (fingerprint,) = self.fingerprints_of([document], [text])
-        group = self.group_of(fingerprint)
+    def http_solve(self, request: Request) -> Reply:
+        """Route one ``/solve`` body to the owner of its fingerprint."""
+        body = request.body
+        payload, _ = request.parse()
+        (fingerprint,) = self.fingerprints_of([payload], [body.decode("utf-8")])
         with self._lock:
             self._requests += 1
-        status, headers, data = self._proxy(group, "POST", "/solve", body=body)
-        return status, headers, data
+        return self._forward(self.group_of(fingerprint), "POST", "/solve", body)
+
+    def http_fleet_allocate(self, request: Request) -> Reply:
+        return self._forward(FLEET_GROUP, request.method, request.path, request.body)
+
+    http_fleet_arrival = http_fleet_departure = http_fleet_allocate
+
+    def http_resize(self, request: Request) -> Reply:
+        num_groups = section(request.parse()[0], "num_groups", "resize needs {'num_groups': N}")
+        return json_reply(self.resize(int(num_groups)))
 
     # ------------------------------------------------------------------ #
     # /solve_batch
     # ------------------------------------------------------------------ #
-    def _split_batch(
-        self, documents: Sequence[Mapping[str, Any]], texts: Sequence[str] | None
-    ) -> "dict[int, list[int]]":
-        return self.ring.partition(self.fingerprints_of(documents, texts))
-
     def _fan_out(
         self, calls: "list[tuple[int, Callable[[], Any]]]"
     ) -> "list[tuple[int, Any]]":
@@ -516,6 +522,43 @@ class RouterService:
         report["solver_counters"] = counters
         return report, fingerprints, outcomes
 
+    def _post_parts(
+        self,
+        documents: Sequence[Mapping[str, Any]],
+        texts: Sequence[str] | None,
+        mode: str,
+    ) -> tuple[dict[int, list[int]], dict[int, Any]]:
+        """Split a batch by ownership and POST each owning group its slice,
+        concurrently; returns the split and each group's response document.
+
+        A worker's own 429/503 is passed on with its ``Retry-After``; any
+        other unexpected answer keeps the worker's status."""
+        owned = self.ring.partition(self.fingerprints_of(documents, texts))
+        with self._lock:
+            self._requests += len(documents)
+            self._batches += 1
+        expected = 202 if mode == "async" else 200
+
+        def call_for(group: int, indices: "list[int]") -> Callable[[], Any]:
+            payload: dict[str, Any] = {"mode": "async"} if mode == "async" else {}
+            payload["requests"] = [documents[index] for index in indices]
+
+            def call() -> Any:
+                status, headers, document = self._proxy_json(
+                    group, "POST", "/solve_batch", payload
+                )
+                if status in (429, 503):
+                    raise self._propagate_backpressure(status, headers, document)
+                if status != expected or not isinstance(document, Mapping):
+                    error = document.get("error") if isinstance(document, Mapping) else None
+                    raise HTTPError(status, str(error or f"status {status}"))
+                return document
+
+            return call
+
+        calls = [(group, call_for(group, indices)) for group, indices in sorted(owned.items())]
+        return owned, dict(self._fan_out(calls))
+
     def solve_batch_documents(
         self,
         documents: Sequence[Mapping[str, Any]],
@@ -525,38 +568,21 @@ class RouterService:
 
         ``texts`` are the documents' source texts, when the caller has them
         (see :func:`~repro.service.batch.loads_batch`)."""
-        owned = self._split_batch(documents, texts)
-        with self._lock:
-            self._requests += len(documents)
-            self._batches += 1
-
-        def call_for(group: int, indices: "list[int]") -> Callable[[], Any]:
-            payload = {"requests": [documents[index] for index in indices]}
-
-            def call() -> Any:
-                status, headers, document = self._proxy_json(
-                    group, "POST", "/solve_batch", payload
-                )
-                if status in (429, 503):
-                    raise self._propagate_backpressure(status, headers, document)
-                if status != 200:
-                    message = (
-                        document.get("error", f"status {status}")
-                        if isinstance(document, Mapping)
-                        else f"status {status}"
-                    )
-                    raise SerializationError(str(message))
-                return document
-
-            return call
-
-        calls = [(group, call_for(group, indices)) for group, indices in sorted(owned.items())]
-        responses = dict(self._fan_out(calls))
+        owned, responses = self._post_parts(documents, texts, "sync")
         report, fingerprints, outcomes = self._merge_reports(
             [(owned[group], responses[group]) for group in sorted(owned)],
             total=len(documents),
         )
         return {"report": report, "fingerprints": fingerprints, "outcomes": outcomes}
+
+    def solve_batch_text(
+        self,
+        documents: Sequence[Mapping[str, Any]],
+        texts: Sequence[str] | None = None,
+    ) -> str:
+        """The sync ``/solve_batch`` response text of
+        :meth:`solve_batch_documents`."""
+        return json.dumps(self.solve_batch_documents(documents, texts), allow_nan=False)
 
     def submit_batch_documents(
         self,
@@ -568,36 +594,7 @@ class RouterService:
         *every* part is acknowledged (each worker fsynced its sub-batch), so
         the router's ack inherits the workers' durability.  ``texts`` as in
         :meth:`solve_batch_documents`."""
-        owned = self._split_batch(documents, texts)
-        with self._lock:
-            self._requests += len(documents)
-            self._batches += 1
-
-        def call_for(group: int, indices: "list[int]") -> Callable[[], Any]:
-            payload = {
-                "mode": "async",
-                "requests": [documents[index] for index in indices],
-            }
-
-            def call() -> Any:
-                status, headers, document = self._proxy_json(
-                    group, "POST", "/solve_batch", payload
-                )
-                if status in (429, 503):
-                    raise self._propagate_backpressure(status, headers, document)
-                if status != 202 or not isinstance(document, Mapping):
-                    message = (
-                        document.get("error", f"status {status}")
-                        if isinstance(document, Mapping)
-                        else f"status {status}"
-                    )
-                    raise SerializationError(str(message))
-                return document
-
-            return call
-
-        calls = [(group, call_for(group, indices)) for group, indices in sorted(owned.items())]
-        responses = dict(self._fan_out(calls))
+        owned, responses = self._post_parts(documents, texts, "async")
         created = time.time()
         parts = [
             RouterJobPart(
@@ -670,6 +667,11 @@ class RouterService:
                 raise WorkerUnavailableError(part.group)
             parts.append((part.indices, dict(document)))
         return self._merge_job(job, parts, include_outcomes=include_outcomes)
+
+    def job_json(self, job_id: str) -> str | None:
+        """The wire text of :meth:`job`, or ``None`` for unknown ids."""
+        document = self.job(job_id)
+        return None if document is None else json.dumps(document, allow_nan=False)
 
     def _resubmit_part(self, job: RouterJob, part: RouterJobPart) -> dict[str, Any]:
         """Re-submit one lost part and return a pollable part document.
@@ -753,13 +755,7 @@ class RouterService:
         if errors:
             document["error"] = "; ".join(str(error) for error in errors)
         if status == "done":
-            report, fingerprints, outcomes = self._merge_reports(
-                [
-                    (indices, part)
-                    for indices, part in parts
-                ],
-                total=job.total,
-            )
+            report, fingerprints, outcomes = self._merge_reports(parts, total=job.total)
             document["report"] = report
             document["fingerprints"] = fingerprints
             if include_outcomes:
@@ -793,11 +789,15 @@ class RouterService:
     # ------------------------------------------------------------------ #
     # /trace
     # ------------------------------------------------------------------ #
-    def trace(self, fingerprint: str) -> tuple[int, Any]:
-        """Proxy ``/trace/<fingerprint>`` to the owning worker."""
+    def trace(self, fingerprint: str) -> dict[str, Any] | None:
+        """The owning worker's span tree of ``fingerprint``, or ``None``."""
         group = self.group_of(fingerprint)
         status, _, document = self._proxy_json(group, "GET", f"/trace/{fingerprint}")
-        return status, document
+        if status == 404:
+            return None
+        if status != 200:
+            raise WorkerUnavailableError(group)
+        return document
 
     # ------------------------------------------------------------------ #
     # Aggregated observability
@@ -917,7 +917,15 @@ class RouterService:
         return merge_prometheus(expositions)
 
     def observe_http(self, method: str, status: int) -> None:
+        """Count one answered request; every 429/503 the router answers
+        (a down worker, or a worker's own refusal passed on) is also an
+        admission rejection."""
         self._http_requests_total.labels(method=method, status=str(status)).inc()
+        if status in (429, 503):
+            code = str(status)
+            self._admission_rejected_total.labels(code=code).inc()
+            with self._lock:
+                self._rejected[code] += 1
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -928,249 +936,9 @@ class RouterService:
             self.pool.close()
 
 
-# --------------------------------------------------------------------------- #
-# HTTP layer
-# --------------------------------------------------------------------------- #
-class _RouterRequestHandler(BaseHTTPRequestHandler):
-    """The router's HTTP surface -- same routes and wire shapes as the
-    single-process :class:`~repro.service.server._ServiceRequestHandler`,
-    plus ``POST /admin/resize``."""
-
-    server: "RouterHTTPServer"
-    protocol_version = "HTTP/1.1"
-    # Headers and body go out in two writes; with Nagle's algorithm the
-    # second waits for the client's delayed ACK of the first.
-    disable_nagle_algorithm = True
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
-
-    # -- plumbing (mirrors the service handler) ------------------------- #
-    def _send_json(
-        self,
-        payload: Mapping[str, Any],
-        status: int = 200,
-        extra_headers: Mapping[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        self._send_body(body, status, "application/json", extra_headers=extra_headers)
-
-    def _send_body(
-        self,
-        body: bytes,
-        status: int,
-        content_type: str,
-        extra_headers: Mapping[str, str] | None = None,
-    ) -> None:
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if extra_headers:
-            for name, value in extra_headers.items():
-                self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_backpressure(self, error: BackpressureError) -> None:
-        self._send_json(
-            {
-                "error": str(error),
-                "retry_after_seconds": error.retry_after_seconds,
-            },
-            status=error.status,
-            extra_headers={"Retry-After": str(math.ceil(error.retry_after_seconds))},
-        )
-
-    def _send_error_json(self, message: str, status: int = 400) -> None:
-        self._send_json({"error": message}, status=status)
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
-            raise SerializationError("request body is empty")
-        return self.rfile.read(length)
-
-    def _dispatch(self, handler: Any) -> None:
-        start = time.perf_counter()
-        self._status = 0
-        try:
-            handler()
-        finally:
-            latency_ms = (time.perf_counter() - start) * 1000.0
-            router = self.server.router
-            router.observe_http(self.command, self._status)
-            if not self.server.quiet:
-                record = {
-                    "time_unix": round(time.time(), 3),
-                    "role": "router",
-                    "method": self.command,
-                    "path": self.path,
-                    "status": self._status,
-                    "latency_ms": round(latency_ms, 3),
-                }
-                print(json.dumps(record), file=sys.stderr, flush=True)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch(self._handle_get)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch(self._handle_post)
-
-    def _handle_get(self) -> None:
-        router = self.server.router
-        try:
-            if self.path == "/health":
-                self._send_json(router.health())
-            elif self.path == "/stats":
-                self._send_json(router.stats())
-            elif self.path == "/metrics":
-                self._send_body(
-                    router.metrics_text().encode("utf-8"),
-                    200,
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            elif self.path.startswith("/trace/"):
-                fingerprint = self.path[len("/trace/") :]
-                status, document = router.trace(fingerprint)
-                self._send_json(document, status=status)
-            elif self.path == "/jobs":
-                self._send_json({"jobs": router.list_jobs()})
-            elif self.path.startswith("/jobs/"):
-                job_id = self.path[len("/jobs/") :]
-                document = router.job(job_id)
-                if document is None:
-                    self._send_error_json(f"unknown job {job_id!r}", status=404)
-                else:
-                    self._send_json(document)
-            else:
-                self._send_error_json(f"unknown endpoint {self.path!r}", status=404)
-        except WorkerUnavailableError as error:
-            self._send_backpressure(router._reject(503, str(error)))
-        except BackpressureError as error:
-            self._send_backpressure(error)
-
-    def _handle_post(self) -> None:
-        router = self.server.router
-        try:
-            if self.path == "/solve":
-                body = self._read_body()
-                status, headers, data = router.solve_raw(body)
-                content_type = headers.get("Content-Type", "application/json")
-                retry_after = headers.get("Retry-After")
-                extra = {"Retry-After": retry_after} if retry_after else None
-                self._status = status
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(data)))
-                if extra:
-                    for name, value in extra.items():
-                        self.send_header(name, value)
-                self.end_headers()
-                self.wfile.write(data)
-            elif self.path == "/solve_batch":
-                body = self._read_body()
-                try:
-                    payload, texts = loads_batch(body.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError) as error:
-                    raise SerializationError(
-                        f"request body is not valid JSON: {error}"
-                    ) from error
-                if not isinstance(payload, Mapping) or "requests" not in payload:
-                    raise SerializationError("a batch document needs a 'requests' list")
-                mode = str(payload.get("mode", "sync"))
-                if mode not in ("sync", "async"):
-                    raise SerializationError(
-                        f"unknown batch mode {mode!r}; options: sync, async"
-                    )
-                documents = payload["requests"]
-                if not isinstance(documents, list) or not documents:
-                    raise SerializationError("'requests' must be a non-empty list")
-                if mode == "async":
-                    self._send_json(
-                        router.submit_batch_documents(documents, texts), status=202
-                    )
-                else:
-                    self._send_json(router.solve_batch_documents(documents, texts))
-            elif self.path == "/admin/resize":
-                body = self._read_body()
-                try:
-                    payload = json.loads(body.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError) as error:
-                    raise SerializationError(
-                        f"request body is not valid JSON: {error}"
-                    ) from error
-                if not isinstance(payload, Mapping) or "num_groups" not in payload:
-                    raise SerializationError("resize needs {'num_groups': N}")
-                try:
-                    self._send_json(router.resize(int(payload["num_groups"])))
-                except ValueError as error:
-                    self._send_error_json(str(error), status=400)
-            else:
-                self._send_error_json(f"unknown endpoint {self.path!r}", status=404)
-        except WorkerUnavailableError as error:
-            self._send_backpressure(router._reject(503, str(error)))
-        except BackpressureError as error:
-            self._send_backpressure(error)
-        except SerializationError as error:
-            self._send_error_json(str(error), status=400)
-        except ValueError as error:
-            self._send_error_json(str(error), status=400)
-        except Exception as error:  # pragma: no cover - last-resort 500
-            self._send_error_json(f"internal error: {error}", status=500)
+class _RouterRequestHandler(FrontDoorHandler):
+    """The front door's handler under its router name."""
 
 
-class RouterHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server that owns a :class:`RouterService`."""
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        router: RouterService,
-        quiet: bool = True,
-    ):
-        super().__init__(address, _RouterRequestHandler)
-        self.router = router
-        self.quiet = quiet
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[0], self.server_address[1]
-        return f"http://{host}:{port}"
-
-
-def start_router(
-    router: RouterService, host: str = "127.0.0.1", port: int = 0, quiet: bool = True
-) -> tuple[RouterHTTPServer, threading.Thread]:
-    """Start the router HTTP front-end on a background thread."""
-    server = RouterHTTPServer((host, port), router, quiet=quiet)
-    thread = threading.Thread(
-        target=server.serve_forever, name="repro-router", daemon=True
-    )
-    thread.start()
-    return server, thread
-
-
-def run_router(
-    router: RouterService, host: str = "127.0.0.1", port: int = 8000, quiet: bool = False
-) -> None:
-    """Serve the router until SIGTERM/SIGINT, then drain the whole pool.
-
-    The shutdown order is front-to-back: stop accepting at the router,
-    then SIGTERM every worker (each drains its queue and final-fsyncs its
-    WAL) -- so a clean shutdown of the pool topology leaves no torn WAL
-    tail in any group directory.
-    """
-    server = RouterHTTPServer((host, port), router, quiet=quiet)
-    restore = install_shutdown_signals(server)
-    print(f"allocation router listening on {server.url}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        restore()
-        server.server_close()
-        router.close()
+#: The router is served by the same front door as a single service.
+start_router = start_server

@@ -1,45 +1,25 @@
-"""The allocation service and its stdlib-only HTTP JSON front-end.
+"""The resident, cache-backed allocation service.
 
-:class:`AllocationService` is the resident, cache-backed solving engine --
-usable directly from Python (tests, notebooks, the batch API) -- and
-:func:`start_server` / :func:`run_server` expose it over HTTP:
-
-========================  ==========================================================
-``POST /solve``           one request ``{"problem": ..., "method": ...,
-                          "heuristic_settings"?: ..., "exact_settings"?: ...}``
-``POST /solve_batch``     ``{"requests": [...]}`` -- deduped, cache-backed batch;
-                          with ``"mode": "async"`` it enqueues and returns a
-                          job id immediately instead of blocking
-``GET /jobs``             summaries of every retained async job
-``GET /jobs/<id>``        one async job (outcomes included once ``done``)
-``GET /health``           liveness + uptime
-``GET /stats``            cache/job/service counters, solver work counters
-``GET /metrics``          Prometheus text exposition (counters/gauges/histograms)
-``GET /trace/<print>``    span tree of the last traced solve of a fingerprint
-``POST /fleet/allocate``  ``{"fleet": ..., "mode": "heuristic"|"exact"}`` --
-                          multi-tenant fleet allocation, cached by fleet
-                          fingerprint
-``POST /fleet/tenants``   ``{"tenant": ...}`` -- tenant arrival; re-carves the
-                          current fleet (unchanged shares answer from the
-                          solve memo)
-``DELETE /fleet/tenants/<id>``  tenant departure; re-carves the remainder
-========================  ==========================================================
+:class:`AllocationService` is the solving engine -- usable directly from
+Python (tests, notebooks, the batch API) -- and the application behind
+``repro serve``: :mod:`repro.service.frontdoor` routes the HTTP API onto
+it (:func:`~repro.service.frontdoor.start_server` /
+:func:`~repro.service.frontdoor.run_server`).
 
 The server is a ``ThreadingHTTPServer``: requests are handled concurrently
 and meet at the thread-safe :class:`~repro.service.store.ResultStore`.
-Solver fan-out inside a batch goes through the shared
-:class:`~repro.explore.executor.SweepExecutor` (use a persistent pool via
-``repro serve --jobs N``); async batches drain through a
+Batches are solved serially in this process (``--worker-processes`` is the
+one parallel axis); async batches drain through a
 :class:`~repro.service.jobs.JobQueue` worker pool (``repro serve
 --workers N``).
 
-Durability & backpressure (PR 8): with ``wal`` set the service journals
-every async submission to a :class:`~repro.service.wal.JobWal` before the
-``202`` ack and replays unfinished jobs through the normal deduping batch
-path at startup, so an acknowledged job survives ``kill -9``.  Overload is
-refused, not absorbed: a full job queue answers ``429`` and an exhausted
-sync-solve pool answers ``503``, both with a ``Retry-After`` header derived
-from the actual backlog (see :class:`BackpressureError`).
+Durability & backpressure: with ``wal`` set the service journals every
+async submission to a :class:`~repro.service.wal.JobWal` before the ``202``
+ack and replays unfinished jobs through the normal deduping batch path at
+startup, so an acknowledged job survives ``kill -9``.  Overload is refused,
+not absorbed: a full job queue answers ``429`` and an exhausted sync-solve
+pool answers ``503``, both with a ``Retry-After`` header derived from the
+actual backlog (see :class:`~repro.service.frontdoor.BackpressureError`).
 """
 
 from __future__ import annotations
@@ -47,18 +27,15 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import signal
-import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 from .. import __version__
 from ..core.solution import SolveOutcome, SolveStatus
 from ..core.solvers import solve
-from ..explore.executor import SweepExecutor
+from ..explore.executor import SERIAL_EXECUTOR
 from ..fleet import (
     FleetManager,
     FleetOutcome,
@@ -78,34 +55,28 @@ from .batch import (
     decode_outcome,
     encode_outcome,
     json_with_array,
-    loads_batch,
     map_distinct,
     outcome_json,
     request_from_dict,
     requests_from_documents,
     solve_batch,
 )
-from .jobs import JobQueue, QueueFullError
+from .frontdoor import (
+    BackpressureError,
+    FrontDoorHandler,
+    HTTPError,
+    HTTPRoutes,
+    Reply,
+    Request,
+    json_reply,
+    section,
+)
+from .jobs import JobQueue, QueueClosedError, QueueFullError
 from .store import ResultStore
 from .wal import JobWal
 
 
-class BackpressureError(RuntimeError):
-    """The service refused work it could not absorb (HTTP 429/503).
-
-    ``status`` is 429 for a full async job queue and 503 for an exhausted
-    sync-solve pool; ``retry_after_seconds`` is derived from the observed
-    backlog (queue depth x average job run time), so a well-behaved client
-    backing off by it returns roughly when capacity exists.
-    """
-
-    def __init__(self, status: int, retry_after_seconds: float, message: str):
-        super().__init__(message)
-        self.status = status
-        self.retry_after_seconds = retry_after_seconds
-
-
-class AllocationService:
+class AllocationService(HTTPRoutes):
     """Long-running, cache-backed allocation solving engine.
 
     Parameters
@@ -113,9 +84,6 @@ class AllocationService:
     store:
         Result store; defaults to a memory-only store.  Pass one with a
         ``cache_dir`` to survive restarts.
-    executor:
-        Sweep executor used by :meth:`solve_batch` fan-out; defaults to the
-        chunked-serial engine.
     job_workers:
         Background worker threads draining the async batch queue (threads
         start lazily on the first async submission).
@@ -155,7 +123,6 @@ class AllocationService:
     def __init__(
         self,
         store: ResultStore | None = None,
-        executor: SweepExecutor | None = None,
         job_workers: int = 1,
         job_retention: int = 256,
         tracing: bool | None = None,
@@ -167,7 +134,7 @@ class AllocationService:
         start_job_workers: bool = True,
     ):
         self.store = store if store is not None else ResultStore()
-        self.executor = executor or SweepExecutor()
+        self.executor = SERIAL_EXECUTOR
         if wal is not None and not isinstance(wal, JobWal):
             wal = JobWal(wal)
         self.wal = wal
@@ -444,8 +411,9 @@ class AllocationService:
 
         With a WAL attached the returned ack is durable (the submission is
         fsynced first).  A full queue raises :class:`BackpressureError`
-        (429) with a backlog-derived retry hint; ``documents`` forwards the
-        already-parsed wire documents so the journal skips re-serialising.
+        (429) with a backlog-derived retry hint, a closed one (shutdown) a
+        503; ``documents`` forwards the already-parsed wire documents so
+        the journal skips re-serialising.
         """
         try:
             return self.jobs.submit(requests, documents=documents)
@@ -453,6 +421,30 @@ class AllocationService:
             raise self._reject(
                 429, self._retry_after_seconds(error.depth), str(error)
             ) from error
+        except QueueClosedError as error:
+            raise self._reject(503, 1.0, str(error)) from error
+
+    def submit_batch_documents(
+        self, documents: list[Any], texts: Sequence[str] | None = None
+    ) -> dict[str, Any]:
+        """:meth:`submit_batch` of wire documents (``texts``: their source
+        texts, see :func:`~repro.service.batch.loads_batch`).  The WAL
+        journals exactly what the client sent, no re-serialisation."""
+        requests = requests_from_documents(documents, texts)
+        return self.submit_batch(requests, documents=documents)
+
+    def solve_batch_text(self, documents: list[Any], texts: Sequence[str] | None = None) -> str:
+        """The sync ``/solve_batch`` response text of wire documents: each
+        distinct outcome is encoded once and spliced into the array."""
+        requests = requests_from_documents(documents, texts)
+        with self.sync_admission():
+            outcomes, report = self.solve_batch(requests)
+        return json_with_array(
+            {"report": report.as_dict(), "fingerprints": report.fingerprints},
+            "outcomes",
+            map_distinct(outcomes, outcome_json),
+            allow_nan=False,
+        )
 
     # ------------------------------------------------------------------ #
     # Fleet allocation
@@ -523,6 +515,48 @@ class AllocationService:
         meta["tenants"] = list(fleet.tenant_ids)
         return outcome, meta
 
+    # ------------------------------------------------------------------ #
+    # HTTP routes answered by the solver (the rest are in HTTPRoutes)
+    # ------------------------------------------------------------------ #
+    def http_solve(self, request: Request) -> Reply:
+        solve_request = request_from_dict(request.parse()[0])
+        with self.sync_admission():
+            outcome, meta = self.solve_request(solve_request)
+        return json_reply({**meta, "outcome": outcome.to_dict()}, fingerprint=meta["fingerprint"])
+
+    def http_fleet_allocate(self, request: Request) -> Reply:
+        payload, _ = request.parse()
+        fleet = fleet_from_dict(
+            section(payload, "fleet", "a fleet allocation document needs a 'fleet' section")
+        )
+        if not fleet.tenants:
+            raise SerializationError("the fleet has no tenants to allocate")
+        mode = str(payload.get("mode", "heuristic"))
+        with self.sync_admission():
+            outcome, meta = self.fleet_allocate(fleet, mode=mode)
+        return json_reply({**meta, "allocation": outcome.to_dict()}, fingerprint=meta["fingerprint"])
+
+    def http_fleet_arrival(self, request: Request) -> Reply:
+        payload, _ = request.parse()
+        tenant = tenant_from_dict(
+            section(payload, "tenant", "a tenant arrival document needs a 'tenant' section")
+        )
+        mode = str(payload.get("mode", "heuristic"))
+        with self.sync_admission():
+            outcome, meta = self.fleet_arrival(tenant, mode=mode)
+        return json_reply(
+            {**meta, "allocation": outcome.to_dict()}, status=201, fingerprint=meta["fingerprint"]
+        )
+
+    def http_fleet_departure(self, request: Request) -> Reply:
+        try:
+            with self.sync_admission():
+                outcome, meta = self.fleet_departure(request.tail)
+        except KeyError as error:
+            raise HTTPError(404, str(error).strip("'\"")) from error
+        document = {**meta, "allocation": None if outcome is None else outcome.to_dict()}
+        return json_reply(document, fingerprint=meta.get("fingerprint"))
+
     def job(self, job_id: str, include_outcomes: bool = True) -> dict[str, Any] | None:
         return self.jobs.get(job_id, include_outcomes=include_outcomes)
 
@@ -545,6 +579,9 @@ class AllocationService:
         """
         self.store.sweep_expired()
 
+    def health(self) -> dict[str, Any]:
+        return {"status": "ok", "uptime_seconds": time.time() - self.started_unix}
+
     def stats(self) -> dict[str, Any]:
         """Service counters + cache/job tier counters, JSON-compatible."""
         self._sweep_expired_entries()
@@ -558,9 +595,7 @@ class AllocationService:
                 "tracing": self.tracing,
                 "version": __version__,
             }
-        with self._lock:
             solver = dict(self._solver_counters)
-        with self._lock:
             admission: dict[str, Any] = {
                 "max_queue_depth": self.jobs.max_queue_depth,
                 "max_inflight_solves": self.max_inflight_solves,
@@ -619,340 +654,7 @@ class AllocationService:
         if self.wal is not None:
             self.wal.close()
         self.store.close()
-        close_pool = getattr(self.executor, "close", None)
-        if callable(close_pool):
-            close_pool()
 
 
-# --------------------------------------------------------------------------- #
-# HTTP layer
-# --------------------------------------------------------------------------- #
-class _ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes the service endpoints onto an :class:`AllocationService`.
-
-    Every request is counted in ``repro_http_requests_total`` and, unless
-    the server runs quiet, logged as one structured JSON line on stderr
-    (method, path, status, latency; the request fingerprint when the route
-    produced one) -- replacing the stdlib's free-text access log.
-    """
-
-    server: "AllocationHTTPServer"
-    protocol_version = "HTTP/1.1"
-    # Headers and body go out in two writes; with Nagle's algorithm the
-    # second waits for the client's delayed ACK of the first.
-    disable_nagle_algorithm = True
-
-    # ------------------------------------------------------------------ #
-    # Plumbing
-    # ------------------------------------------------------------------ #
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        # The stdlib access log is replaced by _dispatch's JSON line.
-        pass
-
-    def _send_json(
-        self,
-        payload: Mapping[str, Any],
-        status: int = 200,
-        extra_headers: Mapping[str, str] | None = None,
-    ) -> None:
-        # allow_nan=False guarantees strict RFC 8259 JSON on the wire; the
-        # outcome documents already encode non-finite floats as null.
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        self._send_body(body, status, "application/json", extra_headers=extra_headers)
-
-    def _send_text(self, text: str, status: int = 200, content_type: str = "text/plain") -> None:
-        self._send_body(text.encode("utf-8"), status, content_type)
-
-    def _send_body(
-        self,
-        body: bytes,
-        status: int,
-        content_type: str,
-        extra_headers: Mapping[str, str] | None = None,
-    ) -> None:
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if extra_headers:
-            for name, value in extra_headers.items():
-                self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_backpressure(self, error: BackpressureError) -> None:
-        """429/503 + ``Retry-After`` (integral seconds, rounded up)."""
-        self._send_json(
-            {
-                "error": str(error),
-                "retry_after_seconds": error.retry_after_seconds,
-            },
-            status=error.status,
-            extra_headers={"Retry-After": str(math.ceil(error.retry_after_seconds))},
-        )
-
-    def _send_error_json(self, message: str, status: int = 400) -> None:
-        self._send_json({"error": message}, status=status)
-
-    def _read_json_body(self) -> tuple[Any, list[str] | None]:
-        """The parsed body plus the source texts of its ``"requests"``
-        elements (see :func:`~repro.service.batch.loads_batch`)."""
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
-            raise SerializationError("request body is empty")
-        try:
-            return loads_batch(self.rfile.read(length).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise SerializationError(f"request body is not valid JSON: {error}") from error
-
-    # ------------------------------------------------------------------ #
-    # Routes
-    # ------------------------------------------------------------------ #
-    def _dispatch(self, handler: Any) -> None:
-        """Run one route under the request counter + structured access log."""
-        start = time.perf_counter()
-        self._status = 0
-        self._log_fingerprint: str | None = None
-        try:
-            handler()
-        finally:
-            latency_ms = (time.perf_counter() - start) * 1000.0
-            service = self.server.service
-            service.observe_http(self.command, self._status)
-            if not self.server.quiet:
-                record: dict[str, Any] = {
-                    "time_unix": round(time.time(), 3),
-                    "method": self.command,
-                    "path": self.path,
-                    "status": self._status,
-                    "latency_ms": round(latency_ms, 3),
-                }
-                if self._log_fingerprint is not None:
-                    record["fingerprint"] = self._log_fingerprint
-                print(json.dumps(record), file=sys.stderr, flush=True)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch(self._handle_get)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch(self._handle_post)
-
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch(self._handle_delete)
-
-    def _handle_get(self) -> None:
-        service = self.server.service
-        if self.path == "/health":
-            self._send_json(
-                {"status": "ok", "uptime_seconds": time.time() - service.started_unix}
-            )
-        elif self.path == "/stats":
-            self._send_json(service.stats())
-        elif self.path == "/metrics":
-            self._send_text(
-                service.metrics_text(),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-            )
-        elif self.path.startswith("/trace/"):
-            fingerprint = self.path[len("/trace/"):]
-            document = service.trace(fingerprint)
-            if document is None:
-                self._send_error_json(f"no trace for {fingerprint!r}", status=404)
-            else:
-                self._log_fingerprint = fingerprint
-                self._send_json(document)
-        elif self.path == "/jobs":
-            self._send_json({"jobs": service.list_jobs()})
-        elif self.path.startswith("/jobs/"):
-            job_id = self.path[len("/jobs/"):]
-            text = service.job_json(job_id)
-            if text is None:
-                self._send_error_json(f"unknown job {job_id!r}", status=404)
-            else:
-                self._send_body(text.encode("utf-8"), 200, "application/json")
-        else:
-            self._send_error_json(f"unknown endpoint {self.path!r}", status=404)
-
-    def _handle_post(self) -> None:
-        service = self.server.service
-        try:
-            payload, request_texts = self._read_json_body()
-            if self.path == "/solve":
-                request = request_from_dict(payload)
-                with service.sync_admission():
-                    outcome, meta = service.solve_request(request)
-                self._log_fingerprint = meta["fingerprint"]
-                self._send_json({**meta, "outcome": outcome.to_dict()})
-            elif self.path == "/solve_batch":
-                if not isinstance(payload, Mapping) or "requests" not in payload:
-                    raise SerializationError("a batch document needs a 'requests' list")
-                mode = str(payload.get("mode", "sync"))
-                if mode not in ("sync", "async"):
-                    raise SerializationError(f"unknown batch mode {mode!r}; options: sync, async")
-                documents = payload["requests"]
-                if not isinstance(documents, list) or not documents:
-                    raise SerializationError("'requests' must be a non-empty list")
-                requests = requests_from_documents(documents, request_texts)
-                if mode == "async":
-                    # Forward the wire documents: the WAL journals exactly
-                    # what the client sent, no re-serialisation.
-                    self._send_json(
-                        service.submit_batch(requests, documents=documents), status=202
-                    )
-                    return
-                with service.sync_admission():
-                    outcomes, report = service.solve_batch(requests)
-                body = json_with_array(
-                    {"report": report.as_dict(), "fingerprints": report.fingerprints},
-                    "outcomes",
-                    map_distinct(outcomes, outcome_json),
-                    allow_nan=False,
-                )
-                self._send_body(body.encode("utf-8"), 200, "application/json")
-            elif self.path == "/fleet/allocate":
-                if not isinstance(payload, Mapping) or "fleet" not in payload:
-                    raise SerializationError(
-                        "a fleet allocation document needs a 'fleet' section"
-                    )
-                fleet = fleet_from_dict(payload["fleet"])
-                if not fleet.tenants:
-                    raise SerializationError("the fleet has no tenants to allocate")
-                mode = str(payload.get("mode", "heuristic"))
-                with service.sync_admission():
-                    outcome, meta = service.fleet_allocate(fleet, mode=mode)
-                self._log_fingerprint = meta["fingerprint"]
-                self._send_json({**meta, "allocation": outcome.to_dict()})
-            elif self.path == "/fleet/tenants":
-                if not isinstance(payload, Mapping) or "tenant" not in payload:
-                    raise SerializationError(
-                        "a tenant arrival document needs a 'tenant' section"
-                    )
-                tenant = tenant_from_dict(payload["tenant"])
-                mode = str(payload.get("mode", "heuristic"))
-                with service.sync_admission():
-                    outcome, meta = service.fleet_arrival(tenant, mode=mode)
-                self._log_fingerprint = meta["fingerprint"]
-                self._send_json({**meta, "allocation": outcome.to_dict()}, status=201)
-            else:
-                self._send_error_json(f"unknown endpoint {self.path!r}", status=404)
-        except BackpressureError as error:
-            self._send_backpressure(error)
-        except SerializationError as error:
-            self._send_error_json(str(error), status=400)
-        except ValueError as error:
-            self._send_error_json(str(error), status=400)
-        except RuntimeError as error:
-            # "no fleet configured": the request is well-formed but conflicts
-            # with the service's current state.
-            self._send_error_json(str(error), status=409)
-        except Exception as error:  # pragma: no cover - last-resort 500
-            self._send_error_json(f"internal error: {error}", status=500)
-
-    def _handle_delete(self) -> None:
-        service = self.server.service
-        if not self.path.startswith("/fleet/tenants/"):
-            self._send_error_json(f"unknown endpoint {self.path!r}", status=404)
-            return
-        tenant_id = self.path[len("/fleet/tenants/"):]
-        try:
-            with service.sync_admission():
-                outcome, meta = service.fleet_departure(tenant_id)
-        except BackpressureError as error:
-            self._send_backpressure(error)
-        except KeyError as error:
-            self._send_error_json(str(error).strip("'\""), status=404)
-        except RuntimeError as error:
-            self._send_error_json(str(error), status=409)
-        else:
-            document: dict[str, Any] = {**meta}
-            document["allocation"] = None if outcome is None else outcome.to_dict()
-            if meta.get("fingerprint"):
-                self._log_fingerprint = meta["fingerprint"]
-            self._send_json(document)
-
-
-class AllocationHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server that owns an :class:`AllocationService`.
-
-    ``quiet`` silences the per-request structured JSON access log
-    (requests are still counted in ``repro_http_requests_total``).
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        service: AllocationService,
-        quiet: bool = True,
-    ):
-        super().__init__(address, _ServiceRequestHandler)
-        self.service = service
-        self.quiet = quiet
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[0], self.server_address[1]
-        return f"http://{host}:{port}"
-
-
-def start_server(
-    service: AllocationService, host: str = "127.0.0.1", port: int = 0, quiet: bool = True
-) -> tuple[AllocationHTTPServer, threading.Thread]:
-    """Start a server on a background thread (``port=0`` picks a free port).
-
-    The caller owns shutdown: ``server.shutdown(); server.server_close();
-    service.close()``.
-    """
-    server = AllocationHTTPServer((host, port), service, quiet=quiet)
-    thread = threading.Thread(target=server.serve_forever, name="repro-serve", daemon=True)
-    thread.start()
-    return server, thread
-
-
-def install_shutdown_signals(server: "ThreadingHTTPServer") -> "Callable[[], None]":
-    """Route SIGTERM/SIGINT into a graceful ``server.shutdown()``.
-
-    ``shutdown()`` must run off the signal-handling (main) thread: it blocks
-    until ``serve_forever`` -- running *on* the main thread -- notices the
-    stop flag, so calling it inline would deadlock.  Returns a restorer that
-    puts the previous handlers back (used by embedded/test callers).
-    """
-    previous = {}
-
-    def _handle(signum: int, frame: Any) -> None:
-        threading.Thread(
-            target=server.shutdown, name="repro-serve-shutdown", daemon=True
-        ).start()
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        previous[signum] = signal.signal(signum, _handle)
-
-    def _restore() -> None:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-
-    return _restore
-
-
-def run_server(
-    service: AllocationService, host: str = "127.0.0.1", port: int = 8000, quiet: bool = False
-) -> None:
-    """Serve until interrupted (the blocking entry point behind ``repro serve``).
-
-    SIGTERM and SIGINT both drain gracefully: the accept loop stops, then
-    ``service.close()`` joins the job workers (pending jobs finish),
-    final-fsyncs and closes every WAL segment, and closes the store -- so a
-    clean shutdown never leaves a torn WAL tail or an abandoned job.
-    """
-    server = AllocationHTTPServer((host, port), service, quiet=quiet)
-    restore = install_shutdown_signals(server)
-    print(f"allocation service listening on {server.url}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        restore()
-        server.server_close()
-        service.close()
+class _ServiceRequestHandler(FrontDoorHandler):
+    """The front door's handler under its single-process name."""
