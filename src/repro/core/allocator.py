@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Literal, Mapping, NamedTuple
 
 import numpy as np
 
@@ -85,6 +85,17 @@ class AllocatorResult:
     constraint_relaxation: float
     iterations: int
     unallocated: Mapping[str, int]
+
+
+class _CapsTables(NamedTuple):
+    """Capacity-only tables of one constraint relaxation (list rows are
+    per FPGA, over every active dimension)."""
+
+    rows: list[list[float]]  # caps
+    slack_rows: list[list[float]]  # caps + tolerance
+    slack_matrix: np.ndarray  # slack_rows as an (F, D) array
+    inverse: list[list[float]]  # 1 / caps (0 where a cap is 0)
+    unit_norms: list[list[float]]  # (K, F): one CU's normalized footprint
 
 
 class GreedyAllocator:
@@ -162,11 +173,11 @@ class GreedyAllocator:
         best: tuple[np.ndarray, np.ndarray, float] | None = None
         best_quality: tuple[float, int] | None = None
         while True:
-            caps = self._caps_for(extra)
+            tables = self._caps_tables(extra)
             for rule in self.settings.criticality_rules():
                 iterations += 1
                 counts, remaining, slack = self._allocate_once(
-                    totals_vector, caps, rule, impact
+                    totals_vector, tables, rule, impact
                 )
                 if remaining.any() and self.settings.polish:
                     self._polish(counts, remaining, slack)
@@ -222,12 +233,12 @@ class GreedyAllocator:
     # ------------------------------------------------------------------ #
     # One allocation pass at a fixed constraint relaxation
     # ------------------------------------------------------------------ #
-    def _caps_for(self, extra_percent: float) -> np.ndarray:
-        """Per-FPGA capacity matrix under a relaxed constraint, shape (F, D).
+    def _caps_tables(self, extra_percent: float) -> _CapsTables:
+        """The capacity tables of every pass at one constraint relaxation.
 
         Every FPGA's caps are relaxed by the same ``extra_percent`` points
         (clamped at the full device); on a homogeneous platform all rows are
-        identical.
+        identical.  The portfolio's passes at one relaxation share them.
         """
         platform = self.problem.platform
         caps_vectors = platform.fpga_scaled_resource_limits(extra_percent)
@@ -240,7 +251,21 @@ class GreedyAllocator:
             else:
                 for fpga in range(self._num_fpgas):
                     caps[fpga, dimension] = caps_vectors[fpga][kind]
-        return caps
+        rows = caps.tolist()  # (F, D): per-FPGA capacity rows
+        slack_rows = [[value + _TOL for value in row] for row in rows]
+        inverse = [[1.0 / value if value > 0 else 0.0 for value in row] for row in rows]
+        dims = self._dim_range
+        return _CapsTables(
+            rows=rows,
+            slack_rows=slack_rows,
+            slack_matrix=np.asarray(slack_rows),
+            inverse=inverse,
+            # Normalized footprint of one CU of each kernel on each FPGA.
+            unit_norms=[
+                [sum(unit[d] * row[d] for d in dims) for row in inverse]
+                for unit in self._unit_lists
+            ],
+        )
 
     def _max_units(self, slack: np.ndarray, kernel: int) -> np.ndarray:
         """How many CUs of one kernel each FPGA can still host, shape (F,).
@@ -262,23 +287,19 @@ class GreedyAllocator:
     def _allocate_once(
         self,
         totals: np.ndarray,
-        caps: np.ndarray,
+        tables: _CapsTables,
         criticality_rule: CriticalityRule | None,
         impact: list[float],
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rule: CriticalityRule = criticality_rule or self.settings.criticality
         num_fpgas = self._num_fpgas
         dims = self._dim_range
-        caps_rows = caps.tolist()  # (F, D): per-FPGA capacity rows
-        caps_slack_rows = [[value + _TOL for value in row] for row in caps_rows]
+        caps_slack_rows = tables.slack_rows
 
-        slack = [list(row) for row in caps_rows]
+        slack = [list(row) for row in tables.rows]
         counts = [[0] * num_fpgas for _ in range(self._num_kernels)]
         remaining = [int(value) for value in totals]
         touched = [False] * num_fpgas
-        inverse_caps = [
-            [1.0 / value if value > 0 else 0.0 for value in row] for row in caps_rows
-        ]
 
         def max_units_one(row: list[float], kernel: int) -> int:
             limit = 10**9
@@ -297,10 +318,9 @@ class GreedyAllocator:
         # over completely empty FPGAs first.  One batched check finds the
         # (usually empty) set of kernels whose whole demand fits on no FPGA.
         # ------------------------------------------------------------------
-        caps_slack_matrix = np.asarray(caps_slack_rows)
         whole_demand = self._unit * totals[:, None]  # (K, D)
         fits_somewhere = (
-            whole_demand[:, None, :] <= caps_slack_matrix[None, :, :]
+            whole_demand[:, None, :] <= tables.slack_matrix[None, :, :]
         ).all(axis=2)  # (K, F)
         oversized = ~fits_somewhere.any(axis=1)
         if oversized.any():
@@ -353,15 +373,9 @@ class GreedyAllocator:
         fpga_range = range(num_fpgas)
         norm_slack = [
             sum(row[dimension] * inverse[dimension] for dimension in dims)
-            for row, inverse in zip(slack, inverse_caps)
+            for row, inverse in zip(slack, tables.inverse)
         ]
-        unit_norms = [
-            [
-                sum(unit[dimension] * inverse[dimension] for dimension in dims)
-                for inverse in inverse_caps
-            ]
-            for unit in self._unit_lists
-        ]
+        unit_norms = tables.unit_norms
         for kernel in self._sorted_kernels(impact, remaining, rule):
             count = remaining[kernel]
             if count == 0:

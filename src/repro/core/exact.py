@@ -46,13 +46,8 @@ from ..obs.trace import span
 from .gp_step import solve_gp_step
 from .heuristic import HeuristicSettings, solve_gp_a
 from .problem import AllocationProblem
-from .relaxations import (
-    AllocationRelaxation,
-    SweepRelaxationBatch,
-    split_variable_name,
-    variable_name,
-)
-from .solution import AllocationSolution, SolveOutcome, SolveStatus
+from .relaxations import AllocationRelaxation, SweepRelaxationBatch, variable_names
+from .solution import AllocationSolution, SolveOutcome, SolveStatus, counts_matrix_feasible
 
 
 @dataclass(frozen=True)
@@ -330,37 +325,30 @@ def _weighted_relaxation_cache(
 
 
 def weighted_root_bounds(problem: AllocationProblem) -> VariableBounds:
-    """Root box bounds of the weighted exact search.
+    """Root box bounds of the weighted exact search, over
+    :func:`~repro.core.relaxations.variable_names` (the (K, F) grid).
 
     Upper bounds: no optimal solution uses more CUs of a kernel than needed
     to reach the relaxed GP optimum (extra CUs cannot reduce II further and
     only increase spreading), nor more than fit on one FPGA.  Raises when the
     relaxed problem is infeasible (propagated from :func:`solve_gp_step`).
     """
-    names = problem.kernel_names
     num_fpgas = problem.num_fpgas
     gp_result = solve_gp_step(problem)
-    total_caps = {
-        name: min(
+    homogeneous = problem.platform.is_homogeneous
+    upper: list[int] = []
+    for name in problem.kernel_names:
+        total_cap = max(1, min(
             problem.max_total_cus(name),
             int(math.ceil(problem.wcet[name] / max(gp_result.ii_hat, 1e-12) - 1e-9)) + 1,
-        )
-        for name in names
-    }
-    ranges: dict[str, tuple[int, int]] = {}
-    homogeneous = problem.platform.is_homogeneous
-    for name in names:
+        ))
         if homogeneous:
-            per_fpga_cap = min(problem.max_cus_per_fpga(name), max(1, total_caps[name]))
-            for fpga in range(num_fpgas):
-                ranges[variable_name(name, fpga)] = (0, per_fpga_cap)
+            upper += [min(problem.max_cus_per_fpga(name), total_cap)] * num_fpgas
         else:
-            for fpga in range(num_fpgas):
-                cap = min(
-                    problem.max_cus_per_fpga(name, fpga), max(1, total_caps[name])
-                )
-                ranges[variable_name(name, fpga)] = (0, cap)
-    return VariableBounds.from_ranges(ranges)
+            upper += [
+                min(problem.max_cus_per_fpga(name, fpga), total_cap) for fpga in range(num_fpgas)
+            ]
+    return VariableBounds(variable_names(problem), [0] * len(upper), upper)
 
 
 def seed_sweep_relaxations(
@@ -412,8 +400,8 @@ def solve_exact_weighted(
 ) -> SolveOutcome:
     """Exact (bounded-gap) solver for the weighted II + spreading objective."""
     start = time.perf_counter()
-    names = problem.kernel_names
-    num_fpgas = problem.num_fpgas
+    num_kernels, num_fpgas = len(problem.kernel_names), problem.num_fpgas
+    wcets = [problem.wcet[name] for name in problem.kernel_names]
 
     if not problem.weights.spreading_enabled:
         return solve_exact_min_ii(problem, settings)
@@ -436,19 +424,30 @@ def solve_exact_weighted(
         symmetry_breaking=settings.symmetry_breaking,
     )
 
-    def evaluate(candidate: Mapping[str, int]) -> float | None:
-        counts = _candidate_to_counts(problem, candidate)
-        if counts is None:
+    # The engine's points are the (K, F) grid of CU counts, flattened.
+    def evaluate(candidate: np.ndarray) -> float | None:
+        """The objective of an integer point, ``None`` when infeasible
+        (the values :attr:`AllocationSolution.objective` and
+        :meth:`AllocationSolution.is_feasible` give)."""
+        grid = candidate.reshape(num_kernels, num_fpgas)
+        if (grid < 0).any():
             return None
-        solution = AllocationSolution(problem=problem, counts=counts)
-        if not solution.is_feasible():
+        rows = grid.tolist()
+        totals = [sum(row) for row in rows]
+        if min(totals) < 1 or not counts_matrix_feasible(problem, grid.astype(np.float64)):
             return None
-        return solution.objective
+        ii = max(wcet / total for wcet, total in zip(wcets, totals))
+        return problem.weights.goal(ii, max(spreading_of_kernel(row) for row in rows))
 
-    def rounding(fractional: Mapping[str, float], node_bounds: VariableBounds):
-        rounded: dict[str, int] = {}
-        for name in names:
-            per_fpga = [fractional.get(variable_name(name, f), 0.0) for f in range(num_fpgas)]
+    def rounding(values: np.ndarray, node_bounds: VariableBounds) -> list[np.ndarray]:
+        """One proposal: each kernel's fractional total, rounded, laid out
+        by largest remainders and clamped into the node's box."""
+        rounded: list[int] = []
+        for per_fpga, lows, ups in zip(
+            values.reshape(num_kernels, num_fpgas).tolist(),
+            node_bounds.lower.reshape(num_kernels, num_fpgas).tolist(),
+            node_bounds.upper.reshape(num_kernels, num_fpgas).tolist(),
+        ):
             floors = [int(math.floor(value + 1e-9)) for value in per_fpga]
             target = max(1, int(round(sum(per_fpga))))
             deficit = target - sum(floors)
@@ -457,16 +456,13 @@ def solve_exact_weighted(
             )
             for position in range(max(0, deficit)):
                 floors[order[position % num_fpgas]] += 1
-            for fpga in range(num_fpgas):
-                low, up = node_bounds[variable_name(name, fpga)]
-                floors[fpga] = min(max(floors[fpga], low), up)
+            floors = [min(max(floor, low), up) for floor, low, up in zip(floors, lows, ups)]
             if sum(floors) < 1:
                 floors[order[0]] = max(1, floors[order[0]])
-            for fpga in range(num_fpgas):
-                rounded[variable_name(name, fpga)] = floors[fpga]
-        return [rounded]
+            rounded += floors
+        return [np.array(rounded, dtype=np.int64)]
 
-    incumbent: dict[str, int] | None = None
+    incumbent: np.ndarray | None = None
     heuristic_outcome: SolveOutcome | None = None
     if settings.seed_with_heuristic:
         with span("heuristic_seed"):
@@ -515,9 +511,9 @@ def solve_exact_weighted(
         )
 
     with span("finalize"):
-        counts = _candidate_to_counts(problem, result.solution)
-        assert counts is not None
-        solution = AllocationSolution(problem=problem, counts=counts)
+        solution = AllocationSolution(
+            problem=problem, counts=_candidate_to_counts(problem, result.solution)
+        )
         status = SolveStatus.OPTIMAL if result.status is BBStatus.OPTIMAL else SolveStatus.FEASIBLE
         outcome = SolveOutcome(
             method="minlp+g",
@@ -547,26 +543,16 @@ def solve_exact_weighted(
 # Helpers shared by the exact solvers
 # --------------------------------------------------------------------------- #
 def _candidate_to_counts(
-    problem: AllocationProblem, candidate: Mapping[str, int]
-) -> dict[str, tuple[int, ...]] | None:
-    counts: dict[str, tuple[int, ...]] = {}
-    for name in problem.kernel_names:
-        per_fpga = []
-        for fpga in range(problem.num_fpgas):
-            value = candidate.get(variable_name(name, fpga), 0)
-            if value < 0:
-                return None
-            per_fpga.append(int(value))
-        if sum(per_fpga) < 1:
-            return None
-        counts[name] = tuple(per_fpga)
-    return counts
+    problem: AllocationProblem, candidate: np.ndarray
+) -> dict[str, tuple[int, ...]]:
+    """The ``{kernel: per-FPGA counts}`` of a flattened (K, F) grid."""
+    rows = candidate.reshape(len(problem.kernel_names), problem.num_fpgas).tolist()
+    return {name: tuple(row) for name, row in zip(problem.kernel_names, rows)}
 
 
-def _solution_to_candidate(
-    solution: AllocationSolution, canonical: bool = True
-) -> dict[str, int]:
-    """Convert an allocation into branch-and-bound variable values.
+def _solution_to_candidate(solution: AllocationSolution, canonical: bool = True) -> np.ndarray:
+    """Convert an allocation into branch-and-bound variable values (the
+    flattened (K, F) grid).
 
     With ``canonical=True`` the FPGAs are re-ordered by decreasing load of
     the dominant dimension so that the candidate satisfies the
@@ -594,17 +580,7 @@ def _solution_to_candidate(
             block.sort(key=lambda f: max_usage[f], reverse=True)
         order.extend(block)
         start = end
-    candidate: dict[str, int] = {}
-    for name in problem.kernel_names:
-        for new_index, old_index in enumerate(order):
-            candidate[variable_name(name, new_index)] = int(solution.counts[name][old_index])
-    return candidate
-
-
-def spreading_of_candidate(problem: AllocationProblem, candidate: Mapping[str, int]) -> float:
-    """Global spreading of a candidate assignment (used in tests)."""
-    worst = 0.0
-    for name in problem.kernel_names:
-        per_fpga = [candidate.get(variable_name(name, f), 0) for f in range(problem.num_fpgas)]
-        worst = max(worst, spreading_of_kernel(per_fpga))
-    return worst
+    return np.array(
+        [[solution.counts[name][fpga] for fpga in order] for name in problem.kernel_names],
+        dtype=np.int64,
+    ).ravel()

@@ -44,6 +44,7 @@ can assert LP-solves-per-node budgets end to end.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 from typing import Mapping
@@ -240,10 +241,21 @@ def variable_name(kernel: str, fpga: int) -> str:
     return f"{kernel}|f{fpga}"
 
 
-def split_variable_name(name: str) -> tuple[str, int]:
-    """Inverse of :func:`variable_name`."""
-    kernel, _, fpga = name.rpartition("|f")
-    return kernel, int(fpga)
+def variable_names(problem: AllocationProblem) -> tuple[str, ...]:
+    """Every ``n_{k,f}`` name, kernel-major (the (K, F) grid flattened).
+
+    Memoized on the frozen problem, so the root bounds of a search and the
+    relaxation's model share one tuple.
+    """
+    names = problem.__dict__.get("_cached_variable_names")
+    if names is None:
+        names = tuple(
+            variable_name(kernel, fpga)
+            for kernel in problem.kernel_names
+            for fpga in range(problem.num_fpgas)
+        )
+        object.__setattr__(problem, "_cached_variable_names", names)
+    return names
 
 
 class _RelaxationModel:
@@ -267,9 +279,7 @@ class _RelaxationModel:
         num_f = self.num_fpgas
         num_n = num_k * num_f
         self.num_k, self.num_n = num_k, num_n
-        self.var_names = tuple(
-            variable_name(kernel, fpga) for kernel in self.names for fpga in range(num_f)
-        )
+        self.var_names = variable_names(problem)
         self.wcet = np.array([problem.wcet[name] for name in self.names])
         self.ii_high = float(self.wcet.max())
 
@@ -461,25 +471,26 @@ class AllocationRelaxation:
 
     def _highs_lp(self, which: str) -> "_PersistentHighsLP | None":
         """The persistent goal/feasibility model, or ``None`` on fallback."""
-        if self.active_lp_backend != "highs":
-            return None
         attribute = f"_cached_highs_{which}"
         lp = self.__dict__.get(attribute)
-        if lp is None:
-            model = self._model
-            try:
-                if which == "goal":
-                    lp = _PersistentHighsLP(
-                        model.goal_cost, model.goal_a, model.goal_b, model.goal_bounds
-                    )
-                else:
-                    lp = _PersistentHighsLP(
-                        model.feas_cost, model.feas_a, model.feas_b, model.feas_bounds
-                    )
-            except _HighsBackendError:
-                object.__setattr__(self, "_cached_highs_failed", True)
-                return None
-            object.__setattr__(self, attribute, lp)
+        if lp is not None:  # dropped on fallback, so a cached model is live
+            return lp
+        if self.active_lp_backend != "highs":
+            return None
+        model = self._model
+        try:
+            if which == "goal":
+                lp = _PersistentHighsLP(
+                    model.goal_cost, model.goal_a, model.goal_b, model.goal_bounds
+                )
+            else:
+                lp = _PersistentHighsLP(
+                    model.feas_cost, model.feas_a, model.feas_b, model.feas_bounds
+                )
+        except _HighsBackendError:
+            object.__setattr__(self, "_cached_highs_failed", True)
+            return None
+        object.__setattr__(self, attribute, lp)
         return lp
 
     def _drop_highs(self) -> None:
@@ -496,16 +507,19 @@ class AllocationRelaxation:
     ) -> RelaxationResult:
         """Lower bound + fractional solution for a node's box bounds.
 
-        ``parent`` (the enclosing node's relaxation, passed by the
-        branch-and-bound engine) may spare the feasibility LP: see
-        :meth:`_min_feasible_ii`.
+        ``bounds`` must range over :func:`variable_names` of the problem, in
+        that order; the returned ``values`` follow it too.  ``parent`` (the
+        enclosing node's relaxation, passed by the branch-and-bound engine)
+        may spare the feasibility LP: see :meth:`_min_feasible_ii`.
         """
         with span("relaxation"):
             model = self._model
+            if bounds.names is not model.var_names and bounds.names != model.var_names:
+                raise ValueError("bounds do not range over the problem's variables in order")
             counters = self._counters
             counters["node_solves"] += 1
-            lower = np.array([bounds.lower(name) for name in model.var_names], dtype=float)
-            upper = np.array([bounds.upper(name) for name in model.var_names], dtype=float)
+            lower = bounds.lower.astype(np.float64)
+            upper = bounds.upper.astype(np.float64)
 
             feasibility = self._min_feasible_ii(lower, upper, parent)
             ii_min, feasible_point = feasibility
@@ -519,7 +533,7 @@ class AllocationRelaxation:
                 return RelaxationResult(
                     feasible=True,
                     objective=self.weights.alpha * ii_min - BOUND_SAFETY,
-                    solution=self._to_mapping(feasible_point),
+                    values=feasible_point,
                     metadata={"feasibility": feasibility},
                 )
 
@@ -543,7 +557,7 @@ class AllocationRelaxation:
             return RelaxationResult(
                 feasible=True,
                 objective=bound - BOUND_SAFETY,
-                solution=self._to_mapping(evaluations[best_ii][0]),
+                values=evaluations[best_ii][0],
                 metadata={"feasibility": feasibility},
             )
 
@@ -643,33 +657,20 @@ class AllocationRelaxation:
             probed = probe(ii_low)
             if probed is None:
                 return None
-        bracket = np.array([1.0 / ii_high, 1.0 / ii_low])
-        points, phis, slopes = [bracket[1]], [probed[0]], [probed[1]]
+        s_low, s_high = 1.0 / ii_high, 1.0 / ii_low
+        points, phis, slopes = [s_high], [probed[0]], [probed[1]]
         best_goal = alpha * ii_low + beta * probed[0]
         for _ in range(_MAX_PROBES):
-            s, slope = np.array(points), np.array(slopes)
-            offset = np.array(phis) - slope * s
-            with np.errstate(divide="ignore", invalid="ignore"):
-                candidates = np.concatenate((
-                    bracket,
-                    np.sqrt(alpha / (beta * slope)),
-                    ((offset[:, None] - offset) / (slope - slope[:, None])).ravel(),
-                ))
-            candidates = candidates[(candidates >= bracket[0]) & (candidates <= bracket[1])]
-            model = alpha / candidates + beta * np.max(
-                offset[:, None] + slope[:, None] * candidates, axis=0
-            )
-            best = int(np.argmin(model))
-            bound = float(model[best])
+            bound, s_next = _cut_model_minimum(alpha, beta, s_low, s_high, points, phis, slopes)
             if best_goal - bound <= self.ii_search_tolerance * max(1.0, abs(bound)):
                 break
-            probed = probe(1.0 / float(candidates[best]))
+            probed = probe(1.0 / s_next)
             if probed is None:  # pragma: no cover - should stay feasible
                 break
-            points.append(float(candidates[best]))
+            points.append(s_next)
             phis.append(probed[0])
             slopes.append(probed[1])
-            best_goal = min(best_goal, alpha / points[-1] + beta * probed[0])
+            best_goal = min(best_goal, alpha / s_next + beta * probed[0])
         return bound
 
     # ------------------------------------------------------------------ #
@@ -767,11 +768,48 @@ class AllocationRelaxation:
             return None
         return max(dimensions, key=lambda d: sum(d.weights.values()) / max(d.capacity, 1e-9))
 
-    # ------------------------------------------------------------------ #
-    # Helpers
-    # ------------------------------------------------------------------ #
-    def _to_mapping(self, values: np.ndarray) -> dict[str, float]:
-        return dict(zip(self._model.var_names, values.tolist()))
+
+def _cut_model_minimum(
+    alpha: float,
+    beta: float,
+    s_low: float,
+    s_high: float,
+    points: list[float],
+    phis: list[float],
+    slopes: list[float],
+) -> tuple[float, float]:
+    """Minimum and minimiser of ``M(s) = alpha / s + beta * max_i tangent_i(s)``
+    over ``[s_low, s_high]``, for the tangents ``phi_i + slope_i * (s - s_i)``.
+
+    The candidates are, in this order, the bracket ends, each tangent's
+    stationary point ``sqrt(alpha / (beta * slope_i))`` and the crossing of
+    every ordered pair of tangents; the first candidate with the smallest
+    model value wins.  The search keeps a handful of tangents, so this runs
+    on Python floats: NumPy's per-call dispatch would cost more than the
+    arithmetic.  A non-positive ``beta * slope_i`` has no stationary point
+    and parallel tangents do not cross.
+    """
+    offsets = [phi - slope * s for phi, slope, s in zip(phis, slopes, points)]
+    candidates = [s_low, s_high]
+    for slope in slopes:
+        scaled = beta * slope
+        if scaled > 0.0:
+            candidates.append(math.sqrt(alpha / scaled))
+    for offset_i, slope_i in zip(offsets, slopes):
+        for offset_j, slope_j in zip(offsets, slopes):
+            if slope_j != slope_i:
+                candidates.append((offset_i - offset_j) / (slope_j - slope_i))
+    best: "tuple[float, float] | None" = None
+    for s in candidates:
+        if not s_low <= s <= s_high:
+            continue
+        value = alpha / s + beta * max(
+            offset + slope * s for offset, slope in zip(offsets, slopes)
+        )
+        if best is None or value < best[0]:
+            best = (value, s)
+    assert best is not None  # s_low is always a candidate
+    return best
 
 
 def _capacity_matrix(problem: AllocationProblem) -> np.ndarray:

@@ -113,6 +113,23 @@ def _feasibility_kit(problem: AllocationProblem) -> _FeasibilityKit:
     return kit
 
 
+def counts_matrix_feasible(
+    problem: AllocationProblem, counts: np.ndarray, tolerance: float = CAPACITY_TOLERANCE
+) -> bool:
+    """Whether a ``(kernels, FPGAs)`` float count matrix respects every
+    constraint of ``problem`` (see :meth:`AllocationSolution.is_feasible`)."""
+    if counts.size == 0:
+        return True
+    if counts.sum(axis=1).min() < 1.0:
+        return False  # some kernel has no CUs (constraint 8)
+    kit = _feasibility_kit(problem)
+    usage = counts.T @ kit.resource_matrix  # (F, kinds)
+    if np.any(usage > kit.resource_limits + tolerance):
+        return False  # constraint 9
+    bandwidth = counts.T @ kit.bandwidth  # (F,)
+    return not np.any(bandwidth > kit.bandwidth_limits + tolerance)  # constraint 10
+
+
 @dataclass(frozen=True)
 class AllocationSolution:
     """A concrete assignment of compute units to FPGAs.
@@ -287,17 +304,7 @@ class AllocationSolution:
         scalar loop stays authoritative for the messages); this is the form
         the exact solvers call once per candidate.
         """
-        kit = _feasibility_kit(self.problem)
-        counts = self.counts_matrix()
-        if counts.size == 0:
-            return True
-        if counts.sum(axis=1).min() < 1.0:
-            return False  # some kernel has no CUs (constraint 8)
-        usage = counts.T @ kit.resource_matrix  # (F, kinds)
-        if np.any(usage > kit.resource_limits + tolerance):
-            return False  # constraint 9
-        bandwidth = counts.T @ kit.bandwidth  # (F,)
-        return not np.any(bandwidth > kit.bandwidth_limits + tolerance)  # constraint 10
+        return counts_matrix_feasible(self.problem, self.counts_matrix(), tolerance)
 
     def counts_matrix(self) -> np.ndarray:
         """The CU counts as a dense ``(kernels, FPGAs)`` float matrix."""

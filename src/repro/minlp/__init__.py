@@ -25,7 +25,7 @@ from .binpacking import (
     shared_packing_memo,
     shared_packing_memos_clear,
 )
-from .errors import BranchingError, InfeasibleProblemError, MINLPError
+from .errors import InfeasibleProblemError, MINLPError
 from .secant import (
     SecantSegment,
     secant_gap,
@@ -40,7 +40,6 @@ __all__ = [
     "BBSettings",
     "BBStatus",
     "BranchAndBoundSolver",
-    "BranchingError",
     "InfeasibleProblemError",
     "MINLPError",
     "PackingItemType",

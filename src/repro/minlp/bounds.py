@@ -2,109 +2,61 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 
-@dataclass(frozen=True)
 class VariableBounds:
-    """Immutable integer box bounds for a set of variables.
+    """Integer box bounds over a fixed, ordered set of variables.
 
-    Bounds are stored as ``{name: (lower, upper)}`` with inclusive integer
-    endpoints.  Branch-and-bound nodes derive child bounds via
-    :meth:`with_upper` / :meth:`with_lower` without mutating the parent.
+    ``names`` is one tuple shared by every node of a search tree; ``lower``
+    and ``upper`` are read-only int64 arrays aligned with it (inclusive
+    endpoints).  Branch-and-bound nodes derive child bounds via
+    :meth:`with_upper` / :meth:`with_lower`, which take a variable's
+    *position* and copy only the array they change.
     """
 
-    bounds: Mapping[str, tuple[int, int]]
+    __slots__ = ("names", "lower", "upper")
 
-    def __post_init__(self) -> None:
-        for name, (lower, upper) in self.bounds.items():
-            if lower > upper:
-                raise ValueError(f"empty bound interval for {name!r}: [{lower}, {upper}]")
-            if lower < 0:
-                raise ValueError(f"negative lower bound for {name!r}")
+    def __init__(self, names: Sequence[str], lower: Sequence[int], upper: Sequence[int]):
+        self.names = tuple(names)
+        self.lower = np.array(lower, dtype=np.int64)
+        self.upper = np.array(upper, dtype=np.int64)
+        if self.lower.shape != (len(self.names),) or self.upper.shape != self.lower.shape:
+            raise ValueError("lower and upper need one entry per variable name")
+        invalid = np.flatnonzero((self.lower > self.upper) | (self.lower < 0))
+        if invalid.size:
+            raise ValueError(f"invalid bound interval for {self.names[invalid[0]]!r}")
+        self.lower.flags.writeable = self.upper.flags.writeable = False
 
     @classmethod
     def from_ranges(cls, ranges: Mapping[str, tuple[int, int]]) -> "VariableBounds":
-        return cls(bounds=dict(ranges))
-
-    # ------------------------------------------------------------------ #
-    # Access
-    # ------------------------------------------------------------------ #
-    def __getitem__(self, name: str) -> tuple[int, int]:
-        return self.bounds[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.bounds
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.bounds)
+        """Bounds from ``{name: (lower, upper)}``, in the mapping's order."""
+        pairs = list(ranges.values())
+        return cls(tuple(ranges), [low for low, _ in pairs], [high for _, high in pairs])
 
     def __len__(self) -> int:
-        return len(self.bounds)
+        return len(self.names)
 
-    def lower(self, name: str) -> int:
-        return self.bounds[name][0]
+    def with_upper(self, index: int, upper: int) -> "VariableBounds":
+        """Child bounds with variable ``index <= upper``; raises if the
+        interval empties."""
+        new_upper = self.upper.copy()
+        new_upper[index] = min(int(new_upper[index]), upper)
+        return self._child(self.lower, new_upper, index)
 
-    def upper(self, name: str) -> int:
-        return self.bounds[name][1]
+    def with_lower(self, index: int, lower: int) -> "VariableBounds":
+        """Child bounds with variable ``index >= lower``; raises if the
+        interval empties."""
+        new_lower = self.lower.copy()
+        new_lower[index] = max(int(new_lower[index]), lower)
+        return self._child(new_lower, self.upper, index)
 
-    def is_fixed(self, name: str) -> bool:
-        lower, upper = self.bounds[name]
-        return lower == upper
-
-    def all_fixed(self) -> bool:
-        return all(self.is_fixed(name) for name in self.bounds)
-
-    def widths(self) -> dict[str, int]:
-        """Interval width per variable (0 means fixed)."""
-        return {name: upper - lower for name, (lower, upper) in self.bounds.items()}
-
-    def volume_log(self) -> float:
-        """Log of the number of integer points in the box (search-space size)."""
-        return sum(math.log(upper - lower + 1) for lower, upper in self.bounds.values())
-
-    # ------------------------------------------------------------------ #
-    # Branching
-    # ------------------------------------------------------------------ #
-    def with_upper(self, name: str, upper: int) -> "VariableBounds":
-        """Child bounds with ``name <= upper``; raises if the interval empties."""
-        lower, old_upper = self.bounds[name]
-        new_bounds = dict(self.bounds)
-        new_bounds[name] = (lower, min(old_upper, upper))
-        return VariableBounds(bounds=new_bounds)
-
-    def with_lower(self, name: str, lower: int) -> "VariableBounds":
-        """Child bounds with ``name >= lower``; raises if the interval empties."""
-        old_lower, upper = self.bounds[name]
-        new_bounds = dict(self.bounds)
-        new_bounds[name] = (max(old_lower, lower), upper)
-        return VariableBounds(bounds=new_bounds)
-
-    def with_fixed(self, name: str, value: int) -> "VariableBounds":
-        """Child bounds with ``name`` fixed to ``value``."""
-        new_bounds = dict(self.bounds)
-        new_bounds[name] = (value, value)
-        return VariableBounds(bounds=new_bounds)
-
-    def clamp(self, values: Mapping[str, float]) -> dict[str, float]:
-        """Clamp a (fractional) point into the box."""
-        clamped: dict[str, float] = {}
-        for name, value in values.items():
-            if name in self.bounds:
-                lower, upper = self.bounds[name]
-                clamped[name] = min(max(value, lower), upper)
-            else:
-                clamped[name] = value
-        return clamped
-
-    def contains_point(self, values: Mapping[str, float], tolerance: float = 1e-9) -> bool:
-        """Whether a point lies inside the box (within tolerance)."""
-        for name, (lower, upper) in self.bounds.items():
-            value = values.get(name)
-            if value is None:
-                return False
-            if value < lower - tolerance or value > upper + tolerance:
-                return False
-        return True
+    def _child(self, lower: np.ndarray, upper: np.ndarray, index: int) -> "VariableBounds":
+        if lower[index] > upper[index]:
+            raise ValueError(f"empty bound interval for {self.names[index]!r}")
+        lower.flags.writeable = upper.flags.writeable = False
+        child = object.__new__(VariableBounds)
+        child.names, child.lower, child.upper = self.names, lower, upper
+        return child

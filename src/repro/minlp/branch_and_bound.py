@@ -9,6 +9,15 @@ The engine is deliberately problem-agnostic: it works with three callbacks,
 * an optional *rounding heuristic* that proposes integer points near a
   fractional relaxation solution to warm up the incumbent.
 
+Everything is indexed by *position*, never by name.  A tree's variables are
+the ``names`` tuple of its root :class:`~repro.minlp.bounds.VariableBounds`,
+shared by every node; a node's box is two int64 arrays aligned with it, a
+relaxation returns its point as a float array (:attr:`RelaxationResult.
+values`), and candidates, rounding proposals and the incumbent are int64
+arrays in the same order.  The integrality test and the most-fractional
+branching rule (ties go to the first variable) are array operations, so no
+per-node work formats, parses or looks up a variable name.
+
 The allocation-specific relaxations (the LP + initiation-interval search of
 :mod:`repro.core.exact`) plug into this engine; the paper's reference tool
 (Couenne) follows the same spatial branch-and-bound architecture.
@@ -16,14 +25,14 @@ The allocation-specific relaxations (the LP + initiation-interval search of
 Two performance features are built into the engine itself:
 
 * **Relaxation caching** -- node relaxations are memoized keyed on the node's
-  box bounds (a :class:`RelaxationCache` can also be shared across solver
-  instances, e.g. across the points of a design-space sweep, so identical
-  subproblems are never re-solved).  Hit/miss counts are reported on
-  :class:`BBResult`.
+  box, ``(names, lower bytes, upper bytes)`` (a :class:`RelaxationCache` can
+  also be shared across solver instances, e.g. across the points of a
+  design-space sweep, so identical subproblems are never re-solved).
+  Hit/miss counts are reported on :class:`BBResult`.
 * **Warm-starting** -- when the relaxation solver accepts a second argument,
   each child node receives its parent's :class:`RelaxationResult`, whose
-  objective is a valid lower bound for the shrunken box and lets monotone
-  solvers (the min-max bisection) start from a much tighter bracket.
+  metadata (the allocation relaxation's feasibility point) can spare the
+  child an LP.
 """
 
 from __future__ import annotations
@@ -38,6 +47,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Mapping
 
+import numpy as np
+
 from ..obs.trace import span
 from .bounds import VariableBounds
 from .errors import InfeasibleProblemError
@@ -46,23 +57,24 @@ from .errors import InfeasibleProblemError
 INTEGRALITY_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelaxationResult:
     """Outcome of solving one node's continuous relaxation.
 
-    ``metadata`` carries solver-specific warm-start hints (e.g. the
-    allocation relaxation's feasibility point); the engine passes the
-    parent's result to the relaxation solver, which may read them back.
+    ``values`` is the relaxation's (fractional) point, aligned with the
+    node's ``names``.  ``metadata`` carries solver-specific warm-start hints
+    (e.g. the allocation relaxation's feasibility point); the engine passes
+    the parent's result to the relaxation solver, which may read them back.
     """
 
     feasible: bool
     objective: float
-    solution: Mapping[str, float] = field(default_factory=dict)
+    values: np.ndarray = field(default_factory=lambda: np.empty(0))
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     @classmethod
     def infeasible(cls) -> "RelaxationResult":
-        return cls(feasible=False, objective=math.inf, solution={})
+        return cls(feasible=False, objective=math.inf)
 
 
 class BBStatus(Enum):
@@ -75,7 +87,7 @@ class BBStatus(Enum):
 
 
 class RelaxationCache:
-    """Memo of relaxation results keyed on canonical node bounds.
+    """Memo of relaxation results keyed on node boxes.
 
     Within one tree the boxes of distinct nodes are disjoint, so the payoff
     comes from *sharing* a cache across solver runs: repeated solves of the
@@ -100,7 +112,9 @@ class RelaxationCache:
 
     @staticmethod
     def key_of(bounds: VariableBounds) -> tuple:
-        return tuple(sorted((name, *bounds[name]) for name in bounds))
+        """``(names, lower bytes, upper bytes)``: boxes over the same
+        variables in the same order share a key exactly when equal."""
+        return (bounds.names, bounds.lower.tobytes(), bounds.upper.tobytes())
 
     def get(self, bounds: VariableBounds) -> "RelaxationResult | None":
         key = self.key_of(bounds)
@@ -162,13 +176,18 @@ def shared_relaxation_caches_clear() -> None:
         _SHARED_CACHES.clear()
 
 
-@dataclass(frozen=True)
+#: The incumbent of a search that found none.
+_NO_SOLUTION = np.empty(0, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class BBResult:
-    """Result of a branch-and-bound run."""
+    """Result of a branch-and-bound run; ``solution`` is aligned with the
+    root bounds' ``names`` (empty when there is none)."""
 
     status: BBStatus
     objective: float
-    solution: dict[str, int]
+    solution: np.ndarray
     lower_bound: float
     nodes_explored: int
     runtime_seconds: float
@@ -189,7 +208,7 @@ class BBResult:
 
     @property
     def has_solution(self) -> bool:
-        return bool(self.solution) and math.isfinite(self.objective)
+        return self.solution.size > 0 and math.isfinite(self.objective)
 
 
 @dataclass(frozen=True)
@@ -204,10 +223,12 @@ class BBSettings:
 
 #: A relaxation solver maps node bounds to a bound + fractional solution; it
 #: may optionally accept the parent node's relaxation as a second positional
-#: argument to warm-start (``None`` at the root).
+#: argument to warm-start (``None`` at the root).  Points are arrays aligned
+#: with the bounds' ``names``: integer candidates are int64, relaxation
+#: points float.
 RelaxationSolver = Callable[..., RelaxationResult]
-IncumbentEvaluator = Callable[[Mapping[str, int]], float | None]
-RoundingHeuristic = Callable[[Mapping[str, float], VariableBounds], Iterable[Mapping[str, int]]]
+IncumbentEvaluator = Callable[[np.ndarray], float | None]
+RoundingHeuristic = Callable[[np.ndarray, VariableBounds], Iterable[np.ndarray]]
 
 
 def _accepts_parent(solver: RelaxationSolver) -> bool:
@@ -284,13 +305,14 @@ class BranchAndBoundSolver:
     def solve(
         self,
         initial_bounds: VariableBounds,
-        initial_incumbent: Mapping[str, int] | None = None,
+        initial_incumbent: "np.ndarray | None" = None,
     ) -> BBResult:
         """Run the search starting from ``initial_bounds``.
 
-        ``initial_incumbent`` may seed the search with a known feasible point
-        (e.g. the GP+A heuristic solution), which dramatically improves
-        pruning on symmetric instances.
+        ``initial_incumbent`` (aligned with ``initial_bounds.names``) may
+        seed the search with a known feasible point (e.g. the GP+A heuristic
+        solution), which dramatically improves pruning on symmetric
+        instances.
         """
         start = time.perf_counter()
         settings = self._settings
@@ -316,9 +338,9 @@ class BranchAndBoundSolver:
             }
 
         best_objective = math.inf
-        best_solution: dict[str, int] = {}
+        best_solution = _NO_SOLUTION
         if initial_incumbent is not None:
-            seeded = {name: int(round(value)) for name, value in initial_incumbent.items()}
+            seeded = np.round(np.asarray(initial_incumbent)).astype(np.int64)
             value = self._evaluate(seeded)
             if value is not None:
                 best_objective = value
@@ -326,7 +348,7 @@ class BranchAndBoundSolver:
 
         root_relaxation = self._solve_relaxation(initial_bounds)
         if not root_relaxation.feasible:
-            if best_solution:
+            if best_solution.size:
                 # The caller's incumbent is feasible even though the root
                 # relaxation is not (should not happen for exact relaxations).
                 hits, misses = cache_stats()
@@ -369,13 +391,12 @@ class BranchAndBoundSolver:
                     break
                 nodes_explored += 1
 
-                fractional = self._fractional_variables(node.relaxation.solution, node.bounds)
-                if not fractional:
+                values = node.relaxation.values
+                nearest = np.round(values)
+                fractional = np.abs(values - nearest) > settings.integrality_tolerance
+                if not fractional.any():
                     # Integral relaxation: candidate incumbent.
-                    candidate = {
-                        name: int(round(node.relaxation.solution.get(name, node.bounds.lower(name))))
-                        for name in node.bounds
-                    }
+                    candidate = nearest.astype(np.int64)
                     value = self._evaluate(candidate)
                     if value is not None and value < best_objective:
                         best_objective = value
@@ -384,21 +405,22 @@ class BranchAndBoundSolver:
 
                 # Try rounding heuristics to tighten the incumbent early.
                 if self._round is not None:
-                    for proposal in self._round(node.relaxation.solution, node.bounds):
-                        candidate = {name: int(proposal[name]) for name in proposal}
+                    for proposal in self._round(values, node.bounds):
+                        candidate = np.asarray(proposal, dtype=np.int64)
                         value = self._evaluate(candidate)
                         if value is not None and value < best_objective:
                             best_objective = value
                             best_solution = candidate
 
-                branch_name, branch_value = self._select_branching(fractional)
-                floor_value = int(math.floor(branch_value))
+                # Most-fractional branching: the first variable closest to .5.
+                distance = np.where(fractional, np.abs(values - np.floor(values) - 0.5), np.inf)
+                index = int(np.argmin(distance))
+                floor_value = math.floor(float(values[index]))
                 children = []
-                lower, upper = node.bounds[branch_name]
-                if floor_value >= lower:
-                    children.append(node.bounds.with_upper(branch_name, floor_value))
-                if floor_value + 1 <= upper:
-                    children.append(node.bounds.with_lower(branch_name, floor_value + 1))
+                if floor_value >= node.bounds.lower[index]:
+                    children.append(node.bounds.with_upper(index, floor_value))
+                if floor_value + 1 <= node.bounds.upper[index]:
+                    children.append(node.bounds.with_lower(index, floor_value + 1))
 
                 for child_bounds in children:
                     relaxation = self._solve_relaxation(child_bounds, node.relaxation)
@@ -432,7 +454,7 @@ class BranchAndBoundSolver:
             return BBResult(
                 status=status,
                 objective=math.inf,
-                solution={},
+                solution=_NO_SOLUTION,
                 lower_bound=global_lower,
                 nodes_explored=nodes_explored,
                 runtime_seconds=runtime,
@@ -454,30 +476,3 @@ class BranchAndBoundSolver:
             relaxation_cache_misses=misses,
             counters=counter_deltas(),
         )
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _fractional_variables(
-        self, solution: Mapping[str, float], bounds: VariableBounds
-    ) -> dict[str, float]:
-        """Variables whose relaxation value is not (nearly) integral."""
-        tolerance = self._settings.integrality_tolerance
-        fractional: dict[str, float] = {}
-        for name in bounds:
-            value = solution.get(name)
-            if value is None:
-                continue
-            if abs(value - round(value)) > tolerance:
-                fractional[name] = value
-        return fractional
-
-    @staticmethod
-    def _select_branching(fractional: Mapping[str, float]) -> tuple[str, float]:
-        """Most-fractional branching rule."""
-        def distance(item: tuple[str, float]) -> float:
-            _, value = item
-            return abs(value - math.floor(value) - 0.5)
-
-        name, value = min(fractional.items(), key=distance)
-        return name, value

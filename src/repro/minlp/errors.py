@@ -9,7 +9,3 @@ class MINLPError(Exception):
 
 class InfeasibleProblemError(MINLPError):
     """Raised when the root relaxation (or the whole problem) is infeasible."""
-
-
-class BranchingError(MINLPError):
-    """Raised when the solver cannot select a branching variable."""

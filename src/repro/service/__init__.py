@@ -40,6 +40,7 @@ from .faults import (
 from .hashing import DEFAULT_REPLICAS, HashRing, ring, ring_of
 from .jobs import Job, JobQueue, QueueFullError
 from .frontdoor import (
+    MAX_BATCH_REQUESTS,
     MAX_BODY_BYTES,
     ROUTES,
     AllocationHTTPServer,
@@ -75,6 +76,7 @@ __all__ = [
     "Job",
     "JobQueue",
     "JobWal",
+    "MAX_BATCH_REQUESTS",
     "MAX_BODY_BYTES",
     "MemoryTier",
     "QueueFullError",

@@ -39,7 +39,8 @@ Every error becomes a status code in one place,
   (exhausted sync-solve pool, closed job queue, worker down), with a
   ``Retry-After`` header;
 * :class:`HTTPError` -- its own status: 404 for an unknown endpoint, job,
-  trace or tenant, 413 for a body over :data:`MAX_BODY_BYTES`;
+  trace or tenant, 413 for a body over :data:`MAX_BODY_BYTES` or a batch
+  over :data:`MAX_BATCH_REQUESTS`;
 * :class:`~repro.fleet.manager.Conflict` -- 409;
 * ``ValueError`` (``SerializationError`` included) -- 400;
 * anything else -- 500.
@@ -66,6 +67,10 @@ from .batch import loads_batch
 #: refused with 413 before any of the body is read.  The largest body the
 #: benchmark sends, a 1000-request warm batch, is ~1.9 MB.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Most requests in one ``/solve_batch`` body, sync or async: a longer
+#: ``requests`` list is refused with 413 before any of it is decoded,
+#: solved or queued.  The benchmark's largest batch has 1,000.
+MAX_BATCH_REQUESTS = 10_000
 
 JSON = "application/json"
 PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
@@ -216,6 +221,11 @@ class HTTPRoutes:
             raise SerializationError(f"unknown batch mode {mode!r}; options: sync, async")
         if not isinstance(documents, list) or not documents:
             raise SerializationError("'requests' must be a non-empty list")
+        if len(documents) > MAX_BATCH_REQUESTS:
+            raise HTTPError(
+                413, f"a batch of {len(documents)} requests exceeds the "
+                f"{MAX_BATCH_REQUESTS}-request limit"
+            )
         if mode == "async":
             return json_reply(self.submit_batch_documents(documents, texts), status=202)
         return Reply(self.solve_batch_text(documents, texts).encode("utf-8"))

@@ -88,37 +88,34 @@ def oracle_discretize(
     aggregate_capacity = arrays.aggregate_capacity
     weight_matrix = arrays.weights
 
+    # Points are kernel-indexed vectors in ``names`` order.
     def relaxation(node_bounds: VariableBounds) -> RelaxationResult:
-        min_counts = np.asarray([node_bounds.lower(name) for name in names], dtype=np.float64)
-        max_counts = np.asarray([node_bounds.upper(name) for name in names], dtype=np.float64)
+        min_counts = node_bounds.lower.astype(np.float64)
+        max_counts = node_bounds.upper.astype(np.float64)
         try:
             ii, count_vector = minmax.solve(min_counts=min_counts, max_counts=max_counts)
         except InfeasibleError:
             return RelaxationResult.infeasible()
         return RelaxationResult(
-            feasible=True, objective=ii, solution=arrays.mapping(count_vector)
+            feasible=True, objective=ii, values=np.asarray(count_vector, dtype=np.float64)
         )
 
-    def evaluate(candidate: Mapping[str, int]) -> float | None:
-        count_vector = np.asarray([candidate[name] for name in names], dtype=np.float64)
+    def evaluate(candidate: np.ndarray) -> float | None:
+        count_vector = candidate.astype(np.float64)
         if np.any(count_vector < 1):
             return None
         if not np.all(weight_matrix @ count_vector <= aggregate_capacity + 1e-9):
             return None
         return float(np.max(wcet / count_vector))
 
-    def rounding(fractional: Mapping[str, float], node_bounds: VariableBounds) -> list[dict[str, int]]:
-        floor_candidate = {
-            name: int(max(node_bounds.lower(name), math.floor(fractional.get(name, 1.0))))
-            for name in names
-        }
-        ceil_candidate = {
-            name: int(
-                min(node_bounds.upper(name), max(1, math.ceil(fractional.get(name, 1.0) - 1e-9)))
-            )
-            for name in names
-        }
-        return [ceil_candidate, floor_candidate]
+    def rounding(fractional: np.ndarray, node_bounds: VariableBounds) -> list[np.ndarray]:
+        values = fractional.tolist()
+        lower, upper = node_bounds.lower.tolist(), node_bounds.upper.tolist()
+        floor_candidate = [max(low, math.floor(value)) for low, value in zip(lower, values)]
+        ceil_candidate = [
+            min(up, max(1, math.ceil(value - 1e-9))) for up, value in zip(upper, values)
+        ]
+        return [np.array(ceil_candidate), np.array(floor_candidate)]
 
     # Node relaxations depend only on (problem, node bounds), so every
     # discretisation of the same problem shares one cache.
@@ -140,12 +137,12 @@ def oracle_discretize(
     if not _aggregate_feasible(problem, seed):
         seed = {name: 1 for name in names}
     try:
-        result = solver.solve(bounds, initial_incumbent=seed)
+        result = solver.solve(bounds, initial_incumbent=np.array([seed[name] for name in names]))
     except InfeasibleProblemError as error:
         raise DiscretizationError(str(error)) from error
     if not result.has_solution:
         raise DiscretizationError("no feasible integer CU totals found")
-    counts = {name: int(result.solution[name]) for name in names}
+    counts = dict(zip(names, result.solution.tolist()))
     return OracleResult(
         counts=counts,
         ii=_achieved_ii(problem, counts),

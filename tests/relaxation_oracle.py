@@ -78,9 +78,10 @@ def oracle_minimum(problem: AllocationProblem, bounds: VariableBounds) -> float 
     num_n = num_k * num_f
     alpha, beta = problem.weights.alpha, problem.weights.beta
     wcet = np.array([problem.wcet[name] for name in names])
-    variables = [variable_name(name, fpga) for name in names for fpga in range(num_f)]
-    lower = np.array([bounds.lower(name) for name in variables], dtype=float)
-    upper = np.array([bounds.upper(name) for name in variables], dtype=float)
+    variables = tuple(variable_name(name, fpga) for name in names for fpga in range(num_f))
+    assert bounds.names == variables
+    lower = bounds.lower.astype(float)
+    upper = bounds.upper.astype(float)
     static = _static_rows(problem)
     box = list(zip(lower, upper))
 

@@ -3,9 +3,10 @@
 import math
 
 import pytest
+from minlpg_oracle import split_variable_name
 
 from repro.core.objective import ObjectiveWeights
-from repro.core.relaxations import AllocationRelaxation, split_variable_name, variable_name
+from repro.core.relaxations import AllocationRelaxation, variable_name, variable_names
 from repro.core.solution import AllocationSolution
 from repro.minlp.bounds import VariableBounds
 
@@ -98,9 +99,19 @@ class TestAllocationRelaxation:
         )
         bounds = full_bounds(tiny_weighted_problem, upper=3)
         result = relaxation.solve(bounds)
-        for name, value in result.solution.items():
-            lower, upper = bounds[name]
+        assert len(result.values) == len(bounds)
+        for value, lower, upper in zip(result.values, bounds.lower, bounds.upper):
             assert lower - 1e-6 <= value <= upper + 1e-6
+
+    def test_bounds_must_follow_the_variable_order(self, tiny_weighted_problem):
+        relaxation = AllocationRelaxation(
+            problem=tiny_weighted_problem, weights=tiny_weighted_problem.weights
+        )
+        bounds = full_bounds(tiny_weighted_problem)
+        assert bounds.names == variable_names(tiny_weighted_problem)
+        shuffled = VariableBounds(bounds.names[::-1], bounds.lower, bounds.upper)
+        with pytest.raises(ValueError):
+            relaxation.solve(shuffled)
 
     def test_counters_track_lp_work(self, tiny_weighted_problem):
         relaxation = AllocationRelaxation(
@@ -138,9 +149,9 @@ class TestAllocationRelaxation:
         parent = relaxation.solve(parent_bounds)
         # Branch on a variable whose parent feasibility point stays inside
         # the child box: the child reuses the parent's minimum feasible II.
-        point = dict(zip(relaxation._model.var_names, parent.metadata["feasibility"][1]))
-        name = variable_name(tiny_weighted_problem.kernel_names[0], 0)
-        child_bounds = parent_bounds.with_upper(name, math.ceil(point[name]))
+        point = parent.metadata["feasibility"][1]
+        index = parent_bounds.names.index(variable_name(tiny_weighted_problem.kernel_names[0], 0))
+        child_bounds = parent_bounds.with_upper(index, math.ceil(point[index]))
         before = relaxation.counters()
         warm = relaxation.solve(child_bounds, parent)
         after = relaxation.counters()
@@ -158,9 +169,9 @@ class TestAllocationRelaxation:
         )
         parent_bounds = full_bounds(tiny_weighted_problem)
         parent = relaxation.solve(parent_bounds)
-        point = dict(zip(relaxation._model.var_names, parent.metadata["feasibility"][1]))
-        name = variable_name(tiny_weighted_problem.kernel_names[0], 0)
-        child_bounds = parent_bounds.with_lower(name, math.floor(point[name]) + 1)
+        point = parent.metadata["feasibility"][1]
+        index = parent_bounds.names.index(variable_name(tiny_weighted_problem.kernel_names[0], 0))
+        child_bounds = parent_bounds.with_lower(index, math.floor(point[index]) + 1)
         before = relaxation.counters()["feasibility_lps"]
         warm = relaxation.solve(child_bounds, parent)
         assert relaxation.counters()["feasibility_lps"] == before + 1

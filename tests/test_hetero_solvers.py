@@ -251,9 +251,9 @@ def test_highs_backend_matches_scipy_relaxation_values(alex16_problem):
     )
     bounds = _root_bounds(weighted)
     boxes = [bounds]
-    name = variable_name(weighted.kernel_names[0], 0)
-    boxes.append(bounds.with_upper(name, 2))
-    boxes.append(bounds.with_lower(name, 1))
+    index = bounds.names.index(variable_name(weighted.kernel_names[0], 0))
+    boxes.append(bounds.with_upper(index, 2))
+    boxes.append(bounds.with_lower(index, 1))
     for box in boxes:
         reference = scipy_relaxation.solve(box)
         candidate = highs_relaxation.solve(box)

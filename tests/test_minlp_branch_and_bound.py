@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.minlp.bounds import VariableBounds
@@ -26,11 +27,11 @@ def make_knapsack_solver(values, weights, capacity, settings=BBSettings()):
     def relaxation(bounds: VariableBounds) -> RelaxationResult:
         remaining = capacity
         total_value = 0.0
-        solution = {}
+        solution = np.zeros(len(values))
         # Fix the forced variables first.
-        for i, name in enumerate(names):
-            lower = bounds.lower(name)
-            solution[name] = float(lower)
+        for i in range(len(values)):
+            lower = int(bounds.lower[i])
+            solution[i] = float(lower)
             remaining -= weights[i] * lower
             total_value += values[i] * lower
         if remaining < -1e-9:
@@ -38,22 +39,21 @@ def make_knapsack_solver(values, weights, capacity, settings=BBSettings()):
         # Greedy fractional fill of the free variables by value density.
         order = sorted(range(len(values)), key=lambda i: values[i] / weights[i], reverse=True)
         for i in order:
-            name = names[i]
-            slack = bounds.upper(name) - bounds.lower(name)
+            slack = int(bounds.upper[i] - bounds.lower[i])
             if slack <= 0:
                 continue
             take = min(slack, remaining / weights[i])
             take = max(0.0, take)
-            solution[name] += take
+            solution[i] += take
             total_value += values[i] * take
             remaining -= weights[i] * take
-        return RelaxationResult(feasible=True, objective=-total_value, solution=solution)
+        return RelaxationResult(feasible=True, objective=-total_value, values=solution)
 
     def evaluate(candidate):
-        weight = sum(weights[i] * candidate[f"x{i}"] for i in range(len(values)))
+        weight = sum(weights[i] * candidate[i] for i in range(len(values)))
         if weight > capacity + 1e-9:
             return None
-        return -sum(values[i] * candidate[f"x{i}"] for i in range(len(values)))
+        return -sum(values[i] * candidate[i] for i in range(len(values)))
 
     solver = BranchAndBoundSolver(
         relaxation_solver=relaxation, incumbent_evaluator=evaluate, settings=settings
@@ -87,7 +87,7 @@ class TestBranchAndBound:
         values = [5.0, 4.0]
         weights = [3.0, 3.0]
         solver, bounds = make_knapsack_solver(values, weights, capacity=3.0)
-        seed = {"x0": 1, "x1": 0}
+        seed = np.array([1, 0])
         result = solver.solve(bounds, initial_incumbent=seed)
         assert result.has_solution
         assert -result.objective == pytest.approx(5.0)
@@ -96,7 +96,7 @@ class TestBranchAndBound:
         values = [5.0, 4.0]
         weights = [3.0, 3.0]
         solver, bounds = make_knapsack_solver(values, weights, capacity=3.0)
-        result = solver.solve(bounds, initial_incumbent={"x0": 1, "x1": 1})
+        result = solver.solve(bounds, initial_incumbent=np.array([1, 1]))
         assert -result.objective == pytest.approx(5.0)
 
     def test_node_limit_still_returns_incumbent(self):
@@ -105,7 +105,7 @@ class TestBranchAndBound:
         solver, bounds = make_knapsack_solver(
             values, weights, capacity=9.0, settings=BBSettings(max_nodes=1)
         )
-        result = solver.solve(bounds, initial_incumbent={f"x{i}": 0 for i in range(7)})
+        result = solver.solve(bounds, initial_incumbent=np.zeros(7, dtype=np.int64))
         assert result.has_solution
         assert result.nodes_explored <= 1
 
@@ -129,9 +129,8 @@ class TestBranchAndBound:
         calls = []
 
         def rounding(fractional, bounds):
-            calls.append(dict(fractional))
-            rounded = {name: int(math.floor(fractional.get(name, 0.0))) for name in bounds}
-            return [rounded]
+            calls.append(fractional.copy())
+            return [np.floor(fractional).astype(np.int64)]
 
         solver, bounds = make_knapsack_solver(values, weights, capacity)
         solver_with_rounding = BranchAndBoundSolver(
@@ -143,6 +142,27 @@ class TestBranchAndBound:
         assert result.status is BBStatus.OPTIMAL
         assert -result.objective == pytest.approx(9.0)
         assert calls  # the heuristic ran at least once
+
+    def test_most_fractional_branching_takes_the_first_tie(self):
+        boxes = []
+
+        def relaxation(bounds):
+            boxes.append(bounds)
+            if len(boxes) > 1:
+                return RelaxationResult.infeasible()
+            return RelaxationResult(
+                feasible=True, objective=0.0, values=np.array([0.3, 0.5, 1.0, 0.5])
+            )
+
+        solver = BranchAndBoundSolver(
+            relaxation_solver=relaxation, incumbent_evaluator=lambda candidate: None
+        )
+        solver.solve(VariableBounds.from_ranges({name: (0, 1) for name in "abcd"}))
+        # "b" and "d" are both 0.5: the first of them, "b", is branched on.
+        assert [(box.lower.tolist(), box.upper.tolist()) for box in boxes[1:]] == [
+            ([0, 0, 0, 0], [1, 0, 1, 1]),
+            ([0, 1, 0, 0], [1, 1, 1, 1]),
+        ]
 
     def test_relaxation_result_infeasible_factory(self):
         result = RelaxationResult.infeasible()

@@ -1,5 +1,8 @@
 """Tests for the MINLP substrate: bounds, secants, bin packing."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.minlp.bounds import VariableBounds
@@ -13,50 +16,95 @@ from repro.minlp.secant import (
 )
 
 
+# Box helpers no solver needs, over the positional bounds.
+def interval(bounds, name):
+    index = bounds.names.index(name)
+    return int(bounds.lower[index]), int(bounds.upper[index])
+
+
+def is_fixed(bounds, name):
+    low, high = interval(bounds, name)
+    return low == high
+
+
+def with_fixed(bounds, name, value):
+    index = bounds.names.index(name)
+    return bounds.with_lower(index, value).with_upper(index, value)
+
+
+def all_fixed(bounds):
+    return bool(np.all(bounds.lower == bounds.upper))
+
+
+def clamp(bounds, values):
+    return np.minimum(np.maximum(values, bounds.lower), bounds.upper)
+
+
+def contains_point(bounds, values, tolerance=1e-9):
+    values = np.asarray(values, dtype=float)
+    return values.shape == bounds.lower.shape and bool(
+        np.all(values >= bounds.lower - tolerance) and np.all(values <= bounds.upper + tolerance)
+    )
+
+
+def widths(bounds):
+    return dict(zip(bounds.names, (bounds.upper - bounds.lower).tolist()))
+
+
+def volume_log(bounds):
+    return float(np.sum(np.log(bounds.upper - bounds.lower + 1)))
+
+
 class TestVariableBounds:
     def test_basic_accessors(self):
         bounds = VariableBounds.from_ranges({"a": (0, 5), "b": (2, 2)})
-        assert bounds.lower("a") == 0
-        assert bounds.upper("a") == 5
-        assert bounds.is_fixed("b")
-        assert not bounds.is_fixed("a")
-        assert not bounds.all_fixed()
-        assert set(bounds) == {"a", "b"}
+        assert bounds.lower[0] == 0
+        assert bounds.upper[0] == 5
+        assert is_fixed(bounds, "b")
+        assert not is_fixed(bounds, "a")
+        assert not all_fixed(bounds)
+        assert bounds.names == ("a", "b")
         assert len(bounds) == 2
-        assert "a" in bounds
+        assert bounds.lower.dtype == bounds.upper.dtype == np.int64
+        with pytest.raises(ValueError):
+            bounds.lower[0] = 1  # read-only: nodes share arrays
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
             VariableBounds.from_ranges({"a": (3, 2)})
         with pytest.raises(ValueError):
             VariableBounds.from_ranges({"a": (-1, 2)})
+        with pytest.raises(ValueError):
+            VariableBounds(("a", "b"), [0], [1, 1])
 
     def test_branching_child_bounds(self):
-        bounds = VariableBounds.from_ranges({"a": (0, 5)})
-        left = bounds.with_upper("a", 2)
-        right = bounds.with_lower("a", 3)
-        assert left["a"] == (0, 2)
-        assert right["a"] == (3, 5)
-        assert bounds["a"] == (0, 5)  # parent untouched
-        fixed = bounds.with_fixed("a", 4)
-        assert fixed.is_fixed("a")
+        bounds = VariableBounds.from_ranges({"a": (0, 5), "b": (1, 4)})
+        left = bounds.with_upper(0, 2)
+        right = bounds.with_lower(0, 3)
+        assert interval(left, "a") == (0, 2)
+        assert interval(right, "a") == (3, 5)
+        assert interval(bounds, "a") == (0, 5)  # parent untouched
+        assert interval(left, "b") == interval(right, "b") == (1, 4)
+        assert left.names is bounds.names  # one names tuple per tree
+        fixed = with_fixed(bounds, "a", 4)
+        assert is_fixed(fixed, "a") and interval(fixed, "a") == (4, 4)
 
     def test_branching_cannot_create_empty_interval(self):
         bounds = VariableBounds.from_ranges({"a": (2, 5)})
         with pytest.raises(ValueError):
-            bounds.with_upper("a", 1)
+            bounds.with_upper(0, 1)
 
     def test_clamp_and_contains(self):
         bounds = VariableBounds.from_ranges({"a": (1, 3)})
-        assert bounds.clamp({"a": 5.0})["a"] == 3.0
-        assert bounds.contains_point({"a": 2.0})
-        assert not bounds.contains_point({"a": 4.0})
-        assert not bounds.contains_point({})
+        assert clamp(bounds, [5.0])[0] == 3.0
+        assert contains_point(bounds, [2.0])
+        assert not contains_point(bounds, [4.0])
+        assert not contains_point(bounds, [])
 
     def test_widths_and_volume(self):
         bounds = VariableBounds.from_ranges({"a": (0, 3), "b": (1, 1)})
-        assert bounds.widths() == {"a": 3, "b": 0}
-        assert bounds.volume_log() == pytest.approx(__import__("math").log(4))
+        assert widths(bounds) == {"a": 3, "b": 0}
+        assert volume_log(bounds) == pytest.approx(math.log(4))
 
 
 class TestSecants:

@@ -7,6 +7,7 @@ search with only a cross-call memo.
 
 import math
 
+import numpy as np
 import pytest
 from discretize_oracle import oracle_discretize
 
@@ -29,16 +30,14 @@ from repro.reporting.experiments import case_study
 
 
 def _toy_relaxation(bounds: VariableBounds) -> RelaxationResult:
-    """Minimise x + y over the box; fractional interior point to force branching."""
-    x = bounds.lower("x") + 0.4
-    y = bounds.lower("y") + 0.4
-    x = min(x, bounds.upper("x"))
-    y = min(y, bounds.upper("y"))
-    return RelaxationResult(feasible=True, objective=x + y, solution={"x": x, "y": y})
+    """Minimise x + y over the box (x, y in ``names`` order); fractional
+    interior point to force branching."""
+    point = np.minimum(bounds.lower + 0.4, bounds.upper)
+    return RelaxationResult(feasible=True, objective=float(point.sum()), values=point)
 
 
 def _toy_evaluate(candidate):
-    return float(candidate["x"] + candidate["y"])
+    return float(candidate[0] + candidate[1])
 
 
 class TestRelaxationCache:
@@ -52,11 +51,18 @@ class TestRelaxationCache:
         assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
 
-    def test_key_is_order_independent(self):
-        cache = RelaxationCache()
+    def test_key_is_the_positional_box(self):
         a = VariableBounds.from_ranges({"x": (1, 5), "y": (2, 3)})
-        b = VariableBounds.from_ranges({"y": (2, 3), "x": (1, 5)})
-        assert RelaxationCache.key_of(a) == RelaxationCache.key_of(b)
+        same = VariableBounds.from_ranges({"x": (1, 5), "y": (2, 3)})
+        assert RelaxationCache.key_of(a) == RelaxationCache.key_of(same)
+        # One tree's boxes share one names tuple; a different variable order
+        # or a different box is a different key.
+        reordered = VariableBounds.from_ranges({"y": (2, 3), "x": (1, 5)})
+        assert RelaxationCache.key_of(a) != RelaxationCache.key_of(reordered)
+        assert RelaxationCache.key_of(a) != RelaxationCache.key_of(a.with_upper(0, 4))
+        assert RelaxationCache.key_of(a.with_upper(0, 4)) == RelaxationCache.key_of(
+            same.with_upper(0, 4)
+        )
 
     def test_eviction_is_bounded(self):
         cache = RelaxationCache(max_entries=2)
@@ -84,7 +90,7 @@ class TestRelaxationCache:
         assert first.relaxation_cache_misses > 0
         second = run()
         assert second.objective == first.objective
-        assert second.solution == first.solution
+        assert np.array_equal(second.solution, first.solution)
         assert second.relaxation_cache_misses == 0
         assert second.relaxation_cache_hits == first.relaxation_cache_misses
 
@@ -99,7 +105,7 @@ class TestRelaxationCache:
             relaxation_cache=RelaxationCache(),
         ).solve(bounds)
         assert cached.objective == plain.objective
-        assert cached.solution == plain.solution
+        assert np.array_equal(cached.solution, plain.solution)
 
 
 class TestWarmStartPlumbing:
@@ -128,7 +134,7 @@ class TestWarmStartPlumbing:
             relaxation_solver=_toy_relaxation, incumbent_evaluator=_toy_evaluate
         )
         result = solver.solve(VariableBounds.from_ranges({"x": (1, 3), "y": (1, 3)}))
-        assert result.solution == {"x": 1, "y": 1}
+        assert result.solution.tolist() == [1, 1]
 
 
 class TestDiscretizationMemo:

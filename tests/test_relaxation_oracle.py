@@ -41,8 +41,8 @@ def assert_matches_oracle(problem, box: VariableBounds, result) -> None:
         return
     assert result.feasible
     assert minimum - 1e-6 * max(1.0, abs(minimum)) <= result.objective <= minimum
-    for name, value in result.solution.items():
-        low, high = box[name]
+    assert len(result.values) == len(box)
+    for value, low, high in zip(result.values, box.lower, box.upper):
         assert low - 1e-9 <= value <= high + 1e-9
 
 
@@ -63,8 +63,7 @@ def assert_matches_oracle(problem, box: VariableBounds, result) -> None:
 def test_node_bound_is_certified(backend, data):
     problem, root_box = root(data.draw(st.sampled_from(APPS)), data.draw(st.sampled_from(LIMITS)))
     ranges = {}
-    for name in root_box:
-        low, high = root_box[name]
+    for name, low, high in zip(root_box.names, root_box.lower.tolist(), root_box.upper.tolist()):
         low = min(low + data.draw(st.sampled_from(LOWER_SHIFTS)), high)
         ranges[name] = (low, max(high - data.draw(st.integers(0, 4)), low))
     box = VariableBounds.from_ranges(ranges)
@@ -81,5 +80,6 @@ def test_node_bound_is_certified(backend, data):
         name = data.draw(st.sampled_from(sorted(ranges)))
         low, high = ranges[name]
         split = data.draw(st.integers(low, high))
-        child = box.with_upper(name, split) if data.draw(st.booleans()) else box.with_lower(name, split)
+        index = box.names.index(name)
+        child = box.with_upper(index, split) if data.draw(st.booleans()) else box.with_lower(index, split)
         assert_matches_oracle(problem, child, relaxation.solve(child, result))

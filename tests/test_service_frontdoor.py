@@ -26,6 +26,7 @@ from repro.fleet import fleet_to_dict, tenant_to_dict
 from repro.platform.presets import aws_f1
 from repro.platform.resources import ResourceVector
 from repro.service import (
+    MAX_BATCH_REQUESTS,
     MAX_BODY_BYTES,
     ROUTES,
     AllocationService,
@@ -280,6 +281,23 @@ def test_request_body_bound_on_both_topologies(topologies, content_length, statu
         assert "error" in json.loads(body)
         # The server is still serving after refusing the body.
         assert _call(topology.port, "GET", "/health")[0] == 200
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_batch_size_bound_on_both_topologies(topologies, mode):
+    # The elements are never decoded: an empty document would be a 400.
+    oversized = {"mode": mode, "requests": [{}] * (MAX_BATCH_REQUESTS + 1)}
+    for topology in topologies:
+        status, _, body = _call(topology.port, "POST", "/solve_batch", oversized)
+        assert status == 413
+        document = json.loads(body)
+        assert "job_id" not in document
+        assert str(MAX_BATCH_REQUESTS) in document["error"]
+        stats = json.loads(_call(topology.port, "GET", "/stats")[2])
+        assert stats["service"]["solves"] == 0
+        assert stats["jobs"]["submitted"] == 0
+        if topology is topologies[1]:
+            assert stats["router"]["jobs"] == 0
 
 
 def _free_port() -> int:
