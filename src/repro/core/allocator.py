@@ -16,12 +16,11 @@ assigns them to FPGAs while:
 DRAM bandwidth, as in the paper ("we use the general term resource constraint
 to refer to both actual resource and bandwidth constraints").
 
-The implementation is vectorized: per-FPGA slack is a ``(F, D)`` NumPy
-matrix and per-CU demand a ``(K, D)`` matrix (rows shared with the problem's
-memoized :class:`~repro.core.arrays.ProblemArrays`), so the capacity checks,
-the consolidation ordering and the repair pass's swap search are single
-array operations instead of per-kernel dict loops.  The placement decisions
-are unchanged from the scalar implementation.
+Kernels and FPGAs are indexed by position: per-FPGA slack is a ``(F, D)``
+table and per-CU demand a ``(K, D)`` table (rows taken from the problem's
+memoized :class:`~repro.core.arrays.ProblemArrays`).  At the sizes the model
+targets (``F <= 8``, ``D <= 3``) plain Python arithmetic beats per-call NumPy
+dispatch, so the placement passes and the repair pass run on lists.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ class _CapsTables(NamedTuple):
 
     rows: list[list[float]]  # caps
     slack_rows: list[list[float]]  # caps + tolerance
-    slack_matrix: np.ndarray  # slack_rows as an (F, D) array
     inverse: list[list[float]]  # 1 / caps (0 where a cap is 0)
     unit_norms: list[list[float]]  # (K, F): one CU's normalized footprint
 
@@ -109,39 +107,22 @@ class GreedyAllocator:
         self._names = arrays.names
         self._num_kernels = len(arrays.names)
         self._num_fpgas = problem.num_fpgas
-        self._wcet = arrays.wcet
-        # Per-CU demand matrix, one row per kernel over every active
-        # dimension (on-chip resource kinds plus bandwidth).
-        self._unit = np.ascontiguousarray(arrays.weights.T)
-        self._bandwidth_row = arrays.bandwidth_row
+        self._wcet_list = arrays.wcet.tolist()
+        # Per-CU demand, one row per kernel over every active dimension
+        # (on-chip resource kinds plus bandwidth), and the largest on-chip
+        # share of one CU.
+        self._unit_lists = arrays.weights.T.tolist()
         resource_columns = [
             d for d in range(arrays.num_dimensions) if d != arrays.bandwidth_row
         ]
-        self._resource_columns = resource_columns
-        self._resource_kinds = tuple(arrays.dimension_names[d] for d in resource_columns)
-        if resource_columns:
-            self._per_cu_footprint = self._unit[:, resource_columns].max(axis=1)
-        else:
-            self._per_cu_footprint = np.zeros(self._num_kernels)
-        # Per-kernel demand rows and their positive-dimension slices, hoisted
-        # out of the placement loops (shared across every pass and polish).
-        self._unit_rows = [self._unit[kernel] for kernel in range(self._num_kernels)]
-        self._positive_columns = [
-            np.nonzero(row > 0)[0] for row in self._unit_rows
+        self._per_cu_list = [
+            max((row[d] for d in resource_columns), default=0.0) for row in self._unit_lists
         ]
-        self._positive_values = [
-            row[columns] for row, columns in zip(self._unit_rows, self._positive_columns)
-        ]
-        self._wcet_list = self._wcet.tolist()
-        self._per_cu_list = self._per_cu_footprint.tolist()
-        # Flat-list copies for the placement pass: at typical sizes (F <= 8,
-        # D <= 3) plain Python arithmetic beats per-call NumPy dispatch, so
-        # the sequential greedy pass runs on lists and only the batched
-        # pieces (oversize precheck, polish swap search) use arrays.
-        self._unit_lists = [row.tolist() for row in self._unit_rows]
+        # Each kernel's positive dimensions, hoisted out of the placement
+        # loops (shared across every pass and polish).
         self._positive_dim_lists = [
-            [(int(d), float(value)) for d, value in zip(columns, values)]
-            for columns, values in zip(self._positive_columns, self._positive_values)
+            [(dimension, value) for dimension, value in enumerate(row) if value > 0]
+            for row in self._unit_lists
         ]
         self._dim_range = range(arrays.num_dimensions)
 
@@ -160,28 +141,28 @@ class GreedyAllocator:
                 raise KeyError(f"missing CU total for kernel {name!r}")
             if totals[name] < 1:
                 raise ValueError(f"kernel {name!r} must have at least one CU")
-        totals_vector = np.asarray([int(totals[name]) for name in self._names], dtype=np.int64)
+        totals_list = [int(totals[name]) for name in self._names]
         # Criticality of losing one CU (eq. 1): fixed per requested totals,
         # so computed once for every pass of the portfolio/retry loop.
         impact = [
             math.inf if count <= 1 else wcet / (count - 1) - wcet / count
-            for wcet, count in zip(self._wcet_list, totals_vector.tolist())
+            for wcet, count in zip(self._wcet_list, totals_list)
         ]
 
         extra = 0.0
         iterations = 0
-        best: tuple[np.ndarray, np.ndarray, float] | None = None
+        best: tuple[list[list[int]], list[int], float] | None = None
         best_quality: tuple[float, int] | None = None
         while True:
             tables = self._caps_tables(extra)
             for rule in self.settings.criticality_rules():
                 iterations += 1
                 counts, remaining, slack = self._allocate_once(
-                    totals_vector, tables, rule, impact
+                    totals_list, tables, rule, impact
                 )
-                if remaining.any() and self.settings.polish:
+                if any(remaining) and self.settings.polish:
                     self._polish(counts, remaining, slack)
-                if not remaining.any():
+                if not any(remaining):
                     return AllocatorResult(
                         success=True,
                         counts=self._counts_mapping(counts),
@@ -204,31 +185,26 @@ class GreedyAllocator:
             constraint_relaxation=used_extra,
             iterations=iterations,
             unallocated={
-                name: int(count)
-                for name, count in zip(self._names, remaining)
-                if count > 0
+                name: count for name, count in zip(self._names, remaining) if count > 0
             },
         )
 
-    def _counts_mapping(self, counts: np.ndarray) -> dict[str, tuple[int, ...]]:
-        return {
-            name: tuple(int(value) for value in row)
-            for name, row in zip(self._names, counts)
-        }
+    def _counts_mapping(self, counts: list[list[int]]) -> dict[str, tuple[int, ...]]:
+        return {name: tuple(row) for name, row in zip(self._names, counts)}
 
-    def _partial_quality(self, counts: np.ndarray) -> tuple[float, int]:
+    def _partial_quality(self, counts: list[list[int]]) -> tuple[float, int]:
         """Ranking key for incomplete allocations (smaller is better).
 
         Primary: the initiation interval achievable with what was placed
         (infinite when a kernel received nothing); secondary: negated number
         of CUs placed.
         """
-        placed = counts.sum(axis=1)
-        if np.any(placed <= 0):
+        placed = [sum(row) for row in counts]
+        if min(placed) <= 0:
             ii = math.inf
         else:
-            ii = float(np.max(self._wcet / placed))
-        return (ii, -int(placed.sum()))
+            ii = max(wcet / count for wcet, count in zip(self._wcet_list, placed))
+        return (ii, -sum(placed))
 
     # ------------------------------------------------------------------ #
     # One allocation pass at a fixed constraint relaxation
@@ -243,22 +219,21 @@ class GreedyAllocator:
         platform = self.problem.platform
         caps_vectors = platform.fpga_scaled_resource_limits(extra_percent)
         bandwidth_limits = platform.fpga_bandwidth_limits()
-        caps = np.empty((self._num_fpgas, self._arrays.num_dimensions))
-        for dimension, kind in enumerate(self._arrays.dimension_names):
-            if dimension == self._bandwidth_row:
-                for fpga in range(self._num_fpgas):
-                    caps[fpga, dimension] = min(100.0, bandwidth_limits[fpga] + extra_percent)
-            else:
-                for fpga in range(self._num_fpgas):
-                    caps[fpga, dimension] = caps_vectors[fpga][kind]
-        rows = caps.tolist()  # (F, D): per-FPGA capacity rows
-        slack_rows = [[value + _TOL for value in row] for row in rows]
+        bandwidth_row = self._arrays.bandwidth_row
+        rows = [  # (F, D): per-FPGA capacity rows
+            [
+                min(100.0, bandwidth_limits[fpga] + extra_percent)
+                if dimension == bandwidth_row
+                else float(caps_vectors[fpga][kind])
+                for dimension, kind in enumerate(self._arrays.dimension_names)
+            ]
+            for fpga in range(self._num_fpgas)
+        ]
         inverse = [[1.0 / value if value > 0 else 0.0 for value in row] for row in rows]
         dims = self._dim_range
         return _CapsTables(
             rows=rows,
-            slack_rows=slack_rows,
-            slack_matrix=np.asarray(slack_rows),
+            slack_rows=[[value + _TOL for value in row] for row in rows],
             inverse=inverse,
             # Normalized footprint of one CU of each kernel on each FPGA.
             unit_norms=[
@@ -267,30 +242,30 @@ class GreedyAllocator:
             ],
         )
 
-    def _max_units(self, slack: np.ndarray, kernel: int) -> np.ndarray:
-        """How many CUs of one kernel each FPGA can still host, shape (F,).
+    def _max_units(self, row: list[float], kernel: int) -> int:
+        """How many CUs of one kernel an FPGA with slack ``row`` can still
+        host (at most ``10**9``; zero or less means "no room")."""
+        limit = 10**9
+        for dimension, value in self._positive_dim_lists[kernel]:
+            ratio = row[dimension] / value
+            if ratio < limit:
+                limit = ratio
+        return int(limit + _TOL) if limit < 10**9 else 10**9
 
-        Entries may be negative when the slack is already (numerically)
-        exhausted; callers treat any non-positive value as "no room".
-        """
-        columns = self._positive_columns[kernel]
-        if columns.size == 0:
-            return np.full(slack.shape[0], 10**9, dtype=np.int64)
-        with np.errstate(over="ignore"):
-            ratios = slack[:, columns] / self._positive_values[kernel]
-        limits = np.floor(ratios.min(axis=1) + _TOL)
-        # Subnormal demands can overflow the division to inf; that means
-        # "unlimited room", which must not wrap around the int64 cast.
-        limits[~np.isfinite(limits)] = 10**9
-        return np.minimum(limits, 10**9).astype(np.int64)
+    def _place(self, row: list[float], unit_k: list[float], batch: int) -> None:
+        """Take ``batch`` CUs of demand ``unit_k`` out of one FPGA's slack."""
+        for dimension in self._dim_range:
+            row[dimension] -= unit_k[dimension] * batch
 
     def _allocate_once(
         self,
-        totals: np.ndarray,
+        totals: list[int],
         tables: _CapsTables,
         criticality_rule: CriticalityRule | None,
         impact: list[float],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[list[list[int]], list[int], list[list[float]]]:
+        """One greedy pass: per-kernel per-FPGA counts, per-kernel CUs left
+        unplaced and per-FPGA slack."""
         rule: CriticalityRule = criticality_rule or self.settings.criticality
         num_fpgas = self._num_fpgas
         dims = self._dim_range
@@ -298,43 +273,24 @@ class GreedyAllocator:
 
         slack = [list(row) for row in tables.rows]
         counts = [[0] * num_fpgas for _ in range(self._num_kernels)]
-        remaining = [int(value) for value in totals]
+        remaining = list(totals)
         touched = [False] * num_fpgas
 
-        def max_units_one(row: list[float], kernel: int) -> int:
-            limit = 10**9
-            for dimension, value in self._positive_dim_lists[kernel]:
-                ratio = row[dimension] / value
-                if ratio < limit:
-                    limit = ratio
-            return int(limit + _TOL) if limit < 10**9 else 10**9
-
-        def place(row: list[float], unit_k: list[float], batch: int) -> None:
-            for dimension in dims:
-                row[dimension] -= unit_k[dimension] * batch
+        def fits_single(kernel: int, count: int) -> bool:
+            unit_k = self._unit_lists[kernel]
+            return any(
+                all(unit_k[dimension] * count <= row[dimension] for dimension in dims)
+                for row in caps_slack_rows
+            )
 
         # ------------------------------------------------------------------
         # Phase 1 (lines 11-21): split kernels too large for a single FPGA
-        # over completely empty FPGAs first.  One batched check finds the
-        # (usually empty) set of kernels whose whole demand fits on no FPGA.
+        # over completely empty FPGAs first.  Usually no kernel is that big.
         # ------------------------------------------------------------------
-        whole_demand = self._unit * totals[:, None]  # (K, D)
-        fits_somewhere = (
-            whole_demand[:, None, :] <= tables.slack_matrix[None, :, :]
-        ).all(axis=2)  # (K, F)
-        oversized = ~fits_somewhere.any(axis=1)
-        if oversized.any():
-            split_set = set(np.nonzero(oversized)[0].tolist())
-
-            def fits_single(kernel: int, count: int) -> bool:
-                unit_k = self._unit_lists[kernel]
-                return any(
-                    all(
-                        unit_k[dimension] * count <= row[dimension] for dimension in dims
-                    )
-                    for row in caps_slack_rows
-                )
-
+        split_set = {
+            kernel for kernel, count in enumerate(totals) if not fits_single(kernel, count)
+        }
+        if split_set:
             for kernel in self._sorted_kernels(impact, remaining, rule):
                 if kernel not in split_set:
                     continue
@@ -348,7 +304,7 @@ class GreedyAllocator:
                     for fpga in range(num_fpgas):
                         if touched[fpga]:
                             continue
-                        units = max_units_one(slack[fpga], kernel)
+                        units = self._max_units(slack[fpga], kernel)
                         if units > target_units:
                             target, target_units = fpga, units
                     if target is None:
@@ -356,7 +312,7 @@ class GreedyAllocator:
                     batch = min(remaining[kernel], target_units)
                     if batch <= 0:
                         break
-                    place(slack[target], unit_k, batch)
+                    self._place(slack[target], unit_k, batch)
                     touched[target] = True
                     counts[kernel][target] += batch
                     remaining[kernel] -= batch
@@ -393,7 +349,7 @@ class GreedyAllocator:
                         fit = False
                         break
                 if fit:
-                    place(row, unit_k, count)
+                    self._place(row, unit_k, count)
                     norm_slack[fpga] -= kernel_norms[fpga] * count
                     touched[fpga] = True
                     counts[kernel][fpga] += count
@@ -405,28 +361,24 @@ class GreedyAllocator:
                     count = remaining[kernel]
                     if count == 0:
                         break
-                    batch = min(count, max_units_one(slack[fpga], kernel))
+                    batch = min(count, self._max_units(slack[fpga], kernel))
                     if batch > 0:
-                        place(slack[fpga], unit_k, batch)
+                        self._place(slack[fpga], unit_k, batch)
                         norm_slack[fpga] -= kernel_norms[fpga] * batch
                         touched[fpga] = True
                         counts[kernel][fpga] += batch
                         remaining[kernel] -= batch
 
-        return (
-            np.asarray(counts, dtype=np.int64),
-            np.asarray(remaining, dtype=np.int64),
-            np.asarray(slack),
-        )
+        return counts, remaining, slack
 
     # ------------------------------------------------------------------ #
     # Repair pass for partial allocations
     # ------------------------------------------------------------------ #
     def _polish(
         self,
-        counts: np.ndarray,
-        remaining: np.ndarray,
-        slack: np.ndarray,
+        counts: list[list[int]],
+        remaining: list[int],
+        slack: list[list[float]],
     ) -> None:
         """Rebalance a partial allocation so dropped CUs hurt the II least.
 
@@ -438,79 +390,85 @@ class GreedyAllocator:
         overall II strictly improves.  It never adds CUs beyond the requested
         totals and never violates the (possibly relaxed) per-FPGA caps.
 
-        The swap search evaluates every (FPGA, victim) pair in one vectorized
-        step per iteration instead of a Python double loop.
+        Ties break as the array form kept in ``tests/polish_oracle.py`` does:
+        the first bottleneck, runners-up in stable order, and the first best
+        swap in (FPGA, victim) order.
         """
-        wcet = self._wcet
-        unit = self._unit
-        num_kernels = self._num_kernels
+        wcet = self._wcet_list
+        unit = self._unit_lists
+        kernels = range(self._num_kernels)
+        dims = self._dim_range
+        placed = [sum(row) for row in counts]
 
-        for _ in range(64 * num_kernels):
-            if not remaining.any():
+        for _ in range(64 * self._num_kernels):
+            if not any(remaining):
                 return
-            placed = counts.sum(axis=1)
-            exec_time = np.divide(
-                wcet, placed, out=np.full(num_kernels, np.inf), where=placed > 0
-            )
-            bottleneck = int(np.argmax(exec_time))
+            exec_time = [
+                wcet[kernel] / placed[kernel] if placed[kernel] > 0 else math.inf
+                for kernel in kernels
+            ]
+            current_ii = max(exec_time)
+            bottleneck = exec_time.index(current_ii)
             if remaining[bottleneck] <= 0:
                 return
-            current_ii = float(exec_time[bottleneck])
             unit_b = unit[bottleneck]
 
             # 1) Free slack somewhere?
-            direct = np.nonzero(self._max_units(slack, bottleneck) >= 1)[0]
-            if direct.size:
-                fpga = int(direct[0])
-                slack[fpga] -= unit_b
-                counts[bottleneck, fpga] += 1
+            target = next(
+                (fpga for fpga, row in enumerate(slack) if self._max_units(row, bottleneck) >= 1),
+                None,
+            )
+            if target is not None:
+                self._place(slack[target], unit_b, 1)
+                counts[bottleneck][target] += 1
                 remaining[bottleneck] -= 1
+                placed[bottleneck] += 1
                 continue
 
             # 2) Swap: evict one CU of another kernel if the net II improves.
             # The post-swap II depends only on the victim kernel, not on the
             # FPGA: max of the bottleneck's improved ET, the victim's degraded
-            # ET, and the largest ET among the untouched kernels.
-            new_bottleneck_et = wcet[bottleneck] / (placed[bottleneck] + 1)
-            victim_et = np.divide(
-                wcet, placed - 1, out=np.full(num_kernels, np.inf), where=placed > 1
-            )
-            # Largest current ET among kernels other than the bottleneck and
-            # the victim: the bottleneck is the top entry, so it is the
-            # second-largest ET -- unless the victim *is* that kernel, in
-            # which case it is the third-largest.
-            top_order = np.argsort(-exec_time, kind="stable")[:3]
-            runners = [int(k) for k in top_order if k != bottleneck][:2]
-            third = np.full(
-                num_kernels, exec_time[runners[0]] if runners else 0.0
-            )
-            if runners:
-                third[runners[0]] = exec_time[runners[1]] if len(runners) > 1 else 0.0
-            new_ii = np.maximum(victim_et, max(new_bottleneck_et, 0.0))
-            np.maximum(new_ii, third, out=new_ii)
-            eligible = (placed >= 2) & (new_ii < current_ii - 1e-12)
-            eligible[bottleneck] = False
-            if not eligible.any():
+            # ET, and the largest ET among the untouched kernels -- the
+            # second-largest ET overall, or the third when the victim is the
+            # runner-up.
+            new_bottleneck_et = max(wcet[bottleneck] / (placed[bottleneck] + 1), 0.0)
+            top = sorted(kernels, key=lambda kernel: -exec_time[kernel])[:3]
+            runners = [kernel for kernel in top if kernel != bottleneck][:2]
+            untouched = [exec_time[runner] for runner in runners] + [0.0, 0.0]
+            new_ii: dict[int, float] = {}
+            for kernel in kernels:
+                if kernel == bottleneck or placed[kernel] < 2:
+                    continue
+                others = untouched[1] if runners and kernel == runners[0] else untouched[0]
+                value = max(wcet[kernel] / (placed[kernel] - 1), new_bottleneck_et, others)
+                if value < current_ii - 1e-12:
+                    new_ii[kernel] = value
+            if not new_ii:
                 return
             # Feasibility per (FPGA, victim): the victim has a CU there and
             # evicting it frees enough room for one bottleneck CU.
-            frees_enough = np.all(
-                slack[:, None, :] + unit[None, :, :] + _TOL >= unit_b[None, None, :], axis=2
-            )
-            feasible = frees_enough & (counts.T >= 1) & eligible[None, :]
-            if not feasible.any():
+            best = None
+            best_ii = math.inf
+            for fpga, row in enumerate(slack):
+                for victim, value in new_ii.items():
+                    if value < best_ii and counts[victim][fpga] >= 1:
+                        unit_v = unit[victim]
+                        if all(
+                            row[dimension] + unit_v[dimension] + _TOL >= unit_b[dimension]
+                            for dimension in dims
+                        ):
+                            best, best_ii = (fpga, victim), value
+            if best is None:
                 return
-            score = np.where(feasible, new_ii[None, :], np.inf)
-            flat_best = int(np.argmin(score))  # first minimum in (FPGA, kernel) order
-            fpga, victim = divmod(flat_best, num_kernels)
-            if not np.isfinite(score[fpga, victim]):
-                return
-            slack[fpga] += unit[victim]
-            counts[victim, fpga] -= 1
+            fpga, victim = best
+            self._place(slack[fpga], unit[victim], -1)
+            self._place(slack[fpga], unit_b, 1)
+            counts[victim][fpga] -= 1
             remaining[victim] += 1
-            slack[fpga] -= unit_b
-            counts[bottleneck, fpga] += 1
+            placed[victim] -= 1
+            counts[bottleneck][fpga] += 1
             remaining[bottleneck] -= 1
+            placed[bottleneck] += 1
 
     # ------------------------------------------------------------------ #
     # Helpers
@@ -518,7 +476,7 @@ class GreedyAllocator:
     def _sorted_kernels(
         self,
         impact: list[float],
-        remaining: list[int] | np.ndarray,
+        remaining: list[int],
         rule: CriticalityRule,
     ) -> list[int]:
         """Kernel indices in decreasing criticality order."""

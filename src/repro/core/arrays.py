@@ -13,8 +13,8 @@ problem into NumPy arrays once:
 
 The arrays are computed lazily and memoized per problem instance (problems
 are frozen, so the cache can never go stale), and every vectorized consumer
--- the bisection kernel of :mod:`repro.gp.minmax`, the discretisation
-branch-and-bound and Algorithm 1 -- shares the same matrices.
+-- the closed-form GP step of :mod:`repro.gp.minmax`, the discretisation
+threshold search and Algorithm 1 -- shares the same matrices.
 """
 
 from __future__ import annotations
@@ -54,12 +54,6 @@ class ProblemArrays:
     def num_dimensions(self) -> int:
         return len(self.dimension_names)
 
-    @property
-    def resource_rows(self) -> np.ndarray:
-        """Row indices of the on-chip resource dimensions (bandwidth excluded)."""
-        rows = [d for d in range(self.num_dimensions) if d != self.bandwidth_row]
-        return np.asarray(rows, dtype=np.intp)
-
     # ------------------------------------------------------------------ #
     # Conversions between name-keyed mappings and kernel-indexed vectors
     # ------------------------------------------------------------------ #
@@ -80,10 +74,6 @@ class ProblemArrays:
     # ------------------------------------------------------------------ #
     # Vectorized capacity checks
     # ------------------------------------------------------------------ #
-    def aggregate_usage(self, counts: np.ndarray) -> np.ndarray:
-        """Platform-wide capacity usage of total CU counts, shape (D,)."""
-        return self.weights @ counts
-
     def aggregate_feasible(
         self, counts: np.ndarray, num_fpgas: int, tolerance: float = 1e-9
     ) -> bool:

@@ -125,13 +125,6 @@ def _pack_items(
     ]
 
 
-def _pack_totals(
-    problem: AllocationProblem, totals: Mapping[str, int], settings: ExactSettings
-):
-    """Try to pack the CU totals into the FPGAs; returns a PackingResult."""
-    return _packer_for(problem, settings).pack(_pack_items(problem, totals))
-
-
 def candidate_ii_values(problem: AllocationProblem) -> list[float]:
     """All candidate optimal II values ``WCET_k / m``, sorted increasingly.
 

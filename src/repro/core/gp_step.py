@@ -4,9 +4,11 @@ Setting ``beta = 0`` and letting ``n_kf`` take real values makes the problem
 symmetric across the ``F`` identical FPGAs, so the CUs distribute equally and
 only the totals ``N̂_k = F * n̂_k`` matter.  The resulting program
 (eqs. 14-18) minimises the relaxed initiation interval subject to aggregated
-(platform-wide) resource and bandwidth constraints.  It is a min-max program,
-so the exact bisection solver of :mod:`repro.gp.minmax` finds its optimum,
-operating on the kernel-indexed arrays memoized on the problem.
+(platform-wide) resource and bandwidth constraints.  It is a min-max program
+whose capacity usage is piecewise ``a + b / II`` between the sorted
+breakpoints ``WCET_k / N_k^min``, so :mod:`repro.gp.minmax` computes its
+exact optimum in closed form from the kernel-indexed arrays memoized on the
+problem.
 """
 
 from __future__ import annotations
@@ -60,22 +62,12 @@ def build_vectorized_minmax(problem: AllocationProblem) -> VectorizedMinMaxProbl
 _MEMO_MAX_ENTRIES = 256
 _memo: "OrderedDict[tuple, GPStepResult]" = OrderedDict()
 _memo_lock = threading.Lock()
-_memo_hits = 0
-_memo_misses = 0
-
-
-def gp_step_cache_info() -> dict[str, int]:
-    """Hit/miss/size counters of the cross-call GP-step memo."""
-    return {"hits": _memo_hits, "misses": _memo_misses, "entries": len(_memo)}
 
 
 def gp_step_cache_clear() -> None:
     """Empty the cross-call memo (used by tests and benchmarks)."""
-    global _memo_hits, _memo_misses
     with _memo_lock:
         _memo.clear()
-        _memo_hits = 0
-        _memo_misses = 0
 
 
 def _memo_key(problem: AllocationProblem) -> tuple | None:
@@ -99,7 +91,6 @@ def solve_gp_step(problem: AllocationProblem) -> GPStepResult:
     repro.gp.errors.InfeasibleError
         If even one CU per kernel exceeds the aggregated platform capacity.
     """
-    global _memo_hits, _memo_misses
     with span("gp_step") as trace_span:
         key = _memo_key(problem)
         if key is not None:
@@ -107,11 +98,9 @@ def solve_gp_step(problem: AllocationProblem) -> GPStepResult:
                 cached = _memo.get(key)
                 if cached is not None:
                     _memo.move_to_end(key)
-                    _memo_hits += 1
                     if trace_span is not None:
                         trace_span.attributes["cached"] = True
                     return cached
-                _memo_misses += 1
         result = _solve_gp_step_uncached(problem)
         if key is not None:
             with _memo_lock:

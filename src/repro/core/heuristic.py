@@ -27,9 +27,11 @@ from .solution import AllocationSolution, SolveOutcome, SolveStatus
 class HeuristicSettings:
     """Configuration of the GP+A heuristic.
 
-    ``gp_backend`` names the GP-step solver.  Bisection is the only one, but
-    the field stays: it is part of every gp+a request fingerprint and of the
-    outcome's ``details["gp_backend"]``.
+    ``gp_backend`` names the GP-step solver.  Its one legal value stays
+    ``"bisection"`` although the solver is now a closed form: the field is
+    part of every gp+a request fingerprint and of the outcome's
+    ``details["gp_backend"]``, so it changes only with the next wire-format
+    revision.
     """
 
     gp_backend: str = "bisection"
@@ -63,22 +65,12 @@ class HeuristicSettings:
 _MEMO_MAX_ENTRIES = 512
 _memo: "OrderedDict[tuple, AllocatorResult]" = OrderedDict()
 _memo_lock = threading.Lock()
-_memo_hits = 0
-_memo_misses = 0
-
-
-def allocation_cache_info() -> dict[str, int]:
-    """Hit/miss/size counters of the cross-call allocation memo."""
-    return {"hits": _memo_hits, "misses": _memo_misses, "entries": len(_memo)}
 
 
 def allocation_cache_clear() -> None:
     """Empty the cross-call memo (used by tests and benchmarks)."""
-    global _memo_hits, _memo_misses
     with _memo_lock:
         _memo.clear()
-        _memo_hits = 0
-        _memo_misses = 0
 
 
 def _allocate_memoized(
@@ -86,7 +78,6 @@ def _allocate_memoized(
     settings: AllocatorSettings,
     totals: "dict[str, int]",
 ) -> AllocatorResult:
-    global _memo_hits, _memo_misses
     try:
         key = (problem.pipeline, problem.platform, settings, tuple(sorted(totals.items())))
         hash(key)
@@ -97,9 +88,7 @@ def _allocate_memoized(
             cached = _memo.get(key)
             if cached is not None:
                 _memo.move_to_end(key)
-                _memo_hits += 1
                 return cached
-            _memo_misses += 1
     result = GreedyAllocator(problem, settings).allocate(totals)
     if key is not None:
         with _memo_lock:

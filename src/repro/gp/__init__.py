@@ -2,8 +2,9 @@
 
 The paper's heuristic links its allocator to "an existing efficient GP
 solver" (GPkit).  The GP its first step produces (eqs. 14-18) is a min-max
-program whose optimum bisection finds exactly, so this package holds just
-that solver (:mod:`repro.gp.minmax`) and its errors.
+program whose capacity usage is piecewise ``a + b / II`` between sorted
+breakpoints, so its optimum has a closed form; this package holds just that
+solver (:mod:`repro.gp.minmax`) and its errors.
 """
 
 from .errors import GPError, InfeasibleError

@@ -1,4 +1,4 @@
-"""Exact bisection solver for min-max-latency geometric programs.
+"""Closed-form solver for min-max-latency geometric programs.
 
 The relaxed allocation problem of the paper (eqs. 14-18) has a special
 structure: minimise ``II`` subject to
@@ -8,21 +8,31 @@ structure: minimise ``II`` subject to
     sum_k N_k * w_{k,d} <= C_d   (one linear capacity constraint per
                                   resource kind and for bandwidth, eqs. 17-18)
 
-For a fixed ``II`` the cheapest choice is ``N_k = max(1, WCET_k / II)``, and
-the capacity usage is non-increasing in ``II``; hence feasibility is monotone
-in ``II`` and the optimum can be found by bisection to machine precision.
-:class:`VectorizedMinMaxProblem` runs that bisection over kernel-indexed
-NumPy arrays, with optional per-kernel box bounds on ``N_k``.  The test
-suite checks it against an independent LP formulation of the same program.
+For a fixed ``II`` the cheapest choice is ``N_k = max(lo_k, WCET_k / II)``,
+so each capacity row's usage is non-increasing in ``II``.  Between the
+sorted breakpoints ``t_k = WCET_k / lo_k`` it is ``A + B / II``: ``A`` sums
+the kernels already at their minimum and ``B`` the work of the rest.  Each
+row therefore reaches its capacity at ``B / (C - A)`` on exactly one segment,
+and the optimum is the largest of those row thresholds and the cap floor
+``max_k WCET_k / hi_k`` that optional per-kernel caps ``N_k <= hi_k`` impose.
+The test suite checks :class:`VectorizedMinMaxProblem` against an
+independent LP formulation of the same program and against a bisection.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InfeasibleError
+
+#: Absolute capacity slack of the feasibility test and of the optimum.
+_TOL = 1e-9
+#: Smallest II returned, for programs where no capacity row binds.
+_MIN_II = 1e-12
 
 
 class VectorizedMinMaxProblem:
@@ -53,9 +63,15 @@ class VectorizedMinMaxProblem:
             raise ValueError("capacities must be non-negative")
         if np.any(self.weights < 0):
             raise ValueError("capacity weights must be non-negative")
-        # Work-conservation numerators (sum_k WCET_k * w_{k,d}) are constant
-        # across solves, so the lower bound is a single division.
-        self._work = self.weights @ self.wcet
+        # The work-conservation bound (sum_k WCET_k * w_{k,d} / C_d) is
+        # constant across solves.
+        positive = self.capacity > 0
+        work = (self.weights @ self.wcet)[positive]
+        self._lower_bound = float(np.max(work / self.capacity[positive], initial=0.0))
+        # Plain-float copies for the closed form's per-row scans.
+        self._wcet_list = self.wcet.tolist()
+        self._weight_rows = self.weights.tolist()
+        self._room_list = (self.capacity + _TOL).tolist()
 
     # ------------------------------------------------------------------ #
     # Core relations
@@ -72,25 +88,18 @@ class VectorizedMinMaxProblem:
         return counts
 
     def is_feasible_ii(
-        self,
-        ii: float,
-        min_counts: np.ndarray,
-        max_counts: np.ndarray | None,
-        tolerance: float = 1e-9,
+        self, ii: float, min_counts: np.ndarray, max_counts: np.ndarray | None
     ) -> bool:
         """Whether the cheapest counts for ``ii`` satisfy all capacities."""
         counts = self.counts_for_ii(ii, min_counts, max_counts)
         if max_counts is not None:
-            if np.any(self.wcet / counts > ii * (1 + 1e-12) + tolerance):
+            if np.any(self.wcet / counts > ii * (1 + 1e-12) + _TOL):
                 return False
-        return bool(np.all(self.weights @ counts <= self.capacity + tolerance))
+        return bool(np.all(self.weights @ counts <= self.capacity + _TOL))
 
     def lower_bound(self) -> float:
         """A valid lower bound on the optimal II (work-conservation bound)."""
-        positive = self.capacity > 0
-        if not np.any(positive):
-            return 0.0
-        return float(max(0.0, np.max(self._work[positive] / self.capacity[positive])))
+        return self._lower_bound
 
     # ------------------------------------------------------------------ #
     # Solve
@@ -99,10 +108,8 @@ class VectorizedMinMaxProblem:
         self,
         min_counts: np.ndarray | None = None,
         max_counts: np.ndarray | None = None,
-        tolerance: float = 1e-10,
-        max_iterations: int = 200,
     ) -> tuple[float, np.ndarray]:
-        """Return the optimal ``(II, counts)`` pair by bisection.
+        """Return the optimal ``(II, counts)`` pair in closed form.
 
         Raises
         ------
@@ -119,16 +126,41 @@ class VectorizedMinMaxProblem:
                 "minimum CU counts already exceed the platform capacity; "
                 "the relaxed allocation problem is infeasible"
             )
-        low = max(self.lower_bound(), 1e-12)
-        if low > high:
-            low = high
-        for _ in range(max_iterations):
-            if high - low <= tolerance * max(1.0, high):
-                break
-            mid = 0.5 * (low + high)
-            if self.is_feasible_ii(mid, min_counts, max_counts):
-                high = mid
-            else:
-                low = mid
-        counts = self.counts_for_ii(high, min_counts, max_counts)
+        floor = max(self._lower_bound, _MIN_II)
+        lowest = min_counts
+        if max_counts is not None:
+            floor = max(floor, float(np.max(self.wcet / max_counts)))
+            lowest = np.minimum(min_counts, max_counts)
+        ii = min(max(self._row_threshold(lowest.tolist()), floor), high)
+        counts = self.counts_for_ii(ii, min_counts, max_counts)
         return float(np.max(self.wcet / counts)), counts
+
+    def _row_threshold(self, lowest: list[float]) -> float:
+        """Smallest II at which every capacity row fits, caps aside.
+
+        Segment ``j`` of the sorted breakpoints spans ``[t_(j-1), t_(j)]``
+        (``t_(-1) = 0``, ``t_(K) = inf``); on it the first ``j`` kernels sit
+        at ``lowest`` (usage ``fixed``) and the rest at ``WCET / II`` (usage
+        ``scaled / II``).  The lowest segment whose answer
+        ``scaled / (C + tol - fixed)`` lies at or below its top holds the
+        row's threshold, clamped to the segment's bottom.  At ``K <= 20``
+        kernels and a few rows, plain floats beat array calls.
+        """
+        wcet = self._wcet_list
+        breakpoints = [time / low for time, low in zip(wcet, lowest)]
+        order = sorted(range(len(wcet)), key=breakpoints.__getitem__)
+        tops = [breakpoints[kernel] for kernel in order] + [math.inf]
+        bottoms = [0.0] + tops[:-1]
+        threshold = 0.0
+        for row, room in zip(self._weight_rows, self._room_list):
+            fixed = [0.0, *accumulate(row[kernel] * lowest[kernel] for kernel in order)]
+            scaled = [*accumulate(row[kernel] * wcet[kernel] for kernel in reversed(order))]
+            scaled = scaled[::-1] + [0.0]
+            for top, bottom, used, work in zip(tops, bottoms, fixed, scaled):
+                left = room - used
+                if left > 0 and work / left <= top:
+                    threshold = max(threshold, work / left, bottom)
+                    break
+            else:
+                return math.inf
+        return threshold

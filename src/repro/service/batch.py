@@ -15,6 +15,7 @@ import threading
 import time
 from collections import Counter, OrderedDict
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from ..core.exact import ExactSettings
@@ -22,12 +23,10 @@ from ..core.heuristic import HeuristicSettings
 from ..core.problem import AllocationProblem
 from ..core.solution import SolveOutcome, SolveStatus
 from ..core.solvers import METHODS
-from ..explore.executor import DEFAULT_EXECUTOR, SolveTask, SweepExecutor, run_solve_task
+from ..explore.executor import SERIAL_EXECUTOR, SolveTask, SweepExecutor, run_solve_task
 from ..obs.trace import span
 from ..workloads.serialization import SerializationError, problem_from_dict, problem_to_dict
-from .canonical import canonical_fpga_order
-from .canonical import fingerprint as compute_fingerprint
-from .canonical import group_key as compute_group_key
+from .canonical import canonical_fpga_order, request_keys
 from .canonical import outcome_payload_from_canonical, outcome_payload_to_canonical
 from .store import ResultStore
 
@@ -116,24 +115,17 @@ class SolveRequest:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; options: {METHODS}")
 
+    @cached_property
+    def _keys(self) -> tuple[str, str]:
+        return request_keys(self.problem, self.method, self.heuristic_settings, self.exact_settings)
+
     def fingerprint(self) -> str:
         """Canonical content fingerprint, memoized (the request is frozen)."""
-        cached = self.__dict__.get("_cached_fingerprint")
-        if cached is None:
-            cached = compute_fingerprint(
-                self.problem, self.method, self.heuristic_settings, self.exact_settings
-            )
-            object.__setattr__(self, "_cached_fingerprint", cached)
-        return cached
+        return self._keys[0]
 
     def group_key(self) -> str:
-        cached = self.__dict__.get("_cached_group_key")
-        if cached is None:
-            cached = compute_group_key(
-                self.problem, self.method, self.heuristic_settings, self.exact_settings
-            )
-            object.__setattr__(self, "_cached_group_key", cached)
-        return cached
+        """Memo-sharing group (see :func:`repro.service.canonical.group_key`)."""
+        return self._keys[1]
 
     def task(self) -> SolveTask:
         return SolveTask(
@@ -556,10 +548,11 @@ def solve_batch(
     are the *same object* (they are semantically one result).
 
     Cacheable outcomes (everything but ``ERROR``) are written back to the
-    store under their request fingerprint.
+    store under their request fingerprint.  ``executor`` defaults to solving
+    in this process, one request after another, as the server does.
     """
     start = time.perf_counter()
-    executor = executor or DEFAULT_EXECUTOR
+    executor = executor or SERIAL_EXECUTOR
     store = store if store is not None else ResultStore()
     request_list = list(requests)
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Any, Mapping
 
 from ..core.exact import ExactSettings
@@ -57,21 +57,33 @@ def canonical_value(value: Any) -> Any:
     folded onto ``0.0``, and containers are normalised recursively.  Mapping
     key order is irrelevant because :func:`canonical_json` sorts keys.
     """
+    if isinstance(value, Mapping):
+        return {str(key): canonical_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [canonical_value(item) for item in value]
+    return _canonical_scalar(value)
+
+
+def _canonical_scalar(value: Any) -> Any:
+    """:func:`canonical_value` of one scalar (a string, bool, number or None)."""
+    if type(value) is float:  # the common case; folds -0.0 onto 0.0
+        return value if value else 0.0
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, (int, float)):
         number = float(value)
         return 0.0 if number == 0.0 else number
-    if isinstance(value, Mapping):
-        return {str(key): canonical_value(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [canonical_value(item) for item in value]
     raise TypeError(f"cannot canonicalise value of type {type(value).__name__}")
+
+
+def _dumps(document: Any) -> str:
+    """JSON text of an already canonical document (sorted keys, compact)."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON text of a canonicalised payload."""
-    return json.dumps(canonical_value(payload), sort_keys=True, separators=(",", ":"))
+    return _dumps(canonical_value(payload))
 
 
 # --------------------------------------------------------------------------- #
@@ -87,7 +99,11 @@ def _class_capacity_key(resource_limit, bandwidth_limit: float) -> tuple:
 
 
 def _canonical_platform_document(platform: MultiFPGAPlatform) -> dict[str, Any]:
-    """Order-free platform document: homogeneous form, or sorted class multiset."""
+    """Order-free platform document: homogeneous form, or sorted class multiset.
+
+    Canonical as built, like :func:`canonical_problem`.
+    """
+    scalar = _canonical_scalar
     groups: dict[tuple, int] = {}
     for device_class in platform.device_classes:
         key = _class_capacity_key(device_class.resource_limit, device_class.bandwidth_limit)
@@ -97,23 +113,23 @@ def _canonical_platform_document(platform: MultiFPGAPlatform) -> dict[str, Any]:
         # the original flat document, byte-identical for legacy platforms.
         reference = platform.device_classes[0]
         return {
-            "num_fpgas": platform.num_fpgas,
+            "num_fpgas": scalar(platform.num_fpgas),
             "resource_limit": {
-                kind: reference.resource_limit[kind] for kind in RESOURCE_KINDS
+                kind: scalar(reference.resource_limit[kind]) for kind in RESOURCE_KINDS
             },
-            "bandwidth_limit": reference.bandwidth_limit,
+            "bandwidth_limit": scalar(reference.bandwidth_limit),
         }
     classes = []
     for key in sorted(groups, reverse=True):
-        resources = dict(zip(RESOURCE_KINDS, key[: len(RESOURCE_KINDS)]))
+        resources = {kind: scalar(value) for kind, value in zip(RESOURCE_KINDS, key)}
         classes.append(
             {
-                "count": groups[key],
+                "count": scalar(groups[key]),
                 "resource_limit": resources,
-                "bandwidth_limit": key[-1],
+                "bandwidth_limit": scalar(key[-1]),
             }
         )
-    return {"num_fpgas": platform.num_fpgas, "classes": classes}
+    return {"num_fpgas": scalar(platform.num_fpgas), "classes": classes}
 
 
 def canonical_fpga_order(platform: MultiFPGAPlatform) -> "tuple[int, ...] | None":
@@ -188,31 +204,41 @@ def outcome_payload_from_canonical(
 def canonical_problem(problem: AllocationProblem) -> dict[str, Any]:
     """Order- and formatting-independent document of one allocation problem.
 
-    Memoized on the (frozen) problem instance -- a batch of requests over a
-    handful of distinct problems canonicalises each problem once.  Callers
-    must treat the returned document as immutable.
+    The document is canonical as built (numbers are floats, ``-0.0`` is
+    ``0.0``), and memoized on the (frozen) problem instance -- a batch of
+    requests over a handful of distinct problems canonicalises each problem
+    once.  Callers must treat the returned document as immutable.
     """
     cached = problem.__dict__.get("_cached_canonical_document")
     if cached is not None:
         return cached
-    kernels = []
-    for kernel in sorted(problem.pipeline, key=lambda k: k.name):
-        kernels.append(
-            {
-                "name": kernel.name,
-                "resources": {kind: kernel.resources[kind] for kind in RESOURCE_KINDS},
-                "bandwidth": kernel.bandwidth,
-                "wcet_ms": kernel.wcet_ms,
-                "max_cus": kernel.max_cus,
-            }
-        )
     document = {
-        "kernels": kernels,
+        "kernels": _canonical_kernels(problem.pipeline),
         "platform": _canonical_platform_document(problem.platform),
-        "weights": {"alpha": problem.weights.alpha, "beta": problem.weights.beta},
+        "weights": _canonical_weights(problem.weights),
     }
     object.__setattr__(problem, "_cached_canonical_document", document)
     return document
+
+
+def _canonical_kernels(pipeline) -> list[dict[str, Any]]:
+    """Canonical kernel documents, sorted by name (allocation is order-free)."""
+    scalar = _canonical_scalar
+    return [
+        {
+            "name": scalar(kernel.name),
+            "resources": {kind: scalar(kernel.resources[kind]) for kind in RESOURCE_KINDS},
+            "bandwidth": scalar(kernel.bandwidth),
+            "wcet_ms": scalar(kernel.wcet_ms),
+            "max_cus": scalar(kernel.max_cus),
+        }
+        for kernel in sorted(pipeline, key=lambda k: k.name)
+    ]
+
+
+def _canonical_weights(weights) -> dict[str, Any]:
+    """Canonical objective weights (alpha, beta)."""
+    return {"alpha": _canonical_scalar(weights.alpha), "beta": _canonical_scalar(weights.beta)}
 
 
 def canonical_request(
@@ -229,6 +255,8 @@ def canonical_request(
 
     * ``"minlp"`` never reads the heuristic settings and zeroes ``beta``;
     * the exact methods are the only readers of :class:`ExactSettings`.
+
+    Like the problem document, the result is canonical as built.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; options: {METHODS}")
@@ -239,16 +267,51 @@ def canonical_request(
             **problem_document,
             "weights": {**problem_document["weights"], "beta": 0.0},
         }
-    document = {
-        "version": CANONICAL_VERSION,
+    if method == "gp+a":
+        settings_key, settings = "heuristic_settings", heuristic_settings or HeuristicSettings()
+    else:
+        settings_key, settings = "exact_settings", exact_settings or ExactSettings()
+    return {
+        "version": _canonical_scalar(CANONICAL_VERSION),
         "method": method,
         "problem": problem_document,
+        # Both settings classes are flat dataclasses of scalars.
+        settings_key: {
+            field.name: _canonical_scalar(getattr(settings, field.name))
+            for field in fields(settings)
+        },
     }
+
+
+#: Settings a gp+a request's allocator alone reads: they split fingerprints
+#: but not memo-sharing groups.
+_ALLOCATOR_ONLY = ("t_percent", "delta_percent", "criticality")
+
+
+def request_keys(
+    problem: AllocationProblem,
+    method: str = "gp+a",
+    heuristic_settings: HeuristicSettings | None = None,
+    exact_settings: ExactSettings | None = None,
+) -> tuple[str, str]:
+    """The :func:`fingerprint` and :func:`group_key` of one request.
+
+    Both come from one canonical build, whose problem part is rendered to
+    text once: each key splices its settings text ahead of that rest, which
+    is where ``canonical_json`` sorts the settings key, so both texts are
+    byte-identical to ``canonical_json`` of their documents.
+    """
+    document = canonical_request(problem, method, heuristic_settings, exact_settings)
+    settings_key = "heuristic_settings" if method == "gp+a" else "exact_settings"
+    settings = document.pop(settings_key)
+    head, tail = '{"' + settings_key + '":', "," + _dumps(document)[1:]
+    text = head + _dumps(settings) + tail
+    group = text
     if method == "gp+a":
-        document["heuristic_settings"] = asdict(heuristic_settings or HeuristicSettings())
-    else:
-        document["exact_settings"] = asdict(exact_settings or ExactSettings())
-    return document
+        for allocator_only in _ALLOCATOR_ONLY:
+            del settings[allocator_only]
+        group = head + _dumps(settings) + tail
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), group
 
 
 def fingerprint(
@@ -258,8 +321,26 @@ def fingerprint(
     exact_settings: ExactSettings | None = None,
 ) -> str:
     """SHA-256 content fingerprint of one allocation request."""
-    document = canonical_request(problem, method, heuristic_settings, exact_settings)
-    return hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()
+    return request_keys(problem, method, heuristic_settings, exact_settings)[0]
+
+
+def group_key(
+    problem: AllocationProblem,
+    method: str = "gp+a",
+    heuristic_settings: HeuristicSettings | None = None,
+    exact_settings: ExactSettings | None = None,
+) -> str:
+    """Memo-sharing group of a request: same constrained problem + GP config.
+
+    Requests in one group reuse each other's per-process caches: the GP
+    relaxation and the discretisation memo depend on the problem (pipeline +
+    constraint) and the GP/discretisation settings, but *not* on the
+    allocator parameters ``T``/``delta``/``criticality``.  The batch API
+    sorts tasks by this key before handing them to the executor so one
+    worker solves the shared prefix once -- the same trick the Figure 2
+    T-sweep uses.
+    """
+    return request_keys(problem, method, heuristic_settings, exact_settings)[1]
 
 
 # --------------------------------------------------------------------------- #
@@ -287,26 +368,15 @@ def canonical_fleet(fleet) -> dict[str, Any]:
         }
         for device_class in fleet.classes
     ]
-    tenants = []
-    for tenant in fleet.tenants:
-        kernels = [
-            {
-                "name": kernel.name,
-                "resources": {kind: kernel.resources[kind] for kind in RESOURCE_KINDS},
-                "bandwidth": kernel.bandwidth,
-                "wcet_ms": kernel.wcet_ms,
-                "max_cus": kernel.max_cus,
-            }
-            for kernel in sorted(tenant.pipeline, key=lambda k: k.name)
-        ]
-        tenants.append(
-            {
-                "id": tenant.id,
-                "weight": tenant.weight,
-                "weights": {"alpha": tenant.weights.alpha, "beta": tenant.weights.beta},
-                "kernels": kernels,
-            }
-        )
+    tenants = [
+        {
+            "id": tenant.id,
+            "weight": tenant.weight,
+            "weights": _canonical_weights(tenant.weights),
+            "kernels": _canonical_kernels(tenant.pipeline),
+        }
+        for tenant in fleet.tenants
+    ]
     return {"classes": classes, "tenants": tenants}
 
 
@@ -324,26 +394,3 @@ def fleet_fingerprint(fleet, mode: str = "heuristic") -> str:
         "fleet": canonical_fleet(fleet),
     }
     return hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()
-
-
-def group_key(
-    problem: AllocationProblem,
-    method: str = "gp+a",
-    heuristic_settings: HeuristicSettings | None = None,
-    exact_settings: ExactSettings | None = None,
-) -> str:
-    """Memo-sharing group of a request: same constrained problem + GP config.
-
-    Requests in one group reuse each other's per-process caches: the GP
-    relaxation and the discretisation memo depend on the problem (pipeline +
-    constraint) and the GP/discretisation settings, but *not* on the
-    allocator parameters ``T``/``delta``/``criticality``.  The batch API
-    sorts tasks by this key before handing them to the executor so one
-    worker solves the shared prefix once -- the same trick the Figure 2
-    T-sweep uses.
-    """
-    document = canonical_request(problem, method, heuristic_settings, exact_settings)
-    if method == "gp+a":
-        for allocator_only in ("t_percent", "delta_percent", "criticality"):
-            document["heuristic_settings"].pop(allocator_only, None)
-    return canonical_json(document)

@@ -6,8 +6,8 @@ that search, on top of the generic engine of :mod:`repro.minlp`, as the
 oracle the production threshold search in :mod:`repro.core.discretize` is
 checked against.  It is the former production discretiser with two
 differences: it has no cross-call memo, and every node solves its
-relaxation with a cold bisection instead of a closed-form breakpoint
-kernel.  Its result also carries the search's relaxation-cache counters.
+relaxation with the bisection of ``tests/minmax_oracle.py`` instead of the
+production closed form.  Its result also carries the search's relaxation-cache counters.
 
 It carries one known defect, kept on purpose so differential tests can
 recognise it: the search is seeded with ``floor(N̂)`` without checking the
@@ -23,6 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
+from minmax_oracle import bisection_min_max
 from repro.core.discretize import DiscretizationError, DiscretizationResult
 from repro.core.gp_step import build_vectorized_minmax
 from repro.core.problem import AllocationProblem
@@ -93,7 +94,7 @@ def oracle_discretize(
         min_counts = node_bounds.lower.astype(np.float64)
         max_counts = node_bounds.upper.astype(np.float64)
         try:
-            ii, count_vector = minmax.solve(min_counts=min_counts, max_counts=max_counts)
+            ii, count_vector = bisection_min_max(minmax, min_counts, max_counts)
         except InfeasibleError:
             return RelaxationResult.infeasible()
         return RelaxationResult(

@@ -12,10 +12,12 @@ minimises its goal ``alpha * II + beta * phi*(II)`` without derivatives:
   ``sum_f n_kf >= WCET_k * t`` and ``sum_f n_kf >= 1``, capped at the largest
   WCET (beyond it every coverage requirement is 1 and the goal only grows);
 * the goal is convex in ``s = 1/II``, so ``phi*`` is solved on a dense grid
-  in ``s``, then on a dense grid between the neighbours of the best grid
-  point, where the minimiser lies;
+  in ``s``, then twice more on a dense grid between the neighbours of the
+  previous grid's best point, where the minimiser lies (a single refinement
+  can leave two kinks in neighbouring cells, with no line through the
+  piece between them);
 * ``phi*`` is piecewise linear in ``s``: lines through neighbouring points
-  of the refined grid intersect exactly at its kinks, and each line's
+  of the last grid intersect exactly at its kinks, and each line's
   ``alpha / s + beta * line(s)`` is stationary at
   ``sqrt(alpha / (beta * slope))``.  Those points near the best refined
   point are solved too.
@@ -38,8 +40,10 @@ from repro.core.problem import AllocationProblem
 from repro.core.relaxations import variable_name
 from repro.minlp.bounds import VariableBounds
 
-#: Points of the coarse grid and of the refined grid around its best point.
+#: Points of the coarse grid and of each refined grid around its best point.
 GRID_POINTS = 48
+#: Refinements after the coarse grid.
+REFINEMENTS = 2
 
 
 def _static_rows(problem: AllocationProblem) -> np.ndarray:
@@ -139,9 +143,10 @@ def oracle_minimum(problem: AllocationProblem, bounds: VariableBounds) -> float 
         return alpha / s + beta * phi(s)
 
     s_low, s_high = 1.0 / ii_high, 1.0 / ii_low
-    grid = np.linspace(s_low, s_high, GRID_POINTS)
-    best = int(np.argmin([goal(s) for s in grid]))
-    fine = np.linspace(grid[max(best - 1, 0)], grid[min(best + 1, GRID_POINTS - 1)], GRID_POINTS)
+    fine = np.linspace(s_low, s_high, GRID_POINTS)
+    for _ in range(REFINEMENTS):
+        best = int(np.argmin([goal(s) for s in fine]))
+        fine = np.linspace(fine[max(best - 1, 0)], fine[min(best + 1, GRID_POINTS - 1)], GRID_POINTS)
     values = np.array([phi(s) for s in fine])
     center = int(np.argmin(alpha / fine + beta * values))
     lines = []

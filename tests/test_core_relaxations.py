@@ -2,13 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
 from minlpg_oracle import split_variable_name
 
 from repro.core.objective import ObjectiveWeights
-from repro.core.relaxations import AllocationRelaxation, variable_name, variable_names
+from repro.core.relaxations import (
+    AllocationRelaxation,
+    _PersistentHighsLP,
+    highspy_available,
+    variable_name,
+    variable_names,
+)
 from repro.core.solution import AllocationSolution
 from repro.minlp.bounds import VariableBounds
+from repro.reporting.experiments import case_study
 
 
 def full_bounds(problem, upper=6):
@@ -194,3 +202,22 @@ class TestAllocationRelaxation:
         # Symmetry breaking can only tighten (raise) the bound, never loosen it
         # below the unconstrained relaxation.
         assert with_symmetry.objective >= without_symmetry.objective - 1e-6
+
+
+@pytest.mark.skipif(not highspy_available(), reason="no HiGHS bindings in this environment")
+@pytest.mark.parametrize("case", ["alex-16", "vgg-16"])
+def test_persistent_model_holds_the_column_wise_nonzeros(case):
+    """The model HiGHS receives lists every nonzero column by column, rows
+    ascending, as ``np.nonzero(matrix.T)`` enumerates them."""
+    problem = case_study(case, 70.0)
+    model = AllocationRelaxation(problem=problem, weights=problem.weights)._model
+    for cost, matrix, rhs, bounds in (
+        (model.goal_cost, model.goal_a, model.goal_b, model.goal_bounds),
+        (model.feas_cost, model.feas_a, model.feas_b, model.feas_bounds),
+    ):
+        passed = _PersistentHighsLP(cost, matrix, rhs, bounds)._solver.getLp().a_matrix_
+        columns, rows = np.nonzero(matrix.T)
+        starts = np.concatenate(([0], np.cumsum(np.bincount(columns, minlength=matrix.shape[1]))))
+        assert list(passed.start_) == starts.tolist()
+        assert list(passed.index_) == rows.tolist()
+        assert list(passed.value_) == matrix[rows, columns].tolist()

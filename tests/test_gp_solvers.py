@@ -1,4 +1,4 @@
-"""Tests for the bisection min-max solver on small hand-checked programs."""
+"""Tests for the closed-form min-max solver on small hand-checked programs."""
 
 import numpy as np
 import pytest

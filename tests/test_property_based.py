@@ -107,7 +107,7 @@ def test_secant_never_overestimates_spreading_term(lower, width, position):
 
 
 # --------------------------------------------------------------------------- #
-# Min-max bisection solver
+# Min-max (GP step) solver
 # --------------------------------------------------------------------------- #
 @given(
     st.lists(st.floats(min_value=0.5, max_value=50.0), min_size=1, max_size=6),

@@ -83,3 +83,27 @@ def test_node_bound_is_certified(backend, data):
         index = box.names.index(name)
         child = box.with_upper(index, split) if data.draw(st.booleans()) else box.with_lower(index, split)
         assert_matches_oracle(problem, child, relaxation.solve(child, result))
+
+
+@pytest.mark.parametrize(
+    "backend",
+    ["scipy", pytest.param("highs", marks=pytest.mark.skipif(
+        not highspy_available(), reason="no HiGHS bindings in this environment"
+    ))],
+)
+def test_bound_at_a_kink_the_grids_straddle(backend, monkeypatch):
+    """alex-16 at 55 % with two caps lowered: the goal's minimum sits on a
+    kink of phi near the top of the bracket (s ~ 0.71013), between the
+    refined grid's points and off its kink lines.  The relaxation probes it
+    (goal 1.926860); the oracle must find it too, not stop at 1.927114."""
+    problem, root_box = root("alex-16", 55.0)
+    ranges = {
+        name: (low, max(high - {0: 2, 1: 1}.get(index, 0), low))
+        for index, (name, low, high) in enumerate(
+            zip(root_box.names, root_box.lower.tolist(), root_box.upper.tolist())
+        )
+    }
+    box = VariableBounds.from_ranges(ranges)
+    monkeypatch.setenv("REPRO_LP_BACKEND", backend)
+    relaxation = AllocationRelaxation(problem=problem, weights=problem.weights)
+    assert_matches_oracle(problem, box, relaxation.solve(box))

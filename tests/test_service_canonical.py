@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -10,15 +11,21 @@ from repro.core.exact import ExactSettings
 from repro.core.heuristic import HeuristicSettings
 from repro.core.objective import ObjectiveWeights
 from repro.core.problem import AllocationProblem
-from repro.platform.presets import aws_f1
+from repro.platform.multi_fpga import MultiFPGAPlatform
+from repro.platform.presets import aws_f1, mixed_fleet
+from repro.reporting.experiments import case_study
+from repro.service.batch import SolveRequest
 from repro.service.canonical import (
     canonical_json,
     canonical_request,
     canonical_value,
     fingerprint,
+    fleet_fingerprint,
     group_key,
 )
+from repro.workloads.alexnet import alexnet_fx16
 from repro.workloads.pipeline import Pipeline
+from repro.workloads.tenants import synthetic_fleet
 
 
 def problem_with(pipeline, num_fpgas=2, resource=80.0, weights=None):
@@ -149,3 +156,174 @@ class TestMemoizedCanonicalDocument:
         repeat = fingerprint(problem)          # second call hits the memo
         fresh = fingerprint(problem_with(tiny_pipeline))  # no memo, fresh instance
         assert fingerprint(problem) == repeat == fresh
+
+
+# --------------------------------------------------------------------------- #
+# Golden fingerprints: store and WAL keys, recorded before the canonical
+# request build was rewritten.  A change here orphans every stored result.
+# --------------------------------------------------------------------------- #
+GOLDEN_EXACT_SETTINGS = ExactSettings(max_nodes=3, time_limit_seconds=120.0)
+
+
+def golden_hetero(reverse: bool = False, beta: float = 0.0) -> AllocationProblem:
+    platform = mixed_fleet(2, 2, 70.0)
+    if reverse:
+        platform = MultiFPGAPlatform.from_classes(tuple(reversed(platform.classes)), name="other")
+    return AllocationProblem(
+        pipeline=alexnet_fx16(), platform=platform, weights=ObjectiveWeights(alpha=1.0, beta=beta)
+    )
+
+
+GOLDEN_PROBLEMS = {
+    "alex-16@70": lambda: case_study("alex-16", 70.0),  # Table 4 weights: beta != 0
+    "alex-16@70-int": lambda: case_study("alex-16", 70),
+    "vgg-16@61.5": lambda: case_study("vgg-16", 61.5),
+    "hetero": golden_hetero,
+    "hetero-permuted": lambda: golden_hetero(reverse=True),
+    "hetero-beta": lambda: golden_hetero(beta=0.5),
+}
+
+#: (problem, method) -> (fingerprint, sha256 of the group key text).
+GOLDEN = {
+    ("alex-16@70", "gp+a"): (
+        "8ab50d958d2864f336f89088d87effe2be3cd7c67c2dd916956c9f25dfd62069",
+        "0f085352ec2554c8887638783ede39984873e37627e6a3d28ecd0021cb16e5a7",
+    ),
+    ("alex-16@70", "minlp"): (
+        "dc8bd63298768a458e4fd83236a2c54f8b421b9177be8737e02cf58f15b881ab",
+        "dc8bd63298768a458e4fd83236a2c54f8b421b9177be8737e02cf58f15b881ab",
+    ),
+    ("alex-16@70", "minlp+g"): (
+        "45632137d4acd0de03cf71d825ffbf57320d69ad20c063b886a6c02ecd8a39d2",
+        "45632137d4acd0de03cf71d825ffbf57320d69ad20c063b886a6c02ecd8a39d2",
+    ),
+    ("alex-16@70-int", "gp+a"): (
+        "8ab50d958d2864f336f89088d87effe2be3cd7c67c2dd916956c9f25dfd62069",
+        "0f085352ec2554c8887638783ede39984873e37627e6a3d28ecd0021cb16e5a7",
+    ),
+    ("alex-16@70-int", "minlp"): (
+        "dc8bd63298768a458e4fd83236a2c54f8b421b9177be8737e02cf58f15b881ab",
+        "dc8bd63298768a458e4fd83236a2c54f8b421b9177be8737e02cf58f15b881ab",
+    ),
+    ("alex-16@70-int", "minlp+g"): (
+        "45632137d4acd0de03cf71d825ffbf57320d69ad20c063b886a6c02ecd8a39d2",
+        "45632137d4acd0de03cf71d825ffbf57320d69ad20c063b886a6c02ecd8a39d2",
+    ),
+    ("vgg-16@61.5", "gp+a"): (
+        "382c2435eef82f84731badec16c4fec6ec7021ef9af59f9498f914bfdaa94b21",
+        "3af2fe5940aaba6d49e3a9f9ca8492a8913a7c3078963538c0fb725bc1197237",
+    ),
+    ("vgg-16@61.5", "minlp"): (
+        "cc739dc3c46798e98098e3d997fc2a5758abec882c1952e60e4a57a42e126daf",
+        "cc739dc3c46798e98098e3d997fc2a5758abec882c1952e60e4a57a42e126daf",
+    ),
+    ("vgg-16@61.5", "minlp+g"): (
+        "0d002a3064bf5c772d224e30ec07e145a8329db65347f8d69267fedab39aa70c",
+        "0d002a3064bf5c772d224e30ec07e145a8329db65347f8d69267fedab39aa70c",
+    ),
+    ("hetero", "gp+a"): (
+        "ee71f66cbb8f50a6549f5d09db1b54a2ca016cc930908f968d274203504de2ad",
+        "cf3f3458838d464f92719355ba1e2cf91399cca090dd3eee2e2ec17c6940f6cd",
+    ),
+    ("hetero", "minlp"): (
+        "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
+        "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
+    ),
+    ("hetero", "minlp+g"): (
+        "427398be0ca9043056e0aadc5a977089abde7cb95fcbbbae101cfe5d485b5147",
+        "427398be0ca9043056e0aadc5a977089abde7cb95fcbbbae101cfe5d485b5147",
+    ),
+    ("hetero-permuted", "gp+a"): (
+        "ee71f66cbb8f50a6549f5d09db1b54a2ca016cc930908f968d274203504de2ad",
+        "cf3f3458838d464f92719355ba1e2cf91399cca090dd3eee2e2ec17c6940f6cd",
+    ),
+    ("hetero-permuted", "minlp"): (
+        "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
+        "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
+    ),
+    ("hetero-permuted", "minlp+g"): (
+        "427398be0ca9043056e0aadc5a977089abde7cb95fcbbbae101cfe5d485b5147",
+        "427398be0ca9043056e0aadc5a977089abde7cb95fcbbbae101cfe5d485b5147",
+    ),
+    ("hetero-beta", "gp+a"): (
+        "7b9faee7d29da2a21260edf5541e4d9c59a2b7a2bacf4ff7e3a96d7619f226ad",
+        "6b9c5c7de362ee636768b7eb4a03dc92616a60b625b8d268a9fdbbbce9d1b1bd",
+    ),
+    ("hetero-beta", "minlp"): (
+        "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
+        "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
+    ),
+    ("hetero-beta", "minlp+g"): (
+        "fa4fc14bb8a7a18e84c53a723a0acb9ee7f59b8bd33ebef31167ed042c154c98",
+        "fa4fc14bb8a7a18e84c53a723a0acb9ee7f59b8bd33ebef31167ed042c154c98",
+    ),
+}
+
+
+def golden_settings(method: str) -> ExactSettings | None:
+    return None if method == "gp+a" else GOLDEN_EXACT_SETTINGS
+
+
+class TestGoldenFingerprints:
+    @pytest.mark.parametrize("case, method", sorted(GOLDEN))
+    def test_fingerprint_and_group_key_are_unchanged(self, case, method):
+        problem = GOLDEN_PROBLEMS[case]()
+        settings = golden_settings(method)
+        expected_print, expected_group = GOLDEN[case, method]
+        assert fingerprint(problem, method, exact_settings=settings) == expected_print
+        group = group_key(problem, method, exact_settings=settings)
+        assert hashlib.sha256(group.encode("utf-8")).hexdigest() == expected_group
+
+    def test_allocator_settings_split_fingerprints_not_groups(self):
+        problem = case_study("alex-16", 70.0)
+        settings = HeuristicSettings(t_percent=5.0, criticality="resource")
+        assert fingerprint(problem, heuristic_settings=settings) == (
+            "e816840464843b6937f506299d1e17f9cadf16e14279ae629320ba6d5290b320"
+        )
+        assert group_key(problem, heuristic_settings=settings) == group_key(problem)
+
+    @pytest.mark.parametrize("case, method", sorted(GOLDEN))
+    def test_spliced_request_text_matches_the_generic_canonical_json(self, case, method):
+        """The fast path splices pre-rendered texts; it must hash the same
+        bytes as canonicalising the whole request document."""
+        problem = GOLDEN_PROBLEMS[case]()
+        settings = golden_settings(method)
+        document = canonical_request(problem, method, exact_settings=settings)
+        text = canonical_json(document)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == fingerprint(
+            problem, method, exact_settings=settings
+        )
+        if method != "gp+a":
+            assert group_key(problem, method, exact_settings=settings) == text
+
+    def test_solve_request_derives_both_keys_from_one_build(self):
+        request = SolveRequest(problem=case_study("vgg-16", 61.5), method="gp+a")
+        assert request.fingerprint() == GOLDEN["vgg-16@61.5", "gp+a"][0]
+        group = request.group_key()
+        assert hashlib.sha256(group.encode("utf-8")).hexdigest() == GOLDEN["vgg-16@61.5", "gp+a"][1]
+
+
+#: Seed of ``synthetic_fleet(3 tenants, classes (3, 3))`` -> (heuristic,
+#: exact) fleet fingerprints.
+GOLDEN_FLEETS = {
+    1: (
+        "aa8a330da9e69a91e427ffcfa59cfd4b4ead33c06971b668a3a246f61ecf7b3c",
+        "cb4735c8f0f49b0f9213733636b035ef5e32ba7db57d2ab02daf6de65fd020af",
+    ),
+    2: (
+        "ec6f8d8b1363b351f96b70636ea09092b5737c324d10640fdca1c0d7381b5e2f",
+        "192758b1e0a258f96cdc2496b7cbb5b04c14e2fd5e36ee627ff4e33408c3f389",
+    ),
+    3: (
+        "2b3e8fb4a3daebe6330c0373065c75d55446e30fedf6459f8f4cedb82dcf62c1",
+        "9ca2a49edb94e08bc511763da275dc936ce1ebaa9d179a749f416eee099c6d41",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_FLEETS))
+def test_fleet_fingerprints_are_unchanged(seed):
+    fleet = synthetic_fleet(num_tenants=3, class_counts=(3, 3), seed=seed)
+    assert (fleet_fingerprint(fleet, "heuristic"), fleet_fingerprint(fleet, "exact")) == (
+        GOLDEN_FLEETS[seed]
+    )

@@ -217,14 +217,14 @@ class TestSyncResponse:
         request_memo_clear()  # earlier tests sent the pool already
         decodes: list[int] = []
         prints: list[int] = []
-        decode, fingerprint = batch_module.request_from_dict, batch_module.compute_fingerprint
+        decode, keys = batch_module.request_from_dict, batch_module.request_keys
         monkeypatch.setattr(
             batch_module, "request_from_dict", lambda doc: decodes.append(1) or decode(doc)
         )
         monkeypatch.setattr(
             batch_module,
-            "compute_fingerprint",
-            lambda *args: prints.append(1) or fingerprint(*args),
+            "request_keys",
+            lambda *args: prints.append(1) or keys(*args),
         )
         documents = [POOL[index % len(POOL)] for index in range(1000)]
         status, _ = _post(f"{server.url}/solve_batch", json.dumps({"requests": documents}))
