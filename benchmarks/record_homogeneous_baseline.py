@@ -16,7 +16,6 @@ Regenerate (only when an *intentional* behaviour change is being made)::
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.core.exact import ExactSettings
@@ -38,10 +37,6 @@ EXACT_SETTINGS = ExactSettings(max_nodes=3, time_limit_seconds=120.0)
 
 
 def record() -> dict:
-    # The replay test pins scipy's linprog (persistent HiGHS models may pick
-    # other optimal vertices, which moves the budget-limited minlp+g rows);
-    # record through the same backend.
-    os.environ["REPRO_LP_BACKEND"] = "scipy"
     shared_packing_memos_clear()
     shared_relaxation_caches_clear()
     entries = []

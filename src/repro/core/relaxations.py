@@ -13,7 +13,9 @@ At every branch-and-bound node the integer variables ``n_kf`` have box bounds
   coordinate-wise decreasing coverage requirement ``max(1, WCET_k / II)``),
 
 so the node bound is obtained by a scalar convex search over ``II`` with one
-LP solve (scipy ``linprog``/HiGHS) per probe.
+LP solve per probe.  The LPs run on persistent HiGHS models through scipy's
+vendored bindings (``scipy.optimize._highspy._core``, scipy >= 1.15), loaded
+on the first LP.
 
 The hot path is engineered to keep both the per-LP cost and the LP count per
 node low:
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -57,46 +58,8 @@ from ..obs.trace import span
 from .objective import ObjectiveWeights
 from .problem import AllocationProblem
 
-class _HighsBindings:
-    """Uniform facade over the HiGHS python bindings.
-
-    The persistent backend runs on whichever bindings the host offers: the
-    ``highspy`` wheel when installed, otherwise scipy's vendored
-    ``scipy.optimize._highspy`` core (the same pybind11 module scipy's
-    ``linprog(method="highs")`` is built on).  Only the API surface common to
-    both is used -- notably the per-row/index-set bound setters rather than
-    the ``...ByRange`` conveniences the vendored build omits.
-    """
-
-    def __init__(self, module, solver_factory):
-        self.new_solver = solver_factory
-        self.inf = module.kHighsInf
-        self.HighsLp = module.HighsLp
-        self.MatrixFormat = module.MatrixFormat
-        self.HighsStatus = module.HighsStatus
-        self.HighsModelStatus = module.HighsModelStatus
-
-
-@functools.cache
-def _highs_bindings() -> "_HighsBindings | None":
-    """The HiGHS bindings, loaded on first use.
-
-    SciPy is imported only when a process first solves an LP, so a server
-    that answers only GP+A requests never pays its import time or memory.
-    """
-    try:  # pragma: no cover - exercised only where highspy is installed
-        import highspy
-
-        return _HighsBindings(highspy, highspy.Highs)
-    except ImportError:
-        pass
-    try:  # scipy >= 1.15 vendors the pybind11 HiGHS core
-        from scipy.optimize._highspy import _core as vendored
-
-        return _HighsBindings(vendored, vendored._Highs)
-    except Exception:  # pragma: no cover - ancient scipy without the module
-        return None
-
+#: Oldest scipy that vendors the pybind11 HiGHS core the LPs run on.
+SCIPY_FLOOR = "1.15"
 
 #: Safety margin subtracted from node bounds so that the inexactness of the
 #: scalar search can never prune the true optimum.
@@ -110,105 +73,105 @@ _MAX_PROBES = 40
 _II_CACHE_LIMIT = 4096
 
 
+@functools.cache
+def _highs():
+    """scipy's vendored HiGHS bindings (``scipy.optimize._highspy._core``).
+
+    Loaded on the first LP, never at import: a server that answers only
+    GP+A requests never pays SciPy's import time or memory.
+    """
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as error:
+        raise ImportError(
+            f"the MINLP relaxation needs scipy>={SCIPY_FLOOR}, which vendors "
+            "the HiGHS bindings as scipy.optimize._highspy._core"
+        ) from error
+    return _core
+
+
 def highspy_available() -> bool:
-    """Whether the persistent HiGHS LP backend can be used in this process."""
-    return _highs_bindings() is not None
+    """Whether scipy's vendored HiGHS bindings load in this process.
 
-
-class _HighsBackendError(RuntimeError):
-    """Raised when the persistent HiGHS backend fails; callers fall back."""
+    The name predates the vendored bindings; the benchmark's environment
+    stamp (``perfbench/harness.py``) imports it.
+    """
+    try:
+        _highs()
+    except ImportError:
+        return False
+    return True
 
 
 class _PersistentHighsLP:
     """One HiGHS model kept hot across solves (rows are ``A x <= b``).
 
-    ``scipy.optimize.linprog`` re-parses the constraint system on every call,
-    which is ~40 % of the per-LP time of the incremental relaxation.  This
-    wrapper passes the model to HiGHS once and afterwards only hot-swaps the
-    row right-hand sides, the variable bounds and (for the goal LP) the
-    secant coefficients, so repeated solves skip the assembly entirely.
+    The model is passed to HiGHS once; afterwards only the row right-hand
+    sides, the variable bounds and (for the goal LP) the secant coefficients
+    are hot-swapped, so repeated solves skip the assembly and restart from
+    the previous basis.
     """
 
     def __init__(self, cost: np.ndarray, matrix: np.ndarray, rhs: np.ndarray, bounds: np.ndarray):
-        binding = _highs_bindings()
-        if binding is None:  # pragma: no cover - guarded by the caller
-            raise _HighsBackendError("no HiGHS bindings are available")
+        highs = _highs()
         num_rows, num_cols = matrix.shape
-        self._num_rows = num_rows
         self._num_cols = num_cols
-        self._binding = binding
         self._col_index = np.arange(num_cols, dtype=np.int32)
-        self._last_rhs: "np.ndarray | None" = None
-        self._last_bounds: "np.ndarray | None" = None
-        try:
-            solver = binding.new_solver()
-            solver.setOptionValue("output_flag", False)
-            # These LPs are tiny (tens of rows); presolve costs more than it
-            # saves and discards the basis that makes re-solves after an RHS
-            # hot-swap nearly free.
-            solver.setOptionValue("presolve", "off")
-            inf = binding.inf
-            lp = binding.HighsLp()
-            lp.num_col_ = num_cols
-            lp.num_row_ = num_rows
-            lp.col_cost_ = np.asarray(cost, dtype=np.float64)
-            lp.col_lower_ = np.asarray(bounds[:, 0], dtype=np.float64)
-            lp.col_upper_ = np.asarray(bounds[:, 1], dtype=np.float64)
-            lp.row_lower_ = np.full(num_rows, -inf)
-            lp.row_upper_ = np.asarray(rhs, dtype=np.float64)
-            # Column-wise sparse assembly: the Fortran-order ravel lists the
-            # entries column by column, rows ascending; a boolean mask scans
-            # faster than floats, and the bindings copy lists faster than arrays.
-            flat = matrix.ravel(order="F")
-            entries = np.flatnonzero(flat != 0)
-            a_matrix = lp.a_matrix_
-            a_matrix.format_ = binding.MatrixFormat.kColwise
-            a_matrix.start_ = np.searchsorted(
-                entries, np.arange(0, num_rows * num_cols + 1, num_rows)
-            ).tolist()
-            a_matrix.index_ = (entries % num_rows).tolist()
-            a_matrix.value_ = flat[entries].tolist()
-            status = solver.passModel(lp)
-            if status == binding.HighsStatus.kError:
-                raise _HighsBackendError("HiGHS rejected the LP model")
-            self._solver = solver
-            self._inf = inf
-            self._matrix = np.array(matrix, dtype=np.float64)
-            self._last_rhs = np.asarray(rhs, dtype=np.float64).copy()
-            self._last_bounds = np.asarray(bounds, dtype=np.float64).copy()
-        except _HighsBackendError:
-            raise
-        except Exception as error:  # pragma: no cover - API drift guard
-            raise _HighsBackendError(f"failed to build the HiGHS model: {error}") from error
+        self._optimal = highs.HighsModelStatus.kOptimal
+        self._inf = highs.kHighsInf
+        solver = highs._Highs()
+        solver.setOptionValue("output_flag", False)
+        # These LPs are tiny (tens of rows); presolve costs more than it
+        # saves and discards the basis that makes re-solves after an RHS
+        # hot-swap nearly free.
+        solver.setOptionValue("presolve", "off")
+        lp = highs.HighsLp()
+        lp.num_col_ = num_cols
+        lp.num_row_ = num_rows
+        lp.col_cost_ = np.asarray(cost, dtype=np.float64)
+        lp.col_lower_ = np.asarray(bounds[:, 0], dtype=np.float64)
+        lp.col_upper_ = np.asarray(bounds[:, 1], dtype=np.float64)
+        lp.row_lower_ = np.full(num_rows, -self._inf)
+        lp.row_upper_ = np.asarray(rhs, dtype=np.float64)
+        # Column-wise sparse assembly: the Fortran-order ravel lists the
+        # entries column by column, rows ascending; a boolean mask scans
+        # faster than floats, and the bindings copy lists faster than arrays.
+        flat = matrix.ravel(order="F")
+        entries = np.flatnonzero(flat != 0)
+        a_matrix = lp.a_matrix_
+        a_matrix.format_ = highs.MatrixFormat.kColwise
+        a_matrix.start_ = np.searchsorted(
+            entries, np.arange(0, num_rows * num_cols + 1, num_rows)
+        ).tolist()
+        a_matrix.index_ = (entries % num_rows).tolist()
+        a_matrix.value_ = flat[entries].tolist()
+        if solver.passModel(lp) == highs.HighsStatus.kError:
+            raise RuntimeError("HiGHS rejected the LP model")
+        self._solver = solver
+        self._matrix = np.array(matrix, dtype=np.float64)
+        self._last_rhs = np.asarray(rhs, dtype=np.float64).copy()
+        self._last_bounds = np.asarray(bounds, dtype=np.float64).copy()
 
     def sync(self, rhs: np.ndarray, bounds: np.ndarray) -> None:
         """Push the current right-hand sides and variable bounds.
 
-        Uses the API surface common to the highspy wheel and scipy's vendored
-        core: the set-based column-bound setter exists in both, but row bounds
-        are only settable one row at a time, so changed rows are detected
-        against the last pushed right-hand side and patched individually.
+        The bindings set row bounds one row at a time, so changed rows are
+        detected against the last pushed right-hand side and patched
+        individually; column bounds go through the index-set setter.
         """
-        try:
-            rhs = np.asarray(rhs, dtype=np.float64)
-            if self._last_rhs is None:
-                changed = range(self._num_rows)
-            else:
-                changed = np.nonzero(rhs != self._last_rhs)[0]
-            for row in changed:
-                self._solver.changeRowBounds(int(row), -self._inf, float(rhs[row]))
-            self._last_rhs = rhs.copy()
-            bounds = np.asarray(bounds, dtype=np.float64)
-            if self._last_bounds is None or not np.array_equal(bounds, self._last_bounds):
-                self._solver.changeColsBounds(
-                    self._num_cols,
-                    self._col_index,
-                    np.ascontiguousarray(bounds[:, 0]),
-                    np.ascontiguousarray(bounds[:, 1]),
-                )
-                self._last_bounds = bounds.copy()
-        except Exception as error:  # pragma: no cover - API drift guard
-            raise _HighsBackendError(f"failed to update the HiGHS model: {error}") from error
+        rhs = np.asarray(rhs, dtype=np.float64)
+        for row in np.nonzero(rhs != self._last_rhs)[0]:
+            self._solver.changeRowBounds(int(row), -self._inf, float(rhs[row]))
+        self._last_rhs = rhs.copy()
+        bounds = np.asarray(bounds, dtype=np.float64)
+        if not np.array_equal(bounds, self._last_bounds):
+            self._solver.changeColsBounds(
+                self._num_cols,
+                self._col_index,
+                np.ascontiguousarray(bounds[:, 0]),
+                np.ascontiguousarray(bounds[:, 1]),
+            )
+            self._last_bounds = bounds.copy()
 
     def set_coefficients(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
         """Hot-swap individual matrix coefficients (the secant rows).
@@ -216,27 +179,21 @@ class _PersistentHighsLP:
         Only coefficients that differ from the model's are pushed: a branch
         moves one variable's bounds, so most secant slopes stay put.
         """
-        try:
-            changed = np.nonzero(self._matrix[rows, cols] != values)[0]
-            for index in changed:
-                self._solver.changeCoeff(int(rows[index]), int(cols[index]), float(values[index]))
-            self._matrix[rows, cols] = values
-        except Exception as error:  # pragma: no cover - API drift guard
-            raise _HighsBackendError(f"failed to patch HiGHS coefficients: {error}") from error
+        changed = np.nonzero(self._matrix[rows, cols] != values)[0]
+        for index in changed:
+            self._solver.changeCoeff(int(rows[index]), int(cols[index]), float(values[index]))
+        self._matrix[rows, cols] = values
 
     def solve(self) -> "tuple[np.ndarray, np.ndarray] | None":
         """Solve; returns ``(x, row_duals)`` or ``None`` when not optimal."""
-        try:
-            self._solver.run()
-            if self._solver.getModelStatus() != self._binding.HighsModelStatus.kOptimal:
-                return None
-            solution = self._solver.getSolution()
-            return (
-                np.asarray(solution.col_value, dtype=np.float64),
-                np.asarray(solution.row_dual, dtype=np.float64),
-            )
-        except Exception as error:  # pragma: no cover - API drift guard
-            raise _HighsBackendError(f"HiGHS solve failed: {error}") from error
+        self._solver.run()
+        if self._solver.getModelStatus() != self._optimal:
+            return None
+        solution = self._solver.getSolution()
+        return (
+            np.asarray(solution.col_value, dtype=np.float64),
+            np.asarray(solution.row_dual, dtype=np.float64),
+        )
 
 
 def variable_name(kernel: str, fpga: int) -> str:
@@ -378,14 +335,9 @@ class _RelaxationModel:
 class AllocationRelaxation:
     """LP-based convex relaxation of the allocation MINLP over a bound box.
 
-    ``lp_backend`` selects how the patched-in-place LPs are solved:
-    ``"auto"`` uses one persistent HiGHS model per LP (built once, RHS /
-    bounds / secant coefficients hot-swapped) when HiGHS bindings are
-    available -- the ``highspy`` wheel or scipy's vendored core -- and falls
-    back to ``scipy.optimize.linprog`` otherwise; ``"scipy"`` and
-    ``"highs"`` force a specific backend.  Both backends solve the same
-    arrays, so relaxation values are identical; the persistent model skips
-    scipy's per-call model parse (~40 % of per-LP time).
+    Each instance keeps one persistent HiGHS model per LP (goal and
+    feasibility), built on first use; nodes and probes only hot-swap its
+    right-hand sides, variable bounds and secant coefficients.
     ``ii_search_tolerance`` is the relative gap between the best probed goal
     and the cut-model minimum at which the II search stops.
     """
@@ -394,7 +346,6 @@ class AllocationRelaxation:
     weights: ObjectiveWeights
     symmetry_breaking: bool = True
     ii_search_tolerance: float = 1e-6
-    lp_backend: str = "auto"
 
     # ------------------------------------------------------------------ #
     # Cached state on the frozen instance
@@ -435,53 +386,12 @@ class AllocationRelaxation:
         """Snapshot of the instrumentation counters."""
         return dict(self._counters)
 
-    # ------------------------------------------------------------------ #
-    # LP backend (persistent HiGHS when available, scipy otherwise)
-    # ------------------------------------------------------------------ #
-    @property
-    def active_lp_backend(self) -> str:
-        """The backend actually in use: ``"highs"`` or ``"scipy"``.
-
-        ``lp_backend="auto"`` honours the ``REPRO_LP_BACKEND`` environment
-        variable (``"scipy"`` or ``"highs"``) before probing for ``highspy``
-        -- the lever for pinning byte-reproducible scipy vertex choices (the
-        recorded homogeneous baseline) on hosts that have highspy installed.
-        The choice is resolved on first use and kept for the instance's life.
-        """
-        backend = self.__dict__.get("_cached_backend")
-        if backend is None:
-            backend = self._resolve_lp_backend()
-            object.__setattr__(self, "_cached_backend", backend)
-        if self.__dict__.get("_cached_highs_failed"):
-            return "scipy"
-        return backend
-
-    def _resolve_lp_backend(self) -> str:
-        backend = self.lp_backend
-        if backend == "auto":
-            backend = os.environ.get("REPRO_LP_BACKEND") or "auto"
-        if backend == "scipy":
-            return "scipy"
-        if backend in ("auto", "highs"):
-            if highspy_available():
-                return "highs"
-            if backend == "highs":
-                raise RuntimeError(
-                    "lp_backend='highs' requested but no HiGHS bindings are available"
-                )
-            return "scipy"
-        raise ValueError(f"unknown lp_backend {backend!r}")
-
-    def _highs_lp(self, which: str) -> "_PersistentHighsLP | None":
-        """The persistent goal/feasibility model, or ``None`` on fallback."""
+    def _highs_lp(self, which: str) -> _PersistentHighsLP:
+        """The persistent goal (``"goal"``) or feasibility (``"feas"``) model."""
         attribute = f"_cached_highs_{which}"
         lp = self.__dict__.get(attribute)
-        if lp is not None:  # dropped on fallback, so a cached model is live
-            return lp
-        if self.active_lp_backend != "highs":
-            return None
-        model = self._model
-        try:
+        if lp is None:
+            model = self._model
             if which == "goal":
                 lp = _PersistentHighsLP(
                     model.goal_cost, model.goal_a, model.goal_b, model.goal_bounds
@@ -490,17 +400,8 @@ class AllocationRelaxation:
                 lp = _PersistentHighsLP(
                     model.feas_cost, model.feas_a, model.feas_b, model.feas_bounds
                 )
-        except _HighsBackendError:
-            object.__setattr__(self, "_cached_highs_failed", True)
-            return None
-        object.__setattr__(self, attribute, lp)
+            object.__setattr__(self, attribute, lp)
         return lp
-
-    def _drop_highs(self) -> None:
-        """Forget the persistent models and fall back to scipy permanently."""
-        object.__setattr__(self, "_cached_highs_failed", True)
-        for which in ("goal", "feas"):
-            self.__dict__.pop(f"_cached_highs_{which}", None)
 
     # ------------------------------------------------------------------ #
     # Public entry point (plugs into the branch-and-bound engine)
@@ -607,7 +508,7 @@ class AllocationRelaxation:
             model.feas_bounds[: model.num_n, 1] = upper
             counters["lp_solves"] += 1
             counters["feasibility_lps"] += 1
-            solved = self._solve_lp("feas", model.feas_cost, model.feas_a, model.feas_b, model.feas_bounds)
+            solved = self._solve_lp("feas", model.feas_b, model.feas_bounds)
             if solved is None:
                 result = (None, None)
             else:
@@ -696,45 +597,21 @@ class AllocationRelaxation:
         ).sum(axis=1)
         model.goal_bounds[: model.num_n, 0] = lower
         model.goal_bounds[: model.num_n, 1] = upper
-        goal_lp = self._highs_lp("goal")
-        if goal_lp is not None:
-            try:
-                goal_lp.set_coefficients(model.secant_index[0], model.secant_index[1], slopes)
-            except _HighsBackendError:
-                self._drop_highs()
+        self._highs_lp("goal").set_coefficients(
+            model.secant_index[0], model.secant_index[1], slopes
+        )
 
     def _solve_lp(
-        self,
-        which: str,
-        cost: np.ndarray,
-        matrix: np.ndarray,
-        rhs: np.ndarray,
-        bounds: np.ndarray,
+        self, which: str, rhs: np.ndarray, bounds: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray] | None":
         """Solve one patched LP; returns ``(x, row_duals)`` or ``None``.
 
-        Routes through the persistent HiGHS model when active (RHS and
-        variable bounds are re-synced; the matrix was already patched via
-        :meth:`_patch_box`) and through ``scipy.optimize.linprog`` otherwise.
-        Any HiGHS API failure permanently drops to the scipy path.
+        Re-syncs the right-hand sides and variable bounds into the persistent
+        model; its matrix was already patched by :meth:`_patch_box`.
         """
         lp = self._highs_lp(which)
-        if lp is not None:
-            try:
-                lp.sync(rhs, bounds)
-                solved = lp.solve()
-            except _HighsBackendError:
-                self._drop_highs()
-            else:
-                return solved
-        from scipy.optimize import linprog
-
-        result = linprog(
-            c=cost, A_ub=matrix, b_ub=rhs, bounds=bounds, method="highs"
-        )
-        if not result.success:
-            return None
-        return result.x, np.asarray(result.ineqlin.marginals, dtype=np.float64)
+        lp.sync(rhs, bounds)
+        return lp.solve()
 
     def _solve_goal_lp(self, ii: float) -> "tuple[np.ndarray, float, float] | None":
         """Minimise relaxed spreading at fixed II; ``None`` if infeasible.
@@ -748,17 +625,15 @@ class AllocationRelaxation:
         model.goal_b[: model.num_k] = -requirements
         counters["lp_solves"] += 1
         counters["probe_lps"] += 1
-        solved = self._solve_lp("goal", model.goal_cost, model.goal_a, model.goal_b, model.goal_bounds)
+        solved = self._solve_lp("goal", model.goal_b, model.goal_bounds)
         if solved is None:
             return None
         full_values, duals = solved
         values = full_values[: model.num_n]
         phi = float(full_values[-1])
-        # d(phi)/ds = -sum_k marginal_k * WCET_k over the kernels whose
-        # coverage requirement WCET_k * s is still above 1 (marginals of
-        # A_ub x <= b_ub are nonpositive, so the slope is >= 0; HiGHS row
-        # duals follow the same convention, being what scipy's "highs"
-        # method reports as the marginals).
+        # d(phi)/ds = -sum_k dual_k * WCET_k over the kernels whose
+        # coverage requirement WCET_k * s is still above 1 (the row duals of
+        # A x <= b are nonpositive, so the slope is >= 0).
         marginals = duals[: model.num_k]
         active = model.wcet > ii
         slope = -float(np.sum(marginals[active] * model.wcet[active]))

@@ -51,11 +51,6 @@ class FPGADevice:
     # ------------------------------------------------------------------ #
     # Percentage conversions
     # ------------------------------------------------------------------ #
-    @property
-    def capacity_percent(self) -> ResourceVector:
-        """Full-device capacity expressed in percent (always 100 per kind)."""
-        return ResourceVector.full(100.0)
-
     def absolute_counts(self) -> dict[str, float]:
         """Return absolute resource counts keyed by resource kind."""
         return {

@@ -247,11 +247,6 @@ class MultiFPGAPlatform:
     # ------------------------------------------------------------------ #
     # Derived quantities
     # ------------------------------------------------------------------ #
-    @property
-    def fpga_indices(self) -> range:
-        """Indices of the FPGAs, 0-based (the paper uses 1-based ``f``)."""
-        return range(self.num_fpgas)
-
     def total_resources(self) -> ResourceVector:
         """Aggregate resource capacity of the whole platform."""
         if self.classes is None:

@@ -17,7 +17,6 @@ from ..core.exact import ExactSettings
 from ..core.heuristic import HeuristicSettings
 from ..core.objective import PAPER_WEIGHTS, default_weights
 from ..core.problem import AllocationProblem
-from ..core.solution import SolveOutcome
 from ..core.solvers import solve
 from ..explore.compare import ComparisonSettings, compare_methods_over, speedup_summary
 from ..explore.executor import SweepExecutor
@@ -384,7 +383,3 @@ def runtime_table(
         table.add_row(measurement.case, measurement.method, measurement.median_seconds, speedup)
     return table
 
-
-def summarize_outcome(outcome: SolveOutcome) -> str:
-    """One-line summary used by the CLI."""
-    return outcome.summary()

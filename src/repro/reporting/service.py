@@ -33,25 +33,6 @@ def cache_stats_table(stats: Mapping[str, Any], title: str = "Result cache") -> 
     return table
 
 
-def jobs_table(stats: Mapping[str, Any], title: str = "Async jobs") -> TextTable:
-    """Render the job-queue counters (``/stats['jobs']``)."""
-    table = TextTable(headers=["counter", "value"], title=title)
-    for counter in (
-        "workers",
-        "submitted",
-        "completed",
-        "failed",
-        "pruned",
-        "retained",
-        "queued",
-        "running",
-        "done",
-    ):
-        if counter in stats:
-            table.add_row(counter, int(stats[counter]))
-    return table
-
-
 #: Solver work counters rendered by :func:`solver_stats_table`, in display
 #: order: the exact-path instrumentation of PR 3 (LP solves and probes of the
 #: node relaxations, branch-and-bound nodes, bin-packer search nodes and the

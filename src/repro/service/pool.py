@@ -418,11 +418,6 @@ class WorkerPool:
             handle = self._handles.get(group)
             return None if handle is None else handle.url
 
-    def pid_of(self, group: int) -> int | None:
-        with self._lock:
-            handle = self._handles.get(group)
-            return None if handle is None else handle.pid
-
     def worker_status(self) -> list[dict[str, Any]]:
         """One status row per group (the router's /stats `pool` section)."""
         with self._lock:

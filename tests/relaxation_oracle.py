@@ -44,6 +44,9 @@ from repro.minlp.bounds import VariableBounds
 GRID_POINTS = 48
 #: Refinements after the coarse grid.
 REFINEMENTS = 2
+#: HiGHS's primal/dual feasibility tolerance: two LP values of one optimum
+#: may differ by this much (relative to ``max(1, |value|)``).
+LP_TOLERANCE = 1e-7
 
 
 def _static_rows(problem: AllocationProblem) -> np.ndarray:
@@ -163,3 +166,19 @@ def oracle_minimum(problem: AllocationProblem, bounds: VariableBounds) -> float 
         if fine[0] <= s <= fine[-1]:
             goal(s)
     return min(goal(s) for s in phis)
+
+
+def assert_matches_oracle(problem: AllocationProblem, box: VariableBounds, result) -> None:
+    """``result`` (a node relaxation over ``box``) is a certified lower bound:
+    within ``1e-6`` relative below :func:`oracle_minimum`, and above it by no
+    more than LP noise, since both sides are HiGHS LP values."""
+    minimum = oracle_minimum(problem, box)
+    if minimum is None:
+        assert not result.feasible
+        return
+    assert result.feasible
+    scale = max(1.0, abs(minimum))
+    assert minimum - 1e-6 * scale <= result.objective <= minimum + LP_TOLERANCE * scale
+    assert len(result.values) == len(box)
+    for value, low, high in zip(result.values, box.lower, box.upper):
+        assert low - 1e-9 <= value <= high + 1e-9

@@ -1,12 +1,14 @@
 """Tests for the LP-based node relaxation of the exact weighted solver."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from minlpg_oracle import split_variable_name
 
 from repro.core.objective import ObjectiveWeights
+from repro.core import relaxations
 from repro.core.relaxations import (
     AllocationRelaxation,
     _PersistentHighsLP,
@@ -204,7 +206,6 @@ class TestAllocationRelaxation:
         assert with_symmetry.objective >= without_symmetry.objective - 1e-6
 
 
-@pytest.mark.skipif(not highspy_available(), reason="no HiGHS bindings in this environment")
 @pytest.mark.parametrize("case", ["alex-16", "vgg-16"])
 def test_persistent_model_holds_the_column_wise_nonzeros(case):
     """The model HiGHS receives lists every nonzero column by column, rows
@@ -221,3 +222,19 @@ def test_persistent_model_holds_the_column_wise_nonzeros(case):
         assert list(passed.start_) == starts.tolist()
         assert list(passed.index_) == rows.tolist()
         assert list(passed.value_) == matrix[rows, columns].tolist()
+
+
+def test_missing_binding_names_the_scipy_floor(tiny_weighted_problem, monkeypatch):
+    """Without scipy's vendored HiGHS core the first LP fails with one error
+    that names the scipy release the solver needs; there is no other path."""
+    import scipy.optimize._highspy as package
+
+    monkeypatch.delattr(package, "_core")
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    relaxations._highs.cache_clear()  # failed loads are not cached
+    assert not highspy_available()
+    relaxation = AllocationRelaxation(
+        problem=tiny_weighted_problem, weights=tiny_weighted_problem.weights
+    )
+    with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+        relaxation.solve(full_bounds(tiny_weighted_problem))

@@ -5,8 +5,7 @@ or more device classes solves through both the heuristic (``gp+a``) and the
 exact (``minlp``/``minlp+g``) paths with ``validate`` passing, the allocator
 and packer respect per-FPGA caps, the relaxation splits its capacity rows
 per class and restricts symmetry breaking to within-class pairs, and the
-persistent HiGHS LP backend (when installed) reproduces the scipy relaxation
-values exactly.
+persistent HiGHS model bounds each node like a fresh ``linprog`` solve.
 """
 
 from __future__ import annotations
@@ -15,11 +14,12 @@ import math
 
 import numpy as np
 import pytest
+from relaxation_oracle import assert_matches_oracle
 
 from repro.core.allocator import GreedyAllocator, first_fit_decreasing_allocate
 from repro.core.exact import ExactSettings, solve_exact_weighted
 from repro.core.problem import AllocationProblem
-from repro.core.relaxations import AllocationRelaxation, highspy_available, variable_name
+from repro.core.relaxations import AllocationRelaxation, variable_name
 from repro.core.solvers import solve
 from repro.core.objective import ObjectiveWeights
 from repro.core.validate import validate_solution
@@ -153,10 +153,8 @@ def test_phase1_split_prefers_biggest_empty_fpga():
 # --------------------------------------------------------------------------- #
 # Relaxation structure
 # --------------------------------------------------------------------------- #
-def _relaxation_for(problem: AllocationProblem, **kwargs) -> AllocationRelaxation:
-    return AllocationRelaxation(
-        problem=problem, weights=ObjectiveWeights(alpha=1.0, beta=1.0), **kwargs
-    )
+def _relaxation_for(problem: AllocationProblem) -> AllocationRelaxation:
+    return AllocationRelaxation(problem=problem, weights=ObjectiveWeights(alpha=1.0, beta=1.0))
 
 
 def _root_bounds(problem: AllocationProblem) -> VariableBounds:
@@ -207,60 +205,13 @@ def test_relaxation_bounds_exact_solution_on_mixed_fleet(mixed_problem):
     assert root.objective <= outcome.objective + 1e-6
 
 
-# --------------------------------------------------------------------------- #
-# LP backend selection and parity
-# --------------------------------------------------------------------------- #
-def test_scipy_backend_is_active_without_highspy(alex16_problem, monkeypatch):
-    relaxation = _relaxation_for(alex16_problem, lp_backend="scipy")
-    assert relaxation.active_lp_backend == "scipy"
-    monkeypatch.delenv("REPRO_LP_BACKEND", raising=False)
-    auto = _relaxation_for(alex16_problem)
-    assert auto.active_lp_backend == ("highs" if highspy_available() else "scipy")
-
-
-def test_env_override_pins_the_auto_backend(alex16_problem, monkeypatch):
-    monkeypatch.setenv("REPRO_LP_BACKEND", "scipy")
-    relaxation = _relaxation_for(alex16_problem)
-    assert relaxation.active_lp_backend == "scipy"
-
-
-def test_forcing_highs_without_highspy_raises(alex16_problem):
-    if highspy_available():
-        pytest.skip("highspy installed; the forced path is exercised below")
-    relaxation = _relaxation_for(alex16_problem, lp_backend="highs")
-    with pytest.raises(RuntimeError):
-        _ = relaxation.active_lp_backend
-
-
-def test_unknown_backend_rejected(alex16_problem):
-    relaxation = _relaxation_for(alex16_problem, lp_backend="cplex")
-    with pytest.raises(ValueError):
-        _ = relaxation.active_lp_backend
-
-
-@pytest.mark.skipif(not highspy_available(), reason="highspy not installed")
-def test_highs_backend_matches_scipy_relaxation_values(alex16_problem):
-    """The persistent model must reproduce scipy's relaxation values exactly
-    (same LP data, same optimal values) across a sequence of node boxes."""
+def test_persistent_model_bounds_match_the_linprog_oracle(alex16_problem):
+    """One relaxation instance, reused across a sequence of node boxes as the
+    search reuses it, bounds every box like a fresh ``linprog`` solve of the
+    same relaxation (vertices may differ; bounds may not)."""
     weighted = alex16_problem.with_weights(ObjectiveWeights(alpha=1.0, beta=1.0))
-    scipy_relaxation = AllocationRelaxation(
-        problem=weighted, weights=weighted.weights, lp_backend="scipy"
-    )
-    highs_relaxation = AllocationRelaxation(
-        problem=weighted, weights=weighted.weights, lp_backend="highs"
-    )
+    relaxation = AllocationRelaxation(problem=weighted, weights=weighted.weights)
     bounds = _root_bounds(weighted)
-    boxes = [bounds]
     index = bounds.names.index(variable_name(weighted.kernel_names[0], 0))
-    boxes.append(bounds.with_upper(index, 2))
-    boxes.append(bounds.with_lower(index, 1))
-    for box in boxes:
-        reference = scipy_relaxation.solve(box)
-        candidate = highs_relaxation.solve(box)
-        assert candidate.feasible == reference.feasible
-        if reference.feasible:
-            assert candidate.objective == pytest.approx(reference.objective, abs=1e-7)
-    assert highs_relaxation.active_lp_backend == "highs"
-    assert (
-        highs_relaxation.counters()["lp_solves"] == scipy_relaxation.counters()["lp_solves"]
-    )
+    for box in (bounds, bounds.with_upper(index, 2), bounds.with_lower(index, 1)):
+        assert_matches_oracle(weighted, box, relaxation.solve(box))

@@ -20,18 +20,10 @@ from repro.minlp.binpacking import shared_packing_memos_clear
 from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
 
 
-@pytest.fixture(autouse=True)
-def _pin_scipy_backend(monkeypatch):
-    """The baseline was recorded through scipy's linprog; pin the LP backend
-    (per test, not process-wide) so hosts with highspy -- whose optimal
-    vertices may legally differ -- replay the same arithmetic."""
-    monkeypatch.setenv("REPRO_LP_BACKEND", "scipy")
-
-
 @pytest.fixture(scope="module", autouse=True)
 def _cold_shared_caches():
-    """Drop solver caches warmed by earlier tests (possibly through another
-    LP backend) so the replay starts from the recorder's cold state."""
+    """Drop solver caches warmed by earlier tests so the replay starts from
+    the recorder's cold state."""
     shared_relaxation_caches_clear()
     shared_packing_memos_clear()
 
@@ -90,3 +82,20 @@ def test_solve_unchanged(entry, problems):
     assert outcome.objective == entry["objective"]
     counts = {name: list(values) for name, values in outcome.solution.counts.items()}
     assert counts == entry["counts"]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [entry for entry in BASELINE["entries"] if entry["method"] == "minlp+g"],
+    ids=lambda entry: f"{entry['case']}@{entry['constraint']:g}",
+)
+def test_recorded_exact_never_worse_than_heuristic(entry):
+    """MINLP+G starts from the GP+A allocation as its incumbent, so even
+    node-limited its recorded objective is at most the same row's GP+A one."""
+    (heuristic,) = [
+        other
+        for other in BASELINE["entries"]
+        if (other["case"], other["constraint"], other["method"])
+        == (entry["case"], entry["constraint"], "gp+a")
+    ]
+    assert entry["objective"] <= heuristic["objective"]

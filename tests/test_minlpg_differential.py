@@ -5,7 +5,7 @@ by position (array boxes, byte cache keys, array branching and rounding).
 ``tests/minlpg_oracle.py`` keeps the search it replaced, keyed by variable
 name.  Both run the same node relaxation, so every outcome document --
 allocation, lower bound, gap, node count and every counter -- must match
-byte for byte, on both LP paths.  The II search's scalar cut-model
+byte for byte.  The II search's scalar cut-model
 minimiser must likewise match its NumPy form bit for bit.
 """
 
@@ -21,22 +21,13 @@ from minlpg_oracle import numpy_cut_model_minimum, solve_exact_weighted_by_name
 from repro.core.exact import ExactSettings, solve_exact_weighted
 from repro.core.objective import ObjectiveWeights
 from repro.core.problem import AllocationProblem
-from repro.core.relaxations import AllocationRelaxation, _cut_model_minimum, highspy_available
+from repro.core.relaxations import _cut_model_minimum
 from repro.minlp import shared_relaxation_caches_clear
 from repro.platform.presets import aws_f1, mixed_fleet
 from repro.reporting.experiments import case_study
 from repro.workloads.alexnet import alexnet_fx16
 from repro.workloads.synthetic import SyntheticSpec, random_pipeline
 
-BACKENDS = [
-    pytest.param(
-        "highs",
-        marks=pytest.mark.skipif(
-            not highspy_available(), reason="no HiGHS bindings in this environment"
-        ),
-    ),
-    "scipy",
-]
 LIMITS = st.floats(50.0, 95.0).map(lambda limit: round(limit, 2))
 MAX_NODES = st.sampled_from((3, 20))
 
@@ -47,28 +38,20 @@ def document(outcome) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def assert_matches_reference(problem: AllocationProblem, max_nodes: int, backend: str) -> None:
+def assert_matches_reference(problem: AllocationProblem, max_nodes: int) -> None:
     exact = ExactSettings(max_nodes=max_nodes)
-    with pytest.MonkeyPatch.context() as patch:
-        if backend == "scipy":
-            patch.setenv("REPRO_LP_BACKEND", "scipy")
-        else:
-            patch.delenv("REPRO_LP_BACKEND", raising=False)
-        assert AllocationRelaxation(problem, problem.weights).active_lp_backend == backend
-        shared_relaxation_caches_clear()  # both searches start cold
-        produced = solve_exact_weighted(problem, exact)
-        expected = solve_exact_weighted_by_name(problem, exact)
+    shared_relaxation_caches_clear()  # both searches start cold
+    produced = solve_exact_weighted(problem, exact)
+    expected = solve_exact_weighted_by_name(problem, exact)
     assert document(produced) == document(expected)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=10, deadline=None)
 @given(app=st.sampled_from(("alex-16", "alex-32", "vgg-16")), limit=LIMITS, max_nodes=MAX_NODES)
-def test_case_studies_match(backend, app, limit, max_nodes):
-    assert_matches_reference(case_study(app, limit), max_nodes, backend)
+def test_case_studies_match(app, limit, max_nodes):
+    assert_matches_reference(case_study(app, limit), max_nodes)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=10, deadline=None)
 @given(
     num_fpgas=st.sampled_from((1, 2, 4, 8)),
@@ -78,24 +61,23 @@ def test_case_studies_match(backend, app, limit, max_nodes):
     beta=st.sampled_from((0.5, 2.0, 10.0)),
     max_nodes=MAX_NODES,
 )
-def test_random_pipelines_match(backend, num_fpgas, seed, num_kernels, limit, beta, max_nodes):
+def test_random_pipelines_match(num_fpgas, seed, num_kernels, limit, beta, max_nodes):
     problem = AllocationProblem(
         pipeline=random_pipeline(SyntheticSpec(num_kernels=num_kernels), seed=seed),
         platform=aws_f1(num_fpgas=num_fpgas, resource_limit_percent=limit),
         weights=ObjectiveWeights(alpha=1.0, beta=beta),
     )
-    assert_matches_reference(problem, max_nodes, backend)
+    assert_matches_reference(problem, max_nodes)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("limit, max_nodes", [(60.0, 3), (70.0, 20), (85.0, 20)])
-def test_heterogeneous_platform_matches(backend, limit, max_nodes):
+def test_heterogeneous_platform_matches(limit, max_nodes):
     problem = AllocationProblem(
         pipeline=alexnet_fx16(),
         platform=mixed_fleet(2, 2, resource_limit_percent=limit),
         weights=ObjectiveWeights(alpha=1.0, beta=1.0),
     )
-    assert_matches_reference(problem, max_nodes, backend)
+    assert_matches_reference(problem, max_nodes)
 
 
 def bits(value: float) -> bytes:

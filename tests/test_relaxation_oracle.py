@@ -2,23 +2,21 @@
 
 ``tests/relaxation_oracle.py`` minimises each node relaxation over a dense
 II grid refined at the kinks of the relaxed spreading, through
-``scipy.optimize.linprog`` and without LP duals.  The relaxation's bound must
-never exceed that minimum (it is a lower bound) and must stay within
-``1e-6`` relative of it (it is certified).  Both LP backends run, because
-they report the coverage-row duals the search turns into tangent cuts
-through different code.
+``scipy.optimize.linprog`` and without LP duals.  The relaxation's bound,
+solved on its persistent HiGHS models, must never exceed that minimum by
+more than LP noise (it is a lower bound) and must stay within ``1e-6``
+relative of it (it is certified).
 """
 
 from __future__ import annotations
 
 import functools
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from relaxation_oracle import oracle_minimum
+from relaxation_oracle import assert_matches_oracle
 from repro.core.exact import weighted_root_bounds
-from repro.core.relaxations import AllocationRelaxation, highspy_available
+from repro.core.relaxations import AllocationRelaxation
 from repro.minlp.bounds import VariableBounds
 from repro.reporting.experiments import case_study
 
@@ -34,64 +32,31 @@ def root(app: str, limit: float):
     return problem, weighted_root_bounds(problem)
 
 
-def assert_matches_oracle(problem, box: VariableBounds, result) -> None:
-    minimum = oracle_minimum(problem, box)
-    if minimum is None:
-        assert not result.feasible
-        return
-    assert result.feasible
-    assert minimum - 1e-6 * max(1.0, abs(minimum)) <= result.objective <= minimum
-    assert len(result.values) == len(box)
-    for value, low, high in zip(result.values, box.lower, box.upper):
-        assert low - 1e-9 <= value <= high + 1e-9
-
-
-@pytest.mark.parametrize(
-    "backend",
-    [
-        "scipy",
-        pytest.param(
-            "highs",
-            marks=pytest.mark.skipif(
-                not highspy_available(), reason="no HiGHS bindings in this environment"
-            ),
-        ),
-    ],
-)
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
-def test_node_bound_is_certified(backend, data):
+def test_node_bound_is_certified(data):
     problem, root_box = root(data.draw(st.sampled_from(APPS)), data.draw(st.sampled_from(LIMITS)))
     ranges = {}
     for name, low, high in zip(root_box.names, root_box.lower.tolist(), root_box.upper.tolist()):
         low = min(low + data.draw(st.sampled_from(LOWER_SHIFTS)), high)
         ranges[name] = (low, max(high - data.draw(st.integers(0, 4)), low))
     box = VariableBounds.from_ranges(ranges)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_LP_BACKEND", backend)
-        relaxation = AllocationRelaxation(problem=problem, weights=problem.weights)
-        result = relaxation.solve(box)
-        assert relaxation.active_lp_backend == backend
-        assert_matches_oracle(problem, box, result)
-        if not result.feasible:
-            return
-        # A branching child, solved with its parent as the engine does: the
-        # parent may hand down its feasibility point instead of an LP.
-        name = data.draw(st.sampled_from(sorted(ranges)))
-        low, high = ranges[name]
-        split = data.draw(st.integers(low, high))
-        index = box.names.index(name)
-        child = box.with_upper(index, split) if data.draw(st.booleans()) else box.with_lower(index, split)
-        assert_matches_oracle(problem, child, relaxation.solve(child, result))
+    relaxation = AllocationRelaxation(problem=problem, weights=problem.weights)
+    result = relaxation.solve(box)
+    assert_matches_oracle(problem, box, result)
+    if not result.feasible:
+        return
+    # A branching child, solved with its parent as the engine does: the
+    # parent may hand down its feasibility point instead of an LP.
+    name = data.draw(st.sampled_from(sorted(ranges)))
+    low, high = ranges[name]
+    split = data.draw(st.integers(low, high))
+    index = box.names.index(name)
+    child = box.with_upper(index, split) if data.draw(st.booleans()) else box.with_lower(index, split)
+    assert_matches_oracle(problem, child, relaxation.solve(child, result))
 
 
-@pytest.mark.parametrize(
-    "backend",
-    ["scipy", pytest.param("highs", marks=pytest.mark.skipif(
-        not highspy_available(), reason="no HiGHS bindings in this environment"
-    ))],
-)
-def test_bound_at_a_kink_the_grids_straddle(backend, monkeypatch):
+def test_bound_at_a_kink_the_grids_straddle():
     """alex-16 at 55 % with two caps lowered: the goal's minimum sits on a
     kink of phi near the top of the bracket (s ~ 0.71013), between the
     refined grid's points and off its kink lines.  The relaxation probes it
@@ -104,6 +69,5 @@ def test_bound_at_a_kink_the_grids_straddle(backend, monkeypatch):
         )
     }
     box = VariableBounds.from_ranges(ranges)
-    monkeypatch.setenv("REPRO_LP_BACKEND", backend)
     relaxation = AllocationRelaxation(problem=problem, weights=problem.weights)
     assert_matches_oracle(problem, box, relaxation.solve(box))

@@ -4,9 +4,8 @@ The resource-constraint sweep points of one problem share a relaxation model
 skeleton -- they differ only in the capacity right-hand sides -- so
 :class:`repro.core.relaxations.SweepRelaxationBatch` patches one model in
 place and solves every point on a single persistent LP.  These tests pin the
-contract: batched root solves match fresh per-point solves (bit-identical on
-the deterministic scipy backend, objective-identical to 1e-12 on any
-backend), incompatible problems are rejected, and the sweep surfaces the
+contract: batched root solves match the objectives of fresh per-point solves,
+incompatible problems are rejected, and the sweep surfaces the
 ``lp_batched_solves`` counter on its outcomes.
 """
 
@@ -33,10 +32,11 @@ def _points(problem):
     return [problem.with_resource_constraint(c) for c in CONSTRAINTS]
 
 
-def test_batched_root_solves_match_fresh_solves_bitwise_on_scipy(alex16, monkeypatch):
-    """On the stateless scipy backend a patched-in-place batch solve is
-    bit-identical to building the point's model from scratch."""
-    monkeypatch.setenv("REPRO_LP_BACKEND", "scipy")
+def test_batched_root_solves_match_fresh_solves(alex16):
+    """A patched-in-place batch solve bounds each point like a model built
+    from scratch.  The batch's persistent models restart from the previous
+    point's basis, so on degenerate LPs they may return another optimal
+    vertex: objectives must agree, vertices need not."""
     batch = SweepRelaxationBatch(_points(alex16)[0], symmetry_breaking=True)
     for point in _points(alex16):
         assert batch.compatible(point)
@@ -46,26 +46,9 @@ def test_batched_root_solves_match_fresh_solves_bitwise_on_scipy(alex16, monkeyp
             problem=point, weights=point.weights, symmetry_breaking=True
         ).solve(bounds)
         assert batched.feasible == fresh.feasible
-        assert batched.objective == fresh.objective
-        assert batched.values.shape == fresh.values.shape
-        for position, value in enumerate(fresh.values):
-            assert batched.values[position] == value
-        assert used >= 1
-
-
-def test_batched_root_objectives_match_on_active_backend(alex16):
-    """On any backend (including persistent HiGHS with warm bases, where
-    degenerate LPs may return alternate optimal vertices) the batched
-    objective matches a fresh solve to 1e-12."""
-    batch = SweepRelaxationBatch(_points(alex16)[0], symmetry_breaking=True)
-    for point in _points(alex16):
-        bounds = weighted_root_bounds(point)
-        batched, _ = batch.solve_point(point, bounds)
-        fresh = AllocationRelaxation(
-            problem=point, weights=point.weights, symmetry_breaking=True
-        ).solve(bounds)
-        assert batched.feasible == fresh.feasible
         assert batched.objective == pytest.approx(fresh.objective, abs=1e-12)
+        assert batched.values.shape == fresh.values.shape
+        assert used >= 1
 
 
 def test_batch_rejects_incompatible_problems(alex16):
