@@ -10,6 +10,10 @@ problem into NumPy arrays once:
   (D, K); the rows match :meth:`AllocationProblem.capacity_dimensions`
   (on-chip resource kinds first, DRAM bandwidth last when active)
 * ``capacity``  -- the per-FPGA capacity of each dimension, shape (D,)
+* ``fpga_max_cus`` / ``max_total_cus`` -- per-kernel CU caps, one per FPGA
+  and over the whole platform (the bounds behind
+  :meth:`AllocationProblem.max_cus_per_fpga` and
+  :meth:`AllocationProblem.max_total_cus`)
 
 The arrays are computed lazily and memoized per problem instance (problems
 are frozen, so the cache can never go stale), and every vectorized consumer
@@ -45,6 +49,8 @@ class ProblemArrays:
     bandwidth_row: int  # row of the bandwidth dimension, -1 when inactive
     fpga_capacity: np.ndarray  # (D, F) per-FPGA caps (columns differ across classes)
     aggregate_capacity: np.ndarray  # (D,) platform-wide capacity
+    fpga_max_cus: tuple[tuple[int, ...], ...]  # (K, F) CUs of a kernel one empty FPGA fits
+    max_total_cus: tuple[int, ...]  # (K,) CUs of a kernel the platform fits
 
     @property
     def num_kernels(self) -> int:
@@ -122,6 +128,22 @@ def build_problem_arrays(problem: "AllocationProblem") -> ProblemArrays:
     bandwidth_row = next(
         (d for d, dimension in enumerate(dimensions) if dimension.name == "bandwidth"), -1
     )
+    # Exact integer CU caps, derived once per device class and expanded to
+    # the class-major FPGA order.
+    classes = problem.platform.device_classes
+    fpga_classes = problem.platform.fpga_class_indices()
+    fpga_max_cus = []
+    max_total_cus = []
+    for kernel in problem.pipeline:
+        per_class = [
+            kernel.max_cus_per_fpga(device_class.resource_limit, device_class.bandwidth_limit)
+            for device_class in classes
+        ]
+        total = sum(device_class.count * cus for device_class, cus in zip(classes, per_class))
+        if kernel.max_cus is not None:
+            total = min(total, kernel.max_cus)
+        fpga_max_cus.append(tuple(per_class[c] for c in fpga_classes))
+        max_total_cus.append(total)
     return ProblemArrays(
         names=names,
         index=index,
@@ -133,6 +155,8 @@ def build_problem_arrays(problem: "AllocationProblem") -> ProblemArrays:
         bandwidth_row=bandwidth_row,
         fpga_capacity=fpga_capacity,
         aggregate_capacity=aggregate_capacity,
+        fpga_max_cus=tuple(fpga_max_cus),
+        max_total_cus=tuple(max_total_cus),
     )
 
 

@@ -50,7 +50,6 @@ class DiscretizationResult:
 
     counts: Mapping[str, int]
     ii: float
-    nodes_explored: int
     proven_optimal: bool
 
 
@@ -108,9 +107,7 @@ def _threshold_search(problem: AllocationProblem) -> np.ndarray:
     """Componentwise-minimal integer totals of minimum II (see module docstring)."""
     arrays = problem.arrays()
     wcet = arrays.wcet
-    caps = np.asarray(
-        [max(1, problem.max_total_cus(name)) for name in arrays.names], dtype=np.float64
-    )
+    caps = np.maximum(1.0, np.asarray(arrays.max_total_cus, dtype=np.float64))
     capacity = arrays.aggregate_capacity + 1e-9
 
     def counts_for(threshold: float) -> np.ndarray | None:
@@ -187,7 +184,6 @@ def discretize_counts(
     discretization = DiscretizationResult(
         counts=counts,
         ii=_achieved_ii(problem, counts),
-        nodes_explored=0,
         proven_optimal=True,
     )
     if memo_key is not None:
@@ -227,6 +223,5 @@ def round_counts(
     return DiscretizationResult(
         counts=counts,
         ii=_achieved_ii(problem, counts),
-        nodes_explored=0,
         proven_optimal=False,
     )

@@ -134,8 +134,8 @@ def candidate_ii_values(problem: AllocationProblem) -> list[float]:
     """
     arrays = problem.arrays()
     per_kernel = [
-        arrays.wcet[index] / np.arange(1, max(1, problem.max_total_cus(name)) + 1)
-        for index, name in enumerate(arrays.names)
+        wcet / np.arange(1, max(1, cap) + 1)
+        for wcet, cap in zip(arrays.wcet, arrays.max_total_cus)
     ]
     return np.unique(np.concatenate(per_kernel)).tolist()
 
@@ -165,7 +165,6 @@ def solve_exact_min_ii(
         if not candidates:
             candidates = [lower_bound]
 
-    packer = _packer_for(problem, settings)
     packs = 0
     search_nodes = 0
     completion_nodes = 0
@@ -242,13 +241,13 @@ def solve_exact_min_ii(
             "packer_seed_packs": seed_packs,
             "packing_memo_hits": packer.memo_hits,
             "packing_memo_misses": packer.memo_misses,
-            "packing_memo_dominance_hits": packer.memo_dominance_hits,
             "candidates_considered": len(candidates),
         }
 
     feasible_index: int | None = None
     feasible_packing = None
     with span("pack_search"):
+        packer = _packer_for(problem, settings)
         low, high = 0, len(candidates) - 1
         # Check the largest candidate first: if even that fails, it is
         # infeasible.
@@ -326,21 +325,15 @@ def weighted_root_bounds(problem: AllocationProblem) -> VariableBounds:
     only increase spreading), nor more than fit on one FPGA.  Raises when the
     relaxed problem is infeasible (propagated from :func:`solve_gp_step`).
     """
-    num_fpgas = problem.num_fpgas
     gp_result = solve_gp_step(problem)
-    homogeneous = problem.platform.is_homogeneous
+    arrays = problem.arrays()
     upper: list[int] = []
-    for name in problem.kernel_names:
+    for name, per_fpga, max_total in zip(arrays.names, arrays.fpga_max_cus, arrays.max_total_cus):
         total_cap = max(1, min(
-            problem.max_total_cus(name),
+            max_total,
             int(math.ceil(problem.wcet[name] / max(gp_result.ii_hat, 1e-12) - 1e-9)) + 1,
         ))
-        if homogeneous:
-            upper += [min(problem.max_cus_per_fpga(name), total_cap)] * num_fpgas
-        else:
-            upper += [
-                min(problem.max_cus_per_fpga(name, fpga), total_cap) for fpga in range(num_fpgas)
-            ]
+        upper += [min(cap, total_cap) for cap in per_fpga]
     return VariableBounds(variable_names(problem), [0] * len(upper), upper)
 
 

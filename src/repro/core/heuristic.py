@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ..gp.errors import InfeasibleError
 from ..obs.trace import span
 from .allocator import AllocatorResult, AllocatorSettings, GreedyAllocator
-from .discretize import DiscretizationError, discretize_counts, round_counts
+from .discretize import DiscretizationError, discretize_counts
 from .gp_step import solve_gp_step
 from .problem import AllocationProblem
 from .solution import AllocationSolution, SolveOutcome, SolveStatus
@@ -25,26 +25,15 @@ from .solution import AllocationSolution, SolveOutcome, SolveStatus
 
 @dataclass(frozen=True)
 class HeuristicSettings:
-    """Configuration of the GP+A heuristic.
+    """Configuration of the GP+A heuristic: the allocator's parameters.
 
-    ``gp_backend`` names the GP-step solver.  Its one legal value stays
-    ``"bisection"`` although the solver is now a closed form: the field is
-    part of every gp+a request fingerprint and of the outcome's
-    ``details["gp_backend"]``, so it changes only with the next wire-format
-    revision.
+    The GP step and the discretisation each have one exact solver, so
+    nothing about them is configurable.
     """
 
-    gp_backend: str = "bisection"
     t_percent: float = 0.0
     delta_percent: float = 1.0
     criticality: str = "ii-impact"
-    use_bb_discretization: bool = True
-
-    def __post_init__(self) -> None:
-        if self.gp_backend != "bisection":
-            raise ValueError(
-                f"unknown GP backend {self.gp_backend!r}; the only option is 'bisection'"
-            )
 
     def allocator_settings(self) -> AllocatorSettings:
         return AllocatorSettings(
@@ -108,7 +97,7 @@ def solve_gp_a(
     or the allocator cannot place the discretised CUs within ``R + T``.
     """
     start = time.perf_counter()
-    details: dict[str, object] = {"gp_backend": settings.gp_backend}
+    details: dict[str, object] = {}
 
     try:
         gp_result = solve_gp_step(problem)
@@ -125,10 +114,7 @@ def solve_gp_a(
 
     try:
         with span("discretize"):
-            if settings.use_bb_discretization:
-                discretization = discretize_counts(problem)
-            else:
-                discretization = round_counts(problem, gp_result.counts_hat)
+            discretization = discretize_counts(problem)
     except DiscretizationError as error:
         return SolveOutcome(
             method="gp+a",
@@ -139,7 +125,6 @@ def solve_gp_a(
             details={"reason": f"discretisation failed: {error}", **details},
         )
     details["integer_counts"] = dict(discretization.counts)
-    details["discretization_nodes"] = discretization.nodes_explored
     details["ii_after_discretization"] = discretization.ii
 
     with span("allocate"):

@@ -171,41 +171,16 @@ class AllocationProblem:
 
         Without ``fpga_index`` this is the best FPGA of the platform (the
         uniform answer on a homogeneous platform); with it, the specific
-        FPGA's caps apply.
+        FPGA's caps apply.  Read from the memoized :meth:`arrays`.
         """
-        kernel = self.pipeline[kernel_name]
-        platform = self.platform
-        if platform.is_homogeneous:
-            return kernel.max_cus_per_fpga(platform.resource_limit, platform.bandwidth_limit)
-        if fpga_index is not None:
-            return kernel.max_cus_per_fpga(
-                platform.fpga_resource_limit(fpga_index),
-                platform.fpga_bandwidth_limit(fpga_index),
-            )
-        return max(
-            kernel.max_cus_per_fpga(
-                device_class.resource_limit, device_class.bandwidth_limit
-            )
-            for device_class in platform.device_classes
-        )
+        arrays = self.arrays()
+        per_fpga = arrays.fpga_max_cus[arrays.index[kernel_name]]
+        return max(per_fpga) if fpga_index is None else per_fpga[fpga_index]
 
     def max_total_cus(self, kernel_name: str) -> int:
         """Upper bound on the total CU count of one kernel over the platform."""
-        kernel = self.pipeline[kernel_name]
-        platform = self.platform
-        if platform.is_homogeneous:
-            total = self.max_cus_per_fpga(kernel_name) * self.num_fpgas
-        else:
-            total = sum(
-                device_class.count
-                * kernel.max_cus_per_fpga(
-                    device_class.resource_limit, device_class.bandwidth_limit
-                )
-                for device_class in platform.device_classes
-            )
-        if kernel.max_cus is not None:
-            total = min(total, kernel.max_cus)
-        return total
+        arrays = self.arrays()
+        return arrays.max_total_cus[arrays.index[kernel_name]]
 
     # ------------------------------------------------------------------ #
     # Quick feasibility screens

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..obs.trace import span
 from .exact import ExactSettings, solve_exact_min_ii, solve_exact_weighted
 from .heuristic import HeuristicSettings, solve_gp_a
 from .objective import ObjectiveWeights
@@ -46,7 +47,10 @@ def solve(
     if method == "gp+a":
         return solve_gp_a(problem, heuristic_settings)
     if method == "minlp":
-        ii_only = problem.with_weights(ObjectiveWeights(alpha=problem.weights.alpha, beta=0.0))
+        with span("reweight"):
+            ii_only = problem.with_weights(
+                ObjectiveWeights(alpha=problem.weights.alpha, beta=0.0)
+            )
         return solve_exact_min_ii(ii_only, exact_settings)
     return solve_exact_weighted(problem, exact_settings)
 

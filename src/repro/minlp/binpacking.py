@@ -30,18 +30,12 @@ Because the same CU count vector is probed repeatedly -- by the binary search
 over candidate II values, by branch-and-bound nodes and by design-space sweep
 re-solves -- feasibility results can be memoized in a :class:`PackingMemo`
 shared across packer instances (mirroring the ``RelaxationCache`` of
-:mod:`repro.minlp.branch_and_bound`).  On top of the exact-key lookup the
-memo answers by *dominance*: packing feasibility is monotone in the count
-vector (remove CUs from a feasible packing and it stays feasible; add CUs to
-a proven-infeasible multiset and it stays infeasible), so a count vector
-packs if any componentwise-larger memoized vector packed and fails if a
-componentwise-smaller one provably failed.
+:mod:`repro.minlp.branch_and_bound`).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -51,8 +45,6 @@ import numpy as np
 
 from ..obs.trace import span
 from . import _packcore
-
-_ENV_STRATEGY = "REPRO_PACKER_STRATEGY"
 
 
 @dataclass(frozen=True)
@@ -103,49 +95,23 @@ class PackingMemo:
     and sweep re-solves repeat them wholesale.  Use :func:`shared_packing_memo`
     with the packer's configuration key to get that sharing.  Eviction is FIFO
     with a bounded entry count.
-
-    Beyond exact keys the memo exploits *dominance*: entries are bucketed by
-    their item signature (names and sizes, without counts), and
-    :meth:`get_dominated` answers a query from any memoized count vector that
-    is componentwise larger and packed (the stored assignment minus the
-    surplus CUs is a valid packing) or componentwise smaller and provably
-    failed (adding CUs cannot help).  This reuses monotone information across
-    the minimum-II binary search's candidates and across sweep re-solves.
     """
-
-    #: Per-signature cap on the dominance index.  Exact-key entries are
-    #: unlimited (up to ``max_entries``); the dominance scan is linear in the
-    #: bucket and runs under the memo lock, so it stays bounded regardless of
-    #: how many count vectors one workload probes.
-    DOMINANCE_BUCKET_LIMIT = 256
 
     def __init__(self, max_entries: int = 16384):
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self._max_entries = max_entries
-        #: full key -> (signature, counts, result); FIFO order for eviction.
-        self._entries: "OrderedDict[tuple, tuple[tuple, tuple, PackingResult]]" = OrderedDict()
-        #: signature -> {counts: result}, the (bounded) dominance index.
-        self._by_signature: dict[tuple, dict[tuple, PackingResult]] = {}
+        #: full key -> result; FIFO order for eviction.
+        self._entries: "OrderedDict[tuple, PackingResult]" = OrderedDict()
         # Shared memos are hit concurrently by the threaded HTTP service;
         # the lock keeps eviction-during-insert and counter updates safe.
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.dominance_hits = 0
 
     @staticmethod
     def key_of(items: Sequence[PackingItemType]) -> tuple:
         return tuple((item.name, item.count, item.size) for item in items)
-
-    @staticmethod
-    def signature_of(items: Sequence[PackingItemType]) -> tuple:
-        """The count-free part of the key: item names and sizes, in order."""
-        return tuple((item.name, item.size) for item in items)
-
-    @staticmethod
-    def counts_of(items: Sequence[PackingItemType]) -> tuple[int, ...]:
-        return tuple(item.count for item in items)
 
     def get(self, items: Sequence[PackingItemType]) -> "PackingResult | None":
         key = self.key_of(items)
@@ -155,63 +121,14 @@ class PackingMemo:
                 self.misses += 1
                 return None
             self.hits += 1
-            return entry[2]
-
-    def get_dominated(self, items: Sequence[PackingItemType]) -> "PackingResult | None":
-        """Answer a query by dominance against the memoized count vectors.
-
-        Returns a derived :class:`PackingResult` (counted as a
-        ``dominance_hit``) or ``None`` when no stored vector dominates the
-        query.  Feasible answers carry an assignment obtained by stripping
-        the surplus CUs from the dominating packing; infeasible answers are
-        only derived from *proven* (``exact``) failures.
-        """
-        signature = self.signature_of(items)
-        counts = self.counts_of(items)
-        with self._lock:
-            bucket = self._by_signature.get(signature)
-            if not bucket:
-                return None
-            for stored_counts, result in bucket.items():
-                if result.feasible and all(
-                    stored >= wanted for stored, wanted in zip(stored_counts, counts)
-                ):
-                    derived = PackingResult(
-                        feasible=True,
-                        assignment=_strip_assignment(
-                            result.assignment, stored_counts, counts, items
-                        ),
-                        exact=True,
-                    )
-                    self.dominance_hits += 1
-                    return derived
-                if (
-                    not result.feasible
-                    and result.exact
-                    and all(
-                        stored <= wanted for stored, wanted in zip(stored_counts, counts)
-                    )
-                ):
-                    self.dominance_hits += 1
-                    return PackingResult.infeasible(exact=True)
-        return None
+            return entry
 
     def put(self, items: Sequence[PackingItemType], result: PackingResult) -> None:
         key = self.key_of(items)
-        signature = self.signature_of(items)
-        counts = self.counts_of(items)
         with self._lock:
             if key not in self._entries and len(self._entries) >= self._max_entries:
-                _, (old_signature, old_counts, _) = self._entries.popitem(last=False)
-                old_bucket = self._by_signature.get(old_signature)
-                if old_bucket is not None:
-                    old_bucket.pop(old_counts, None)
-                    if not old_bucket:
-                        self._by_signature.pop(old_signature, None)
-            self._entries[key] = (signature, counts, result)
-            bucket = self._by_signature.setdefault(signature, {})
-            if counts in bucket or len(bucket) < self.DOMINANCE_BUCKET_LIMIT:
-                bucket[counts] = result
+                self._entries.popitem(last=False)
+            self._entries[key] = result
 
     def __len__(self) -> int:
         with self._lock:
@@ -220,10 +137,8 @@ class PackingMemo:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._by_signature.clear()
             self.hits = 0
             self.misses = 0
-            self.dominance_hits = 0
 
 
 def _strip_assignment(
@@ -232,7 +147,7 @@ def _strip_assignment(
     wanted_counts: Sequence[int],
     items: Sequence[PackingItemType],
 ) -> dict[str, tuple[int, ...]]:
-    """Remove surplus CUs from a dominating packing (highest bins first).
+    """Remove surplus CUs from a packing of larger counts (highest bins first).
 
     Removing items from a feasible packing keeps every bin within capacity,
     so any deterministic removal order yields a valid assignment; stripping
@@ -286,6 +201,12 @@ class VectorBinPacker:
     gives every bin its own capacity row (a heterogeneous platform, one row
     per FPGA in class-major platform order so equal-capacity bins are
     adjacent and symmetry breaking stays effective within each class).
+
+    Infeasibility left open by the quick screens and first-fit decreasing
+    is settled by one exact search: the bin-completion engine proves or
+    refutes feasibility, and the branching search extracts the canonical
+    assignment under its pruning (or runs alone when the engine's budget
+    runs out).
     """
 
     def __init__(
@@ -297,17 +218,11 @@ class VectorBinPacker:
         placement: str = "consolidate",
         memo: PackingMemo | None = None,
         bin_capacities: "Sequence[Sequence[float]] | None" = None,
-        strategy: str | None = None,
     ):
         if num_bins < 1:
             raise ValueError("num_bins must be >= 1")
         if placement not in ("consolidate", "balance"):
             raise ValueError("placement must be 'consolidate' or 'balance'")
-        if strategy is None:
-            strategy = os.environ.get(_ENV_STRATEGY, "completion")
-        strategy = strategy.strip().lower() or "completion"
-        if strategy not in ("completion", "branching"):
-            raise ValueError("strategy must be 'completion' or 'branching'")
         if (capacity is None) == (bin_capacities is None):
             raise ValueError("pass exactly one of capacity or bin_capacities")
         if bin_capacities is not None:
@@ -342,11 +257,6 @@ class VectorBinPacker:
         #: "balance" fills the emptiest bin first, mimicking the spread-out
         #: allocations that a pure II-minimising MINLP solver typically emits.
         self.placement = placement
-        #: "completion" (default) proves feasibility with the bin-completion
-        #: engine and extracts the canonical assignment through the branching
-        #: search pruned by completion-based infeasibility proofs; "branching"
-        #: is the historical item-at-a-time search kept as parity reference.
-        self.strategy = strategy
         self.memo = memo
         #: Exact-search nodes expended by the last :meth:`pack` call.
         self.last_nodes = 0
@@ -357,7 +267,6 @@ class VectorBinPacker:
         #: solves; per-solve accounting must read the packer-local counters.
         self.memo_hits = 0
         self.memo_misses = 0
-        self.memo_dominance_hits = 0
 
     def config_key(self) -> tuple:
         """Value key identifying this configuration (for shared memos)."""
@@ -368,7 +277,6 @@ class VectorBinPacker:
             self.placement,
             self.max_backtrack_nodes,
             self.tolerance,
-            self.strategy,
         )
         if not self.uniform:
             key = key + (self.bin_capacities,)
@@ -396,15 +304,6 @@ class VectorBinPacker:
                     if trace_span is not None:
                         trace_span.attributes["cached"] = True
                     return cached
-                dominated = self.memo.get_dominated(items)
-                if dominated is not None:
-                    self.memo_dominance_hits += 1
-                    # Promote to an exact entry so identical re-probes hit
-                    # directly.
-                    self.memo.put(items, dominated)
-                    if trace_span is not None:
-                        trace_span.attributes["cached"] = True
-                    return dominated
                 self.memo_misses += 1
             result = self._pack_uncached(items)
             if self.memo is not None:
@@ -587,11 +486,6 @@ class VectorBinPacker:
     # ------------------------------------------------------------------ #
     # Exact search
     # ------------------------------------------------------------------ #
-    def _exact_search(self, items: Sequence[PackingItemType]) -> PackingResult:
-        if self.strategy == "completion":
-            return self._exact_search_completion(items)
-        return self._exact_search_branching(items)
-
     def _search_order(
         self, items: Sequence[PackingItemType]
     ) -> list[PackingItemType]:
@@ -602,11 +496,9 @@ class VectorBinPacker:
             reverse=True,
         )
 
-    def _exact_search_completion(
-        self, items: Sequence[PackingItemType]
-    ) -> PackingResult:
-        """Bin-completion strategy: prove feasibility near the root, then
-        extract the branching search's canonical assignment under pruning.
+    def _exact_search(self, items: Sequence[PackingItemType]) -> PackingResult:
+        """Prove feasibility near the root with bin completion, then extract
+        the branching search's canonical assignment under pruning.
 
         The completion engine (:mod:`repro.minlp._packcore`) decides
         feasibility by closing bins one at a time with maximal completions.
@@ -615,9 +507,9 @@ class VectorBinPacker:
         discards provably dead subtrees before they are entered -- pruning
         solution-free subtrees never changes which assignment the branching
         search reaches first, so the emitted packing is bit-identical to the
-        reference strategy at a fraction of the nodes.  An undecided verdict
-        (engine node budget exhausted) falls back to the plain branching
-        search, preserving its budget-exhaustion contract.
+        plain branching search's at a fraction of the nodes.  An undecided
+        verdict (engine node budget exhausted) falls back to the plain
+        branching search, preserving its budget-exhaustion contract.
         """
         order = self._search_order(items)
         if not order:

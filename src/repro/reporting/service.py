@@ -101,7 +101,7 @@ def service_stats_table(stats: Mapping[str, Any]) -> TextTable:
 def batch_report_table(report: Mapping[str, Any]) -> TextTable:
     """Render a ``BatchReport.as_dict()`` (or ``/solve_batch['report']``)."""
     table = TextTable(headers=["counter", "value"], title="Batch solve report")
-    for counter in ("total", "unique", "duplicates", "memory_hits", "disk_hits", "solves", "groups"):
+    for counter in ("total", "unique", "duplicates", "memory_hits", "disk_hits", "solves"):
         if counter in report:
             table.add_row(counter, int(report[counter]))
     if "runtime_seconds" in report:

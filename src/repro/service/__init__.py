@@ -27,7 +27,7 @@ cache-backed engine:
 """
 
 from .batch import BatchReport, SolveRequest, request_from_dict, request_to_dict, solve_batch
-from .canonical import canonical_json, canonical_request, fingerprint, group_key
+from .canonical import canonical_json, canonical_request, fingerprint
 from .client import RetryPolicy, ServiceClient, ServiceError
 from .faults import (
     FaultInjector,
@@ -102,7 +102,6 @@ __all__ = [
     "encode_record",
     "fingerprint",
     "group_dir",
-    "group_key",
     "merge_prometheus",
     "parse_fault_plan",
     "request_from_dict",

@@ -3,9 +3,7 @@
 ``solve_batch`` is the core of the allocation service: given N requests it
 performs exactly as many solver invocations as there are *novel* problems --
 duplicates collapse onto one fingerprint, cached fingerprints are answered
-from the store, and only the remainder is executed (grouped so requests that
-share the expensive GP/discretisation work land in the same executor chunk,
-reusing the memo caches of :mod:`repro.core.discretize`).
+from the store, and only the remainder is solved, in request order.
 """
 
 from __future__ import annotations
@@ -22,11 +20,10 @@ from ..core.exact import ExactSettings
 from ..core.heuristic import HeuristicSettings
 from ..core.problem import AllocationProblem
 from ..core.solution import SolveOutcome, SolveStatus
-from ..core.solvers import METHODS
-from ..explore.executor import SERIAL_EXECUTOR, SolveTask, SweepExecutor, run_solve_task
+from ..core.solvers import METHODS, solve
 from ..obs.trace import span
 from ..workloads.serialization import SerializationError, problem_from_dict, problem_to_dict
-from .canonical import canonical_fpga_order, request_keys
+from .canonical import RETIRED_HEURISTIC_CONSTANTS, canonical_fpga_order, fingerprint
 from .canonical import outcome_payload_from_canonical, outcome_payload_to_canonical
 from .store import ResultStore
 
@@ -116,30 +113,26 @@ class SolveRequest:
             raise ValueError(f"unknown method {self.method!r}; options: {METHODS}")
 
     @cached_property
-    def _keys(self) -> tuple[str, str]:
-        return request_keys(self.problem, self.method, self.heuristic_settings, self.exact_settings)
+    def _fingerprint(self) -> str:
+        return fingerprint(self.problem, self.method, self.heuristic_settings, self.exact_settings)
 
     def fingerprint(self) -> str:
         """Canonical content fingerprint, memoized (the request is frozen)."""
-        return self._keys[0]
+        return self._fingerprint
 
-    def group_key(self) -> str:
-        """Memo-sharing group (see :func:`repro.service.canonical.group_key`)."""
-        return self._keys[1]
-
-    def task(self) -> SolveTask:
-        return SolveTask(
-            problem=self.problem,
-            method=self.method,
-            heuristic_settings=self.heuristic_settings,
-            exact_settings=self.exact_settings,
-        )
+    def task(self) -> "SolveRequest":
+        """The request as a sweep task: it has the four fields the sweep
+        executor's ``run_solve_task`` reads, so it is its own task."""
+        return self
 
 
-#: ``HeuristicSettings`` fields of the retired branch-and-bound discretiser.
-#: Older clients and WAL records still carry them; they are dropped on
-#: decode so journaled jobs replay.
-_RETIRED_HEURISTIC_FIELDS = frozenset({"discretization_max_nodes", "discretization_time_limit"})
+#: ``HeuristicSettings`` fields of retired solver options.  Older clients and
+#: WAL records still carry them; they are dropped on decode so journaled
+#: jobs replay.  The discretiser's branch-and-bound limits accept any value;
+#: a field of :data:`RETIRED_HEURISTIC_CONSTANTS` only its one legal value.
+_RETIRED_HEURISTIC_FIELDS = frozenset(
+    {"discretization_max_nodes", "discretization_time_limit", *RETIRED_HEURISTIC_CONSTANTS}
+)
 
 
 def _settings_from_dict(cls: type, payload: Mapping[str, Any] | None, label: str):
@@ -149,6 +142,12 @@ def _settings_from_dict(cls: type, payload: Mapping[str, Any] | None, label: str
     if not isinstance(payload, Mapping):
         raise SerializationError(f"{label} must be a JSON object")
     if cls is HeuristicSettings and not _RETIRED_HEURISTIC_FIELDS.isdisjoint(payload):
+        for key, legal in RETIRED_HEURISTIC_CONSTANTS.items():
+            if key in payload and payload[key] != legal:
+                raise SerializationError(
+                    f"invalid {label}: retired field {key!r} must be {legal!r},"
+                    f" got {payload[key]!r}"
+                )
         payload = {
             key: value for key, value in payload.items() if key not in _RETIRED_HEURISTIC_FIELDS
         }
@@ -510,7 +509,6 @@ class BatchReport:
     memory_hits: int = 0
     disk_hits: int = 0
     solves: int = 0
-    groups: int = 0
     runtime_seconds: float = 0.0
     fingerprints: list[str] = field(default_factory=list)
     #: Solver work counters (LP solves, packer nodes, memo hits, ...) summed
@@ -529,7 +527,6 @@ class BatchReport:
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
             "solves": self.solves,
-            "groups": self.groups,
             "runtime_seconds": self.runtime_seconds,
             "solver_counters": dict(self.solver_counters),
         }
@@ -538,7 +535,6 @@ class BatchReport:
 def solve_batch(
     requests: Sequence[SolveRequest],
     store: ResultStore | None = None,
-    executor: SweepExecutor | None = None,
 ) -> tuple[list[SolveOutcome], BatchReport]:
     """Answer a batch of requests with the minimum number of solves.
 
@@ -548,11 +544,10 @@ def solve_batch(
     are the *same object* (they are semantically one result).
 
     Cacheable outcomes (everything but ``ERROR``) are written back to the
-    store under their request fingerprint.  ``executor`` defaults to solving
-    in this process, one request after another, as the server does.
+    store under their request fingerprint.  Misses are solved in this
+    process, one after another, in request order.
     """
     start = time.perf_counter()
-    executor = executor or SERIAL_EXECUTOR
     store = store if store is not None else ResultStore()
     request_list = list(requests)
 
@@ -586,20 +581,16 @@ def solve_batch(
             else:
                 missing.append((print_, request))
 
-    # Solve the remainder, grouped so memo-sharing requests are contiguous
-    # (the executor chunks tasks in order; one worker keeps a group's GP and
-    # discretisation caches warm).
     if missing:
         with span("batch_solve"):
-            keyed = sorted(
-                ((request.group_key(), print_, request) for print_, request in missing),
-                key=lambda item: item[0],
-            )
-            report.groups = len({key for key, _, _ in keyed})
-            tasks = [request.task() for _, _, request in keyed]
-            solved = executor.map(run_solve_task, tasks)
-            report.solves = len(solved)
-            for (_, print_, request), outcome in zip(keyed, solved):
+            for print_, request in missing:
+                outcome = solve(
+                    request.problem,
+                    request.method,
+                    request.heuristic_settings,
+                    request.exact_settings,
+                )
+                report.solves += 1
                 outcomes_by_print[print_] = outcome
                 report.add_solver_counters(outcome.counters)
                 if outcome.status is not SolveStatus.ERROR:

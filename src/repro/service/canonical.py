@@ -241,6 +241,15 @@ def _canonical_weights(weights) -> dict[str, Any]:
     return {"alpha": _canonical_scalar(weights.alpha), "beta": _canonical_scalar(weights.beta)}
 
 
+#: Retired gp+a settings, each with its one legal value.  Every gp+a
+#: fingerprint carries them, so the canonical document keeps emitting them:
+#: fingerprints, the result store and the write-ahead log stay valid.
+RETIRED_HEURISTIC_CONSTANTS: dict[str, Any] = {
+    "gp_backend": "bisection",
+    "use_bb_discretization": True,
+}
+
+
 def canonical_request(
     problem: AllocationProblem,
     method: str = "gp+a",
@@ -269,49 +278,19 @@ def canonical_request(
         }
     if method == "gp+a":
         settings_key, settings = "heuristic_settings", heuristic_settings or HeuristicSettings()
+        settings_document = dict(RETIRED_HEURISTIC_CONSTANTS)
     else:
         settings_key, settings = "exact_settings", exact_settings or ExactSettings()
+        settings_document = {}
+    # Both settings classes are flat dataclasses of scalars.
+    for field in fields(settings):
+        settings_document[field.name] = _canonical_scalar(getattr(settings, field.name))
     return {
         "version": _canonical_scalar(CANONICAL_VERSION),
         "method": method,
         "problem": problem_document,
-        # Both settings classes are flat dataclasses of scalars.
-        settings_key: {
-            field.name: _canonical_scalar(getattr(settings, field.name))
-            for field in fields(settings)
-        },
+        settings_key: settings_document,
     }
-
-
-#: Settings a gp+a request's allocator alone reads: they split fingerprints
-#: but not memo-sharing groups.
-_ALLOCATOR_ONLY = ("t_percent", "delta_percent", "criticality")
-
-
-def request_keys(
-    problem: AllocationProblem,
-    method: str = "gp+a",
-    heuristic_settings: HeuristicSettings | None = None,
-    exact_settings: ExactSettings | None = None,
-) -> tuple[str, str]:
-    """The :func:`fingerprint` and :func:`group_key` of one request.
-
-    Both come from one canonical build, whose problem part is rendered to
-    text once: each key splices its settings text ahead of that rest, which
-    is where ``canonical_json`` sorts the settings key, so both texts are
-    byte-identical to ``canonical_json`` of their documents.
-    """
-    document = canonical_request(problem, method, heuristic_settings, exact_settings)
-    settings_key = "heuristic_settings" if method == "gp+a" else "exact_settings"
-    settings = document.pop(settings_key)
-    head, tail = '{"' + settings_key + '":', "," + _dumps(document)[1:]
-    text = head + _dumps(settings) + tail
-    group = text
-    if method == "gp+a":
-        for allocator_only in _ALLOCATOR_ONLY:
-            del settings[allocator_only]
-        group = head + _dumps(settings) + tail
-    return hashlib.sha256(text.encode("utf-8")).hexdigest(), group
 
 
 def fingerprint(
@@ -321,26 +300,8 @@ def fingerprint(
     exact_settings: ExactSettings | None = None,
 ) -> str:
     """SHA-256 content fingerprint of one allocation request."""
-    return request_keys(problem, method, heuristic_settings, exact_settings)[0]
-
-
-def group_key(
-    problem: AllocationProblem,
-    method: str = "gp+a",
-    heuristic_settings: HeuristicSettings | None = None,
-    exact_settings: ExactSettings | None = None,
-) -> str:
-    """Memo-sharing group of a request: same constrained problem + GP config.
-
-    Requests in one group reuse each other's per-process caches: the GP
-    relaxation and the discretisation memo depend on the problem (pipeline +
-    constraint) and the GP/discretisation settings, but *not* on the
-    allocator parameters ``T``/``delta``/``criticality``.  The batch API
-    sorts tasks by this key before handing them to the executor so one
-    worker solves the shared prefix once -- the same trick the Figure 2
-    T-sweep uses.
-    """
-    return request_keys(problem, method, heuristic_settings, exact_settings)[1]
+    document = canonical_request(problem, method, heuristic_settings, exact_settings)
+    return hashlib.sha256(_dumps(document).encode("utf-8")).hexdigest()
 
 
 # --------------------------------------------------------------------------- #

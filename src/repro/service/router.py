@@ -87,7 +87,6 @@ _REPORT_SUM_FIELDS = (
     "memory_hits",
     "disk_hits",
     "solves",
-    "groups",
 )
 
 

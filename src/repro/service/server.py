@@ -35,7 +35,6 @@ from typing import Any, Iterator, Mapping, Sequence
 from .. import __version__
 from ..core.solution import SolveOutcome, SolveStatus
 from ..core.solvers import solve
-from ..explore.executor import SERIAL_EXECUTOR
 from ..fleet import (
     FleetManager,
     FleetOutcome,
@@ -134,7 +133,6 @@ class AllocationService(HTTPRoutes):
         start_job_workers: bool = True,
     ):
         self.store = store if store is not None else ResultStore()
-        self.executor = SERIAL_EXECUTOR
         if wal is not None and not isinstance(wal, JobWal):
             wal = JobWal(wal)
         self.wal = wal
@@ -392,7 +390,7 @@ class AllocationService(HTTPRoutes):
 
     def solve_batch(self, requests: list[SolveRequest]) -> tuple[list[SolveOutcome], BatchReport]:
         """Answer a batch via :func:`repro.service.batch.solve_batch`."""
-        outcomes, report = solve_batch(requests, store=self.store, executor=self.executor)
+        outcomes, report = solve_batch(requests, store=self.store)
         self._accumulate_solver_counters(report.solver_counters)
         with self._lock:
             self._requests += report.total

@@ -42,8 +42,9 @@ from repro.minlp.errors import InfeasibleProblemError
 
 @dataclass(frozen=True)
 class OracleResult(DiscretizationResult):
-    """A discretisation plus the search's relaxation-cache counters."""
+    """A discretisation plus the search's node and relaxation-cache counters."""
 
+    nodes_explored: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
 

@@ -51,27 +51,20 @@ class TestHeuristic:
         assert outcome.status is SolveStatus.INFEASIBLE
         assert outcome.solution is None
 
-    def test_naive_rounding_variant_also_works(self, alex16_problem):
-        settings = HeuristicSettings(use_bb_discretization=False)
-        outcome = solve_gp_a(alex16_problem, settings)
-        assert outcome.succeeded
-        assert outcome.solution.is_feasible()
-
     def test_t_parameter_changes_little(self, alex16_problem):
         """Figure 2's message: T has little effect on the II."""
         t0 = solve_gp_a(alex16_problem, HeuristicSettings(t_percent=0.0))
         t30 = solve_gp_a(alex16_problem, HeuristicSettings(t_percent=30.0))
         assert t30.initiation_interval <= t0.initiation_interval * 1.25 + 1e-9
 
-    def test_gp_backend_choice(self, tiny_problem):
-        """Bisection is the only GP backend; any other name fails up front."""
-        default = solve_gp_a(tiny_problem)
-        bisect = solve_gp_a(tiny_problem, HeuristicSettings(gp_backend="bisection"))
-        assert bisect.initiation_interval == default.initiation_interval
-        assert bisect.details["gp_backend"] == "bisection"
-        for retired in ("slsqp", "interior-point", "bogus"):
-            with pytest.raises(ValueError, match="unknown GP backend"):
-                HeuristicSettings(gp_backend=retired)
+    def test_outcome_names_no_retired_option(self, tiny_problem):
+        """The GP step and the discretisation have one solver each: the
+        settings cannot pick another and the outcome does not name one."""
+        details = solve_gp_a(tiny_problem).details
+        assert "gp_backend" not in details
+        assert "discretization_nodes" not in details
+        for retired in ("gp_backend", "use_bb_discretization"):
+            assert not hasattr(HeuristicSettings(), retired)
 
 
 class TestExactMinII:

@@ -22,7 +22,7 @@ import pytest
 from repro.core.exact import ExactSettings, solve_exact_min_ii
 from repro.core.heuristic import HeuristicSettings, solve_gp_a
 from repro.core.problem import AllocationProblem
-from repro.minlp.binpacking import shared_packing_memos_clear
+from repro.minlp.binpacking import VectorBinPacker, shared_packing_memos_clear
 from repro.platform.presets import aws_f1
 from repro.workloads.alexnet import alexnet_fx16
 
@@ -34,6 +34,10 @@ FAST_BUDGET = ExactSettings(packer_max_nodes=2_000)
 #: The corrected optima on alex-16 x 4 FPGAs (verified identical under the
 #: default 200k-node budget; the pre-seed solver returned 0.6325 and 0.5160).
 CORRECTED_II = {70.0: 0.6090909090909091, 80.0: 0.51375}
+
+#: The packer's exact search: bin completion, then the branching search as
+#: assignment extractor.
+_COMPLETION_SEARCH = VectorBinPacker._exact_search
 
 
 def _alex16_on_4_fpgas(resource_percent: float) -> AllocationProblem:
@@ -47,10 +51,12 @@ def _alex16_on_4_fpgas(resource_percent: float) -> AllocationProblem:
 def _cold_packing_memos(monkeypatch):
     # The seed path triggers on budget-exhausted probes; shared memos from
     # other tests could answer them first and mask the scenario.  The
-    # scenario itself is specific to the *branching* packer: the default
-    # bin-completion strategy proves these probes within the same budget and
-    # never consults the seed (see test_completion_strategy_needs_no_seed).
-    monkeypatch.setenv("REPRO_PACKER_STRATEGY", "branching")
+    # scenario itself is specific to the plain *branching* search: bin
+    # completion proves these probes within the same budget and never
+    # consults the seed (see test_completion_search_needs_no_seed).
+    monkeypatch.setattr(
+        VectorBinPacker, "_exact_search", VectorBinPacker._exact_search_branching
+    )
     shared_packing_memos_clear()
     yield
     shared_packing_memos_clear()
@@ -91,13 +97,13 @@ def test_seed_gated_by_settings_reproduces_old_overestimate():
     assert unseeded.objective == pytest.approx(0.6325, rel=1e-9)
 
 
-def test_completion_strategy_needs_no_seed(monkeypatch):
-    """The default bin-completion strategy proves the probes the branching
+def test_completion_search_needs_no_seed(monkeypatch):
+    """The packer's bin-completion search proves the probes the branching
     search exhausted its budget on, without ever consulting the heuristic
     seed -- and lands on a strictly better (verified feasible) optimum than
     the seeded branching search: the seed only repairs probes the heuristic's
     counts dominate, while the completion engine proves the rest outright."""
-    monkeypatch.setenv("REPRO_PACKER_STRATEGY", "completion")
+    monkeypatch.setattr(VectorBinPacker, "_exact_search", _COMPLETION_SEARCH)
     shared_packing_memos_clear()
     outcome = solve_exact_min_ii(_alex16_on_4_fpgas(70.0), FAST_BUDGET)
     assert outcome.succeeded

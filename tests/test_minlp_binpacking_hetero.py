@@ -1,4 +1,4 @@
-"""Heterogeneous-bin packing: parity against a scalar reference, dominance memo.
+"""Heterogeneous-bin packing: parity against a scalar reference, the packing memo.
 
 Two halves:
 
@@ -7,10 +7,8 @@ Two halves:
   reference packer (plain DFS over per-bin distributions with per-bin caps,
   no symmetry/slack pruning) -- both must agree on feasibility whenever both
   answers are proven;
-* unit tests of the :class:`PackingMemo` dominance keying: a count vector
-  packs if a componentwise-larger memoized vector packed, fails if a smaller
-  one provably failed, and the hits land in the packer-local counters (and,
-  end to end, in ``SolveOutcome.counters``).
+* unit tests of the :class:`PackingMemo`: exact-key hits, FIFO eviction,
+  and the hit counters of an exact solve.
 """
 
 from __future__ import annotations
@@ -170,7 +168,7 @@ def test_mixed_bins_counting_bound_proves_infeasibility():
 
 
 # --------------------------------------------------------------------------- #
-# Dominance keying
+# Memo keying and eviction
 # --------------------------------------------------------------------------- #
 def _items(counts):
     return [
@@ -179,98 +177,66 @@ def _items(counts):
     ]
 
 
-def test_dominance_feasible_from_larger_vector():
-    memo = PackingMemo()
-    packer = VectorBinPacker(num_bins=2, capacity=[10.0], memo=memo)
-    first = packer.pack(_items([2, 2]))  # 4 items of size 4 into 2 x 10: packs
-    assert first.feasible
-    result = packer.pack(_items([1, 2]))  # componentwise smaller: dominance
-    assert result.feasible and result.exact
-    assert packer.memo_dominance_hits == 1
-    assert memo.dominance_hits == 1
-    # The derived assignment is complete and within capacity.
-    assert sum(result.assignment["k0"]) == 1
-    assert sum(result.assignment["k1"]) == 2
-    loads = [0.0, 0.0]
-    for name in ("k0", "k1"):
-        for bin_index, count in enumerate(result.assignment[name]):
-            loads[bin_index] += 4.0 * count
-    assert max(loads) <= 10.0 + 1e-9
-
-
-def test_dominance_infeasible_from_smaller_vector():
-    memo = PackingMemo()
-    packer = VectorBinPacker(num_bins=1, capacity=[10.0], memo=memo)
-    first = packer.pack(_items([3]))  # 12 > 10: proven infeasible
-    assert not first.feasible and first.exact
-    result = packer.pack(_items([4]))  # componentwise larger: dominance
-    assert not result.feasible and result.exact
-    assert packer.memo_dominance_hits == 1
-
-
-def test_dominance_promotes_to_exact_entry():
-    memo = PackingMemo()
-    packer = VectorBinPacker(num_bins=2, capacity=[10.0], memo=memo)
-    packer.pack(_items([2, 2]))
-    packer.pack(_items([1, 2]))  # dominance hit, promoted
-    packer.pack(_items([1, 2]))  # now an exact hit
-    assert packer.memo_dominance_hits == 1
-    assert packer.memo_hits == 1
-
-
-def test_dominance_ignores_unproven_failures():
-    memo = PackingMemo()
-    # Seed an unproven (budget-exhausted) failure; it must not propagate.
-    memo.put(_items([1]), PackingResult.infeasible(exact=False))
-    packer = VectorBinPacker(num_bins=2, capacity=[10.0], memo=memo)
-    result = packer.pack(_items([2]))
-    assert result.feasible  # solved fresh, not answered by dominance
-    assert packer.memo_dominance_hits == 0
-
-
-def test_dominance_respects_signature():
-    memo = PackingMemo()
-    packer = VectorBinPacker(num_bins=1, capacity=[10.0], memo=memo)
-    assert not packer.pack([PackingItemType("a", 3, (4.0,))]).feasible
-    # Same name, different size: a different signature, no dominance.
-    result = packer.pack([PackingItemType("a", 4, (1.0,))])
-    assert result.feasible
-    assert packer.memo_dominance_hits == 0
-
-
-def test_dominance_hits_reach_solver_counters():
-    from repro.core.exact import ExactSettings, _pack_items, _packer_for, solve_exact_min_ii
-    from repro.reporting.experiments import case_study
-
-    problem = case_study("alex-16", resource_limit_percent=70.0)
-    settings = ExactSettings()
-    outcome = solve_exact_min_ii(problem, settings)
-    assert outcome.succeeded
-    assert "packing_memo_dominance_hits" in outcome.counters
-    # Seed a probe strictly dominated by the solve's optimal packing: one
-    # fewer CU of the first kernel than the optimum needed.
-    totals = {name: sum(v) for name, v in outcome.solution.counts.items()}
-    first = next(iter(totals))
-    if totals[first] > 1:
-        totals[first] -= 1
-        packer = _packer_for(problem, settings)
-        result = packer.pack(_pack_items(problem, totals))
-        assert result.feasible
-        assert packer.memo_dominance_hits + packer.memo_hits >= 1
-
-
-def test_memo_eviction_keeps_dominance_index_consistent():
+def test_memo_evicts_the_oldest_entry():
     memo = PackingMemo(max_entries=2)
     memo.put(_items([1]), PackingResult.infeasible(exact=True))
     memo.put(_items([2]), PackingResult.infeasible(exact=True))
     memo.put(_items([3]), PackingResult.infeasible(exact=True))  # evicts [1]
     assert len(memo) == 2
     assert memo.get(_items([1])) is None
-    # The dominance index must have dropped the evicted entry too: a query
-    # smaller than [2] cannot be answered by the stale [1].
-    assert memo.get_dominated(_items([2])) is not None  # [2] itself dominates
+    assert memo.get(_items([2])) is not None
     memo.clear()
-    assert memo.get_dominated(_items([5])) is None
+    assert len(memo) == 0
+    assert memo.get(_items([3])) is None
+
+
+def test_memo_answers_only_the_exact_count_vector():
+    """A repeat is a memo hit; a componentwise smaller vector is packed fresh."""
+    memo = PackingMemo()
+    packer = VectorBinPacker(num_bins=2, capacity=[10.0], memo=memo)
+    first = packer.pack(_items([2, 2]))  # 4 items of size 4 into 2 x 10: packs
+    assert first.feasible
+    smaller = packer.pack(_items([1, 2]))
+    assert smaller.feasible and smaller.exact
+    assert packer.memo_hits == 0 and packer.memo_misses == 2
+    loads = [0.0, 0.0]
+    for per_bin in smaller.assignment.values():
+        for bin_index, count in enumerate(per_bin):
+            loads[bin_index] += 4.0 * count
+    assert sum(smaller.assignment["k0"]) == 1 and sum(smaller.assignment["k1"]) == 2
+    assert max(loads) <= 10.0 + 1e-9
+    assert packer.pack(_items([2, 2])) is first
+    assert packer.memo_hits == 1 and memo.hits == 1
+    assert len(memo) == 2
+
+
+def test_memo_key_includes_item_sizes():
+    memo = PackingMemo()
+    packer = VectorBinPacker(num_bins=1, capacity=[10.0], memo=memo)
+    assert not packer.pack([PackingItemType("a", 3, (4.0,))]).feasible
+    # Same name and count, different size: a different key, solved fresh.
+    result = packer.pack([PackingItemType("a", 3, (1.0,))])
+    assert result.feasible
+    assert packer.memo_hits == 0
+
+
+def test_memo_hits_reach_solver_counters():
+    """A repeated exact solve answers every probe from the shared memo."""
+    from repro.core.exact import ExactSettings, solve_exact_min_ii
+    from repro.minlp.binpacking import shared_packing_memos_clear
+    from repro.reporting.experiments import case_study
+
+    shared_packing_memos_clear()
+    problem = case_study("alex-16", resource_limit_percent=70.0)
+    first = solve_exact_min_ii(problem, ExactSettings())
+    second = solve_exact_min_ii(problem, ExactSettings())
+    assert first.succeeded and second.succeeded
+    assert second.initiation_interval == first.initiation_interval
+    assert first.counters["packing_memo_hits"] == 0
+    assert first.counters["packing_memo_misses"] == first.counters["packs"] > 0
+    assert second.counters["packing_memo_hits"] == second.counters["packs"]
+    assert second.counters["packing_memo_misses"] == 0
+    assert second.counters["packer_exact_searches"] == 0
 
 
 class TestSkewedFleetFFDOrdering:

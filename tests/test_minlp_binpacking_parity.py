@@ -11,6 +11,7 @@ budget-exhaustion contract that was previously reachable but never asserted.
 import math
 
 import pytest
+from branching_packer import BranchingPacker
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -219,10 +220,10 @@ class TestNodeBudgetExhaustion:
         result = packer.pack(items)
         assert not result.feasible
         assert result.exact
-        # The default completion strategy proves this at the root (the
-        # two-bin decider), without expanding a single branching node.
+        # Bin completion proves this at the root (the two-bin decider),
+        # without expanding a single branching node.
         assert result.nodes == 0
-        branching = VectorBinPacker(num_bins=2, capacity=[10.0], strategy="branching")
+        branching = BranchingPacker(num_bins=2, capacity=[10.0])
         reference = branching.pack(items)
         assert not reference.feasible
         assert reference.exact

@@ -1,11 +1,11 @@
-"""Packer strategy and backend equivalence suites.
+"""Packer search and backend equivalence suites.
 
 Three independent implementations must agree on every instance:
 
-* the **bin-completion** engine (default strategy, Korf-style maximal
-  completions with dominance pruning),
-* the **branching** engine (item-at-a-time backtracking, the parity
-  reference kept from the original packer),
+* the **bin-completion** engine (the packer's exact search, Korf-style
+  maximal completions with dominance pruning),
+* the plain **branching** search (item-at-a-time backtracking, the parity
+  reference :class:`branching_packer.BranchingPacker`),
 * the numba-compiled hot loop versus the always-available pure-NumPy
   fallback of the completion engine (``REPRO_PACKER_BACKEND``).
 
@@ -21,6 +21,7 @@ import itertools
 
 import numpy as np
 import pytest
+from branching_packer import BranchingPacker
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,12 +69,8 @@ class TestCompletionVsBranching:
     @given(packing_instances())
     def test_equivalent_verdicts_on_random_instances(self, instance):
         num_bins, capacity, items = instance
-        completion = VectorBinPacker(
-            num_bins=num_bins, capacity=capacity, strategy="completion"
-        )
-        branching = VectorBinPacker(
-            num_bins=num_bins, capacity=capacity, strategy="branching"
-        )
+        completion = VectorBinPacker(num_bins=num_bins, capacity=capacity)
+        branching = BranchingPacker(num_bins=num_bins, capacity=capacity)
         completion_result = completion.pack(items)
         branching_result = branching.pack(items)
         if completion_result.exact and branching_result.exact:
@@ -94,32 +91,31 @@ class TestCompletionVsBranching:
             PackingItemType("k2", count=2, size=(3.5,)),
             PackingItemType("k3", count=3, size=(1.5,)),
         ]
-        for strategy in ("completion", "branching"):
-            solvable = VectorBinPacker(num_bins=3, capacity=[7.0], strategy=strategy)
+        for packer_class in (VectorBinPacker, BranchingPacker):
+            solvable = packer_class(num_bins=3, capacity=[7.0])
             assert solvable.pack(items).feasible  # greedy screens fail, search wins
-            starved = VectorBinPacker(
-                num_bins=3,
-                capacity=[7.0],
-                strategy=strategy,
-                max_backtrack_nodes=1,
-            )
+            starved = packer_class(num_bins=3, capacity=[7.0], max_backtrack_nodes=1)
             result = starved.pack(items)
             if result.feasible:
                 continue  # decided before the budget could bite
-            assert not result.exact, strategy
-            assert result.assignment == {}, strategy
+            assert not result.exact, packer_class
+            assert result.assignment == {}, packer_class
 
-    def test_min_ii_agrees_across_strategies(self, tiny_problem, monkeypatch):
+    def test_min_ii_agrees_across_searches(self, tiny_problem, monkeypatch):
         from repro.core.exact import solve_exact_min_ii
         from repro.minlp.binpacking import shared_packing_memos_clear
 
         iis = {}
-        for strategy in ("completion", "branching"):
+        for name, search in (
+            ("completion", VectorBinPacker._exact_search),
+            ("branching", VectorBinPacker._exact_search_branching),
+        ):
             shared_packing_memos_clear()
-            monkeypatch.setenv("REPRO_PACKER_STRATEGY", strategy)
+            monkeypatch.setattr(VectorBinPacker, "_exact_search", search)
             outcome = solve_exact_min_ii(tiny_problem)
             assert outcome.succeeded
-            iis[strategy] = outcome.initiation_interval
+            iis[name] = outcome.initiation_interval
+        shared_packing_memos_clear()
         assert iis["completion"] == iis["branching"]
 
 

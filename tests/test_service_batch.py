@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.core.exact import ExactSettings
 from repro.core.heuristic import HeuristicSettings
 from repro.core.problem import AllocationProblem
 from repro.core.solvers import solve
 from repro.platform.presets import aws_f1
+from repro.reporting.experiments import case_study
+from repro.reporting.trace import cold_solver_caches
 from repro.service.batch import SolveRequest, request_from_dict, solve_batch
 from repro.service.client import request_to_dict
 from repro.service.store import ResultStore
@@ -83,18 +88,40 @@ class TestSolveBatchDedupe:
             assert outcome.solution.counts == direct.solution.counts
             assert outcome.status == direct.status
 
-    def test_memo_grouping_counts_groups(self, tiny_problem_at):
-        # Same constrained problem under different allocator T values: one
-        # memo-sharing group, but distinct fingerprints (distinct solves).
-        problem = tiny_problem_at(75.0)
-        requests = [
-            SolveRequest(problem=problem, heuristic_settings=HeuristicSettings(t_percent=t))
-            for t in (0.0, 10.0, 20.0)
-        ]
-        _, report = solve_batch(requests)
-        assert report.unique == 3
-        assert report.solves == 3
-        assert report.groups == 1
+
+class TestSolveOrder:
+    def test_reversed_batch_gives_identical_outcome_documents(self):
+        """Misses are solved in request order, with no grouping.  The solver
+        memos are keyed by value, so the order cannot change an answer: a
+        mixed batch and its reversal, each solved cold, give byte-identical
+        outcome documents (minus the wall clock)."""
+
+        def batch() -> list[SolveRequest]:
+            return [
+                SolveRequest(
+                    problem=case_study(app, limit),
+                    method=method,
+                    exact_settings=None if method == "gp+a" else ExactSettings(max_nodes=3),
+                )
+                for app in ("alex-16", "alex-32")
+                for limit in (60.0, 75.0)
+                for method in ("gp+a", "minlp", "minlp+g")
+            ]
+
+        def documents(requests: list[SolveRequest]) -> dict[str, str]:
+            cold_solver_caches()
+            outcomes, report = solve_batch(requests, store=ResultStore())
+            assert report.solves == len(requests)
+            texts = {}
+            for request, outcome in zip(requests, outcomes):
+                document = outcome.to_dict()
+                del document["runtime_seconds"]
+                texts[request.fingerprint()] = json.dumps(document)
+            return texts
+
+        forward = documents(batch())
+        assert len(forward) == 12
+        assert documents(batch()[::-1]) == forward
 
 
 class TestRequestWireFormat:
@@ -148,6 +175,21 @@ class TestRequestWireFormat:
         payload["exact_settings"] = {"discretization_max_nodes": 20_000}
         with pytest.raises(SerializationError, match="discretization_max_nodes"):
             request_from_dict(payload)
+
+    def test_retired_constant_fields_accept_only_their_one_value(self, tiny_problem_at):
+        """``gp_backend`` and ``use_bb_discretization`` left the settings but
+        stay in every gp+a fingerprint: spelled out with their one legal
+        value they decode to the default request, any other value fails."""
+        payload = request_to_dict(SolveRequest(problem=tiny_problem_at(70.0)))
+        default = request_from_dict(payload).fingerprint()
+        payload["heuristic_settings"] = {"gp_backend": "bisection", "use_bb_discretization": True}
+        request = request_from_dict(payload)
+        assert request.heuristic_settings == HeuristicSettings()
+        assert request.fingerprint() == default
+        for name, value in (("gp_backend", "slsqp"), ("use_bb_discretization", False)):
+            payload["heuristic_settings"] = {name: value}
+            with pytest.raises(SerializationError, match=name):
+                request_from_dict(payload)
 
     def test_missing_problem_rejected(self):
         with pytest.raises(SerializationError, match="problem"):

@@ -21,7 +21,6 @@ from repro.service.canonical import (
     canonical_value,
     fingerprint,
     fleet_fingerprint,
-    group_key,
 )
 from repro.workloads.alexnet import alexnet_fx16
 from repro.workloads.pipeline import Pipeline
@@ -118,25 +117,19 @@ class TestFingerprintStability:
         assert json.loads(canonical_json(document)) is not None
 
 
-class TestGroupKey:
-    def test_allocator_parameters_share_a_group(self, tiny_pipeline):
+class TestRetiredConstants:
+    def test_gp_a_documents_keep_the_retired_settings_constants(self, tiny_pipeline):
+        """``gp_backend`` and ``use_bb_discretization`` left the settings;
+        gp+a documents keep their one legal value so fingerprints hold."""
         problem = problem_with(tiny_pipeline)
-        assert group_key(
-            problem, heuristic_settings=HeuristicSettings(t_percent=10.0)
-        ) == group_key(problem, heuristic_settings=HeuristicSettings(t_percent=30.0))
-
-    def test_gp_backend_splits_groups(self, tiny_pipeline):
-        """The backend is part of the group key; a non-bisection one never decodes."""
-        problem = problem_with(tiny_pipeline)
-        key = group_key(problem, heuristic_settings=HeuristicSettings(gp_backend="bisection"))
-        assert key == group_key(problem)
-        assert json.loads(key)["heuristic_settings"]["gp_backend"] == "bisection"
-        with pytest.raises(ValueError, match="unknown GP backend"):
-            HeuristicSettings(gp_backend="slsqp")
-
-    def test_different_constraints_split_groups(self, tiny_pipeline):
-        problem = problem_with(tiny_pipeline)
-        assert group_key(problem.with_resource_constraint(60.0)) != group_key(problem)
+        settings = canonical_request(problem)["heuristic_settings"]
+        assert settings["gp_backend"] == "bisection"
+        assert settings["use_bb_discretization"] is True
+        assert set(settings) == {
+            "gp_backend", "use_bb_discretization", "t_percent", "delta_percent", "criticality"
+        }
+        exact = canonical_request(problem, "minlp+g")["exact_settings"]
+        assert "gp_backend" not in exact and "use_bb_discretization" not in exact
 
 
 class TestMemoizedCanonicalDocument:
@@ -183,80 +176,26 @@ GOLDEN_PROBLEMS = {
     "hetero-beta": lambda: golden_hetero(beta=0.5),
 }
 
-#: (problem, method) -> (fingerprint, sha256 of the group key text).
+#: (problem, method) -> fingerprint.
 GOLDEN = {
-    ("alex-16@70", "gp+a"): (
-        "8ab50d958d2864f336f89088d87effe2be3cd7c67c2dd916956c9f25dfd62069",
-        "0f085352ec2554c8887638783ede39984873e37627e6a3d28ecd0021cb16e5a7",
-    ),
-    ("alex-16@70", "minlp"): (
-        "dc8bd63298768a458e4fd83236a2c54f8b421b9177be8737e02cf58f15b881ab",
-        "dc8bd63298768a458e4fd83236a2c54f8b421b9177be8737e02cf58f15b881ab",
-    ),
-    ("alex-16@70", "minlp+g"): (
-        "45632137d4acd0de03cf71d825ffbf57320d69ad20c063b886a6c02ecd8a39d2",
-        "45632137d4acd0de03cf71d825ffbf57320d69ad20c063b886a6c02ecd8a39d2",
-    ),
-    ("alex-16@70-int", "gp+a"): (
-        "8ab50d958d2864f336f89088d87effe2be3cd7c67c2dd916956c9f25dfd62069",
-        "0f085352ec2554c8887638783ede39984873e37627e6a3d28ecd0021cb16e5a7",
-    ),
-    ("alex-16@70-int", "minlp"): (
-        "dc8bd63298768a458e4fd83236a2c54f8b421b9177be8737e02cf58f15b881ab",
-        "dc8bd63298768a458e4fd83236a2c54f8b421b9177be8737e02cf58f15b881ab",
-    ),
-    ("alex-16@70-int", "minlp+g"): (
-        "45632137d4acd0de03cf71d825ffbf57320d69ad20c063b886a6c02ecd8a39d2",
-        "45632137d4acd0de03cf71d825ffbf57320d69ad20c063b886a6c02ecd8a39d2",
-    ),
-    ("vgg-16@61.5", "gp+a"): (
-        "382c2435eef82f84731badec16c4fec6ec7021ef9af59f9498f914bfdaa94b21",
-        "3af2fe5940aaba6d49e3a9f9ca8492a8913a7c3078963538c0fb725bc1197237",
-    ),
-    ("vgg-16@61.5", "minlp"): (
-        "cc739dc3c46798e98098e3d997fc2a5758abec882c1952e60e4a57a42e126daf",
-        "cc739dc3c46798e98098e3d997fc2a5758abec882c1952e60e4a57a42e126daf",
-    ),
-    ("vgg-16@61.5", "minlp+g"): (
-        "0d002a3064bf5c772d224e30ec07e145a8329db65347f8d69267fedab39aa70c",
-        "0d002a3064bf5c772d224e30ec07e145a8329db65347f8d69267fedab39aa70c",
-    ),
-    ("hetero", "gp+a"): (
-        "ee71f66cbb8f50a6549f5d09db1b54a2ca016cc930908f968d274203504de2ad",
-        "cf3f3458838d464f92719355ba1e2cf91399cca090dd3eee2e2ec17c6940f6cd",
-    ),
-    ("hetero", "minlp"): (
-        "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
-        "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
-    ),
-    ("hetero", "minlp+g"): (
-        "427398be0ca9043056e0aadc5a977089abde7cb95fcbbbae101cfe5d485b5147",
-        "427398be0ca9043056e0aadc5a977089abde7cb95fcbbbae101cfe5d485b5147",
-    ),
-    ("hetero-permuted", "gp+a"): (
-        "ee71f66cbb8f50a6549f5d09db1b54a2ca016cc930908f968d274203504de2ad",
-        "cf3f3458838d464f92719355ba1e2cf91399cca090dd3eee2e2ec17c6940f6cd",
-    ),
-    ("hetero-permuted", "minlp"): (
-        "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
-        "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
-    ),
-    ("hetero-permuted", "minlp+g"): (
-        "427398be0ca9043056e0aadc5a977089abde7cb95fcbbbae101cfe5d485b5147",
-        "427398be0ca9043056e0aadc5a977089abde7cb95fcbbbae101cfe5d485b5147",
-    ),
-    ("hetero-beta", "gp+a"): (
-        "7b9faee7d29da2a21260edf5541e4d9c59a2b7a2bacf4ff7e3a96d7619f226ad",
-        "6b9c5c7de362ee636768b7eb4a03dc92616a60b625b8d268a9fdbbbce9d1b1bd",
-    ),
-    ("hetero-beta", "minlp"): (
-        "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
-        "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
-    ),
-    ("hetero-beta", "minlp+g"): (
-        "fa4fc14bb8a7a18e84c53a723a0acb9ee7f59b8bd33ebef31167ed042c154c98",
-        "fa4fc14bb8a7a18e84c53a723a0acb9ee7f59b8bd33ebef31167ed042c154c98",
-    ),
+    ("alex-16@70", "gp+a"): "8ab50d958d2864f336f89088d87effe2be3cd7c67c2dd916956c9f25dfd62069",
+    ("alex-16@70", "minlp"): "dc8bd63298768a458e4fd83236a2c54f8b421b9177be8737e02cf58f15b881ab",
+    ("alex-16@70", "minlp+g"): "45632137d4acd0de03cf71d825ffbf57320d69ad20c063b886a6c02ecd8a39d2",
+    ("alex-16@70-int", "gp+a"): "8ab50d958d2864f336f89088d87effe2be3cd7c67c2dd916956c9f25dfd62069",
+    ("alex-16@70-int", "minlp"): "dc8bd63298768a458e4fd83236a2c54f8b421b9177be8737e02cf58f15b881ab",
+    ("alex-16@70-int", "minlp+g"): "45632137d4acd0de03cf71d825ffbf57320d69ad20c063b886a6c02ecd8a39d2",
+    ("vgg-16@61.5", "gp+a"): "382c2435eef82f84731badec16c4fec6ec7021ef9af59f9498f914bfdaa94b21",
+    ("vgg-16@61.5", "minlp"): "cc739dc3c46798e98098e3d997fc2a5758abec882c1952e60e4a57a42e126daf",
+    ("vgg-16@61.5", "minlp+g"): "0d002a3064bf5c772d224e30ec07e145a8329db65347f8d69267fedab39aa70c",
+    ("hetero", "gp+a"): "ee71f66cbb8f50a6549f5d09db1b54a2ca016cc930908f968d274203504de2ad",
+    ("hetero", "minlp"): "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
+    ("hetero", "minlp+g"): "427398be0ca9043056e0aadc5a977089abde7cb95fcbbbae101cfe5d485b5147",
+    ("hetero-permuted", "gp+a"): "ee71f66cbb8f50a6549f5d09db1b54a2ca016cc930908f968d274203504de2ad",
+    ("hetero-permuted", "minlp"): "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
+    ("hetero-permuted", "minlp+g"): "427398be0ca9043056e0aadc5a977089abde7cb95fcbbbae101cfe5d485b5147",
+    ("hetero-beta", "gp+a"): "7b9faee7d29da2a21260edf5541e4d9c59a2b7a2bacf4ff7e3a96d7619f226ad",
+    ("hetero-beta", "minlp"): "b013597d44af1ebbb6e0b12ed6150754be1f1e87d37b990185e0b21509334921",
+    ("hetero-beta", "minlp+g"): "fa4fc14bb8a7a18e84c53a723a0acb9ee7f59b8bd33ebef31167ed042c154c98",
 }
 
 
@@ -266,26 +205,20 @@ def golden_settings(method: str) -> ExactSettings | None:
 
 class TestGoldenFingerprints:
     @pytest.mark.parametrize("case, method", sorted(GOLDEN))
-    def test_fingerprint_and_group_key_are_unchanged(self, case, method):
+    def test_fingerprint_is_unchanged(self, case, method):
         problem = GOLDEN_PROBLEMS[case]()
         settings = golden_settings(method)
-        expected_print, expected_group = GOLDEN[case, method]
-        assert fingerprint(problem, method, exact_settings=settings) == expected_print
-        group = group_key(problem, method, exact_settings=settings)
-        assert hashlib.sha256(group.encode("utf-8")).hexdigest() == expected_group
+        assert fingerprint(problem, method, exact_settings=settings) == GOLDEN[case, method]
 
-    def test_allocator_settings_split_fingerprints_not_groups(self):
+    def test_allocator_settings_fingerprint_is_unchanged(self):
         problem = case_study("alex-16", 70.0)
         settings = HeuristicSettings(t_percent=5.0, criticality="resource")
         assert fingerprint(problem, heuristic_settings=settings) == (
             "e816840464843b6937f506299d1e17f9cadf16e14279ae629320ba6d5290b320"
         )
-        assert group_key(problem, heuristic_settings=settings) == group_key(problem)
 
     @pytest.mark.parametrize("case, method", sorted(GOLDEN))
-    def test_spliced_request_text_matches_the_generic_canonical_json(self, case, method):
-        """The fast path splices pre-rendered texts; it must hash the same
-        bytes as canonicalising the whole request document."""
+    def test_fingerprint_hashes_the_generic_canonical_json(self, case, method):
         problem = GOLDEN_PROBLEMS[case]()
         settings = golden_settings(method)
         document = canonical_request(problem, method, exact_settings=settings)
@@ -293,14 +226,10 @@ class TestGoldenFingerprints:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == fingerprint(
             problem, method, exact_settings=settings
         )
-        if method != "gp+a":
-            assert group_key(problem, method, exact_settings=settings) == text
 
-    def test_solve_request_derives_both_keys_from_one_build(self):
+    def test_solve_request_fingerprint_is_unchanged(self):
         request = SolveRequest(problem=case_study("vgg-16", 61.5), method="gp+a")
-        assert request.fingerprint() == GOLDEN["vgg-16@61.5", "gp+a"][0]
-        group = request.group_key()
-        assert hashlib.sha256(group.encode("utf-8")).hexdigest() == GOLDEN["vgg-16@61.5", "gp+a"][1]
+        assert request.fingerprint() == GOLDEN["vgg-16@61.5", "gp+a"]
 
 
 #: Seed of ``synthetic_fleet(3 tenants, classes (3, 3))`` -> (heuristic,

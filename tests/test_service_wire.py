@@ -195,7 +195,7 @@ class TestSyncResponse:
 
         # Reference: the per-document decode and per-outcome encode loops.
         requests = [request_from_dict(document) for document in documents]
-        outcomes, report = solve_batch(requests, store=service.store, executor=service.executor)
+        outcomes, report = solve_batch(requests, store=service.store)
         expected_report = report.as_dict()
         expected_report["runtime_seconds"] = response["report"]["runtime_seconds"]
         expected = json.dumps(
@@ -217,13 +217,13 @@ class TestSyncResponse:
         request_memo_clear()  # earlier tests sent the pool already
         decodes: list[int] = []
         prints: list[int] = []
-        decode, keys = batch_module.request_from_dict, batch_module.request_keys
+        decode, keys = batch_module.request_from_dict, batch_module.fingerprint
         monkeypatch.setattr(
             batch_module, "request_from_dict", lambda doc: decodes.append(1) or decode(doc)
         )
         monkeypatch.setattr(
             batch_module,
-            "request_keys",
+            "fingerprint",
             lambda *args: prints.append(1) or keys(*args),
         )
         documents = [POOL[index % len(POOL)] for index in range(1000)]
