@@ -6,27 +6,22 @@ solvers were always much faster than Couenne, and PR 3 (incremental LP
 relaxations, derivative-bracketed II probing, counting-bound packing proofs)
 made the exact path comparable to the heuristic on these instances.  PR 6
 (bin-completion packing, GP-step/allocation memos shared with the exact
-seeds, batched sweep LPs) retired the last slow rows: the whole nine-row
-table runs in ~50 ms cold on the single-core reference container.  What this
-benchmark asserts is (i) the paper's absolute heuristic budget, and (ii) the
-exact path's work counters: packer search nodes (0 at PR 6 -- completion
-decides every table packing at the root), LP solves per branch-and-bound
-node, and the batched sweep-seeding LPs, so a relaxation-assembly or
-packing-bound regression fails loudly here (and in the ``exact-smoke`` CI
-job, which runs this module under a wall-clock budget).
+seeds) retired the last slow rows: the whole nine-row table runs in ~50 ms
+cold on the single-core reference container.  What this benchmark asserts
+is (i) the paper's absolute heuristic budget, and (ii) the exact path's
+work counters: packer search nodes (0 since bin-completion decides every
+table packing at the root) and LP solves per branch-and-bound node, so a
+relaxation-assembly or packing-bound regression fails loudly here (and in
+the ``exact-smoke`` CI job, which runs this module under a wall-clock
+budget).
 """
 
 import time
 
-from repro.core.discretize import discretization_cache_clear
 from repro.core.exact import ExactSettings
-from repro.core.gp_step import gp_step_cache_clear
-from repro.core.heuristic import allocation_cache_clear
 from repro.core.solvers import solve
-from repro.explore.sweep import resource_constraint_sweep
-from repro.minlp.binpacking import shared_packing_memos_clear
-from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
 from repro.reporting.experiments import case_study, runtime_table
+from repro.reporting.trace import cold_solver_caches
 
 EXACT_SETTINGS = ExactSettings(max_nodes=3, time_limit_seconds=120.0)
 
@@ -39,19 +34,6 @@ EXACT_SETTINGS = ExactSettings(max_nodes=3, time_limit_seconds=120.0)
 #: derivative-sign bisection needed 7.0, the seed ~62).
 MAX_LP_SOLVES_PER_NODE = 4.5
 MAX_PACKER_SEARCH_NODES = 100
-
-#: Batched sweep seeding solves at most the goal + feasibility LP pair per
-#: sweep point on the shared skeleton (measured: exactly 2).
-MAX_BATCHED_LPS_PER_POINT = 4
-
-
-def cold_caches() -> None:
-    """Drop every cross-call memo tier the solvers share."""
-    shared_relaxation_caches_clear()
-    shared_packing_memos_clear()
-    discretization_cache_clear()
-    gp_step_cache_clear()
-    allocation_cache_clear()
 
 
 def test_runtime_table(benchmark, save_artifact):
@@ -81,7 +63,7 @@ def test_exact_path_wall_clock_budget(benchmark):
     """The whole exact side of the runtime table solves in well under the
     ~5 s the seed needed (cold caches; generous 2.5 s CI budget)."""
     def exact_rows():
-        cold_caches()
+        cold_solver_caches()
         start = time.perf_counter()
         for case in ("alex-16", "alex-32", "vgg-16"):
             problem = case_study(case, resource_limit_percent=70.0)
@@ -102,7 +84,7 @@ def test_exact_path_work_counters():
     were ~62 LPs/node and ~400k packer nodes on the vgg-16 row; the PR 3-5
     branching packer still burned ~2.9k nodes on alex-16."""
     for case in ("alex-16", "vgg-16"):
-        cold_caches()
+        cold_solver_caches()
         problem = case_study(case, resource_limit_percent=70.0)
 
         exact = solve(problem, method="minlp", exact_settings=EXACT_SETTINGS)
@@ -118,23 +100,6 @@ def test_exact_path_work_counters():
         counters = weighted.counters
         assert counters["node_solves"] > 0
         assert counters["lp_solves"] / counters["node_solves"] <= MAX_LP_SOLVES_PER_NODE
-
-
-def test_sweep_batched_lp_counters():
-    """A minlp+g sweep seeds its root relaxations on one shared LP skeleton:
-    every point reports the work as ``lp_batched_solves``, bounded by the
-    goal + feasibility pair the batch solves per point."""
-    cold_caches()
-    points = resource_constraint_sweep(
-        case_study("alex-16"),
-        [50.0, 60.0, 70.0, 80.0],
-        methods=("minlp+g",),
-        exact_settings=EXACT_SETTINGS,
-    )
-    assert len(points) == 4
-    for point in points:
-        batched = point.outcome.counters.get("lp_batched_solves", 0)
-        assert 1 <= batched <= MAX_BATCHED_LPS_PER_POINT
 
 
 def test_warm_exact_replay_is_cached():

@@ -35,6 +35,7 @@ provided for ablation.
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping
@@ -64,19 +65,22 @@ _MEMO_MAX_ENTRIES = 512
 _memo: "OrderedDict[tuple, DiscretizationResult]" = OrderedDict()
 _memo_hits = 0
 _memo_misses = 0
+_memo_lock = threading.Lock()
 
 
 def discretization_cache_info() -> dict[str, int]:
     """Hit/miss/size counters of the cross-call discretisation memo."""
-    return {"hits": _memo_hits, "misses": _memo_misses, "entries": len(_memo)}
+    with _memo_lock:
+        return {"hits": _memo_hits, "misses": _memo_misses, "entries": len(_memo)}
 
 
 def discretization_cache_clear() -> None:
     """Empty the cross-call memo (used by tests and benchmarks)."""
     global _memo_hits, _memo_misses
-    _memo.clear()
-    _memo_hits = 0
-    _memo_misses = 0
+    with _memo_lock:
+        _memo.clear()
+        _memo_hits = 0
+        _memo_misses = 0
 
 
 def _memo_key(problem: AllocationProblem) -> tuple | None:
@@ -173,12 +177,13 @@ def discretize_counts(
     global _memo_hits, _memo_misses
     memo_key = _memo_key(problem) if use_cache else None
     if memo_key is not None:
-        cached = _memo.get(memo_key)
-        if cached is not None:
-            _memo_hits += 1
-            _memo.move_to_end(memo_key)
-            return cached
-        _memo_misses += 1
+        with _memo_lock:
+            cached = _memo.get(memo_key)
+            if cached is not None:
+                _memo_hits += 1
+                _memo.move_to_end(memo_key)
+                return cached
+            _memo_misses += 1
 
     counts = problem.arrays().int_mapping(_threshold_search(problem))
     discretization = DiscretizationResult(
@@ -187,9 +192,10 @@ def discretize_counts(
         proven_optimal=True,
     )
     if memo_key is not None:
-        if len(_memo) >= _MEMO_MAX_ENTRIES:
-            _memo.popitem(last=False)
-        _memo[memo_key] = discretization
+        with _memo_lock:
+            if len(_memo) >= _MEMO_MAX_ENTRIES:
+                _memo.popitem(last=False)
+            _memo[memo_key] = discretization
     return discretization
 
 

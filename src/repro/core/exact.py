@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from ..obs.trace import span
 from .gp_step import solve_gp_step
 from .heuristic import HeuristicSettings, solve_gp_a
 from .problem import AllocationProblem
-from .relaxations import AllocationRelaxation, SweepRelaxationBatch, variable_names
+from .relaxations import AllocationRelaxation, variable_names
 from .solution import AllocationSolution, SolveOutcome, SolveStatus, counts_matrix_feasible
 
 
@@ -335,49 +335,6 @@ def weighted_root_bounds(problem: AllocationProblem) -> VariableBounds:
         ))
         upper += [min(cap, total_cap) for cap in per_fpga]
     return VariableBounds(variable_names(problem), [0] * len(upper), upper)
-
-
-def seed_sweep_relaxations(
-    problems: Sequence[AllocationProblem],
-    settings: ExactSettings = ExactSettings(),
-) -> list[int | None]:
-    """Batch-solve the root relaxations of a family of weighted sweep points.
-
-    The points of a resource-limit (or T) sweep share one relaxation model
-    skeleton; this primes each point's shared relaxation cache with its root
-    result computed on a single :class:`~repro.core.relaxations.
-    SweepRelaxationBatch` -- one model build and one persistent HiGHS
-    round-trip for the whole batch -- so the per-point ``minlp+g`` solves hit
-    the cache at the root.
-
-    Returns one entry per problem: the number of LPs the batch spent on that
-    point (``0`` when the root was already cached), or ``None`` when the
-    point was skipped (spreading disabled, incompatible skeleton, or an
-    infeasible relaxed problem -- those points solve exactly as before).
-    """
-    counts: list[int | None] = [None] * len(problems)
-    batch: SweepRelaxationBatch | None = None
-    for index, problem in enumerate(problems):
-        if not problem.weights.spreading_enabled:
-            continue
-        if batch is None:
-            batch = SweepRelaxationBatch(
-                problem, symmetry_breaking=settings.symmetry_breaking
-            )
-        if not batch.compatible(problem):
-            continue
-        try:
-            bounds = weighted_root_bounds(problem)
-        except Exception:
-            continue  # the per-point solve will report the infeasibility
-        cache = _weighted_relaxation_cache(problem, settings)
-        if cache.get(bounds) is not None:
-            counts[index] = 0
-            continue
-        result, used = batch.solve_point(problem, bounds)
-        cache.put(bounds, result)
-        counts[index] = used
-    return counts
 
 
 def solve_exact_weighted(

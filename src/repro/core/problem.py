@@ -203,21 +203,13 @@ class AllocationProblem:
     # ------------------------------------------------------------------ #
     # Variants
     # ------------------------------------------------------------------ #
-    def with_resource_constraint(
-        self, limit_percent: float, preserve_skew: bool = False
-    ) -> "AllocationProblem":
+    def with_resource_constraint(self, limit_percent: float) -> "AllocationProblem":
         """Copy of the problem with a different per-FPGA resource cap.
 
-        ``preserve_skew`` keeps a heterogeneous platform's per-class capacity
-        ratios intact (the cap names the reference class; the rest scale
-        proportionally) instead of flattening every class to the same cap.
+        Every FPGA of every class gets the same cap (see
+        :meth:`~repro.platform.multi_fpga.MultiFPGAPlatform.with_resource_limit`).
         """
-        return replace(
-            self,
-            platform=self.platform.with_resource_limit(
-                limit_percent, preserve_skew=preserve_skew
-            ),
-        )
+        return replace(self, platform=self.platform.with_resource_limit(limit_percent))
 
     def with_weights(self, weights: ObjectiveWeights) -> "AllocationProblem":
         """Copy of the problem with different objective weights."""

@@ -293,9 +293,6 @@ class _RelaxationModel:
             return offset
 
         num_cap = len(dimensions) * num_f
-        self.num_cap = num_cap
-        self.sym_pairs = tuple(sym_pairs)
-        self.fpga_capacities = fpga_capacities
 
         # --- goal LP: [n..., phi], rows: coverage | capacity | symmetry | secant
         goal_rows = num_k + num_cap + num_sym + num_k
@@ -369,7 +366,6 @@ class AllocationRelaxation:
                 "node_solves": 0,
                 "ii_cache_hits": 0,
                 "ii_cache_misses": 0,
-                "lp_batched_solves": 0,
             }
             object.__setattr__(self, "_cached_counters", counters)
         return counters
@@ -688,111 +684,3 @@ def _cut_model_minimum(
             best = (value, s)
     assert best is not None  # s_low is always a candidate
     return best
-
-
-def _capacity_matrix(problem: AllocationProblem) -> np.ndarray:
-    """Per-FPGA capacities of every active dimension, shape (D, F)."""
-    dimensions = problem.capacity_dimensions()
-    num_f = problem.num_fpgas
-    return np.array([dim.fpga_capacities(num_f) for dim in dimensions]).reshape(
-        len(dimensions), num_f
-    )
-
-
-class SweepRelaxationBatch:
-    """One relaxation model shared by every point of a sweep.
-
-    A resource-limit or T sweep solves the same pipeline on the same platform
-    shape over and over; only the capacity right-hand sides differ between
-    points.  Building an :class:`AllocationRelaxation` per point re-assembles
-    the constraint matrices and re-passes the model to HiGHS every time.
-    This batch builds the model (and its persistent HiGHS LPs) **once** and,
-    per point, hot-swaps the capacity RHS segments of the goal and
-    feasibility LPs -- the same patched-in-place discipline the relaxation
-    already uses for coverage rows and secants, extended across sweep points.
-
-    Every LP solved through the batch is additionally counted as
-    ``lp_batched_solves``, which callers thread into the per-point outcome
-    counters (and from there into ``/stats`` and the reporting tables).
-
-    Points whose skeleton differs (kernel set, WCETs, demand weights,
-    symmetry structure, objective weights) are rejected by
-    :meth:`compatible`; callers fall back to the per-point path for those.
-    """
-
-    def __init__(self, problem: AllocationProblem, symmetry_breaking: bool = True):
-        self.base_problem = problem
-        self.relaxation = AllocationRelaxation(
-            problem=problem, weights=problem.weights, symmetry_breaking=symmetry_breaking
-        )
-        self.relaxation._model  # build the shared skeleton eagerly
-
-    def compatible(self, problem: AllocationProblem) -> bool:
-        """Whether a sweep point shares this batch's model skeleton."""
-        model = self.relaxation._model
-        if tuple(problem.kernel_names) != tuple(model.names):
-            return False
-        if problem.num_fpgas != model.num_fpgas:
-            return False
-        if problem.weights != self.base_problem.weights:
-            return False
-        wcet = np.array([problem.wcet[name] for name in model.names])
-        if not np.array_equal(wcet, model.wcet):
-            return False
-        dimensions = problem.capacity_dimensions()
-        base_dimensions = self.base_problem.capacity_dimensions()
-        if len(dimensions) != len(base_dimensions):
-            return False
-        for dimension, base in zip(dimensions, base_dimensions):
-            if dimension.name != base.name or dimension.weights != base.weights:
-                return False
-        capacities = _capacity_matrix(problem)
-        pairs = tuple(
-            f
-            for f in range(model.num_fpgas - 1)
-            if np.array_equal(capacities[:, f], capacities[:, f + 1])
-        )
-        if self.relaxation.symmetry_breaking and model.num_fpgas > 1:
-            if pairs != model.sym_pairs:
-                return False
-            # The symmetry rows are built from the most contended dimension,
-            # which depends on the capacities and may flip along a sweep.
-            point_view = AllocationRelaxation(
-                problem=problem,
-                weights=problem.weights,
-                symmetry_breaking=self.relaxation.symmetry_breaking,
-            )
-            ours = self.relaxation._symmetry_dimension()
-            theirs = point_view._symmetry_dimension()
-            if (ours is None) != (theirs is None):
-                return False
-            if ours is not None and (
-                ours.name != theirs.name or ours.weights != theirs.weights
-            ):
-                return False
-        return True
-
-    def solve_point(
-        self, problem: AllocationProblem, bounds: VariableBounds
-    ) -> tuple[RelaxationResult, int]:
-        """Solve one point's root relaxation on the shared model.
-
-        Returns the relaxation result and the number of LPs it took (also
-        accumulated into the shared ``lp_batched_solves`` counter).  The
-        caller is responsible for having checked :meth:`compatible`.
-        """
-        with span("sweep_root_lp"):
-            model = self.relaxation._model
-            capacities = _capacity_matrix(problem).reshape(-1)
-            model.goal_b[model.num_k : model.num_k + model.num_cap] = capacities
-            model.feas_b[2 * model.num_k : 2 * model.num_k + model.num_cap] = capacities
-            # The minimum-feasible-II memo is keyed on bound boxes only; two
-            # points with identical boxes but different capacities must not
-            # share entries.
-            self.relaxation._ii_cache.clear()
-            counters = self.relaxation._counters
-            before = counters["lp_solves"]
-            result = self.relaxation.solve(bounds)
-            used = counters["lp_solves"] - before
-            counters["lp_batched_solves"] += used
-            return result, used

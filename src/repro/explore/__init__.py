@@ -9,7 +9,6 @@ configured (``ExecutorSettings(parallel=True, max_workers=N)``).
 from .compare import (
     ComparisonPoint,
     ComparisonSettings,
-    compare_methods_at,
     compare_methods_over,
     speedup_summary,
 )
@@ -32,7 +31,6 @@ from .sweep import (
     SweepPoint,
     default_constraint_range,
     fpga_count_sweep,
-    resource_constraint_sweep,
     t_parameter_sweep,
 )
 
@@ -46,12 +44,10 @@ __all__ = [
     "SweepExecutor",
     "SweepPoint",
     "available_workers",
-    "compare_methods_at",
     "compare_methods_over",
     "default_constraint_range",
     "fpga_count_sweep",
     "measure_method_runtime",
-    "resource_constraint_sweep",
     "run_solve_task",
     "runtime_comparison",
     "speedup_summary",

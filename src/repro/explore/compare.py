@@ -73,16 +73,6 @@ def _comparison_tasks(
     return tasks
 
 
-def compare_methods_at(
-    problem: AllocationProblem,
-    resource_constraint: float,
-    settings: ComparisonSettings = ComparisonSettings(),
-    executor: SweepExecutor | None = None,
-) -> ComparisonPoint:
-    """Run every requested method at one resource constraint."""
-    return compare_methods_over(problem, [resource_constraint], settings, executor)[0]
-
-
 def compare_methods_over(
     problem: AllocationProblem,
     constraints: Sequence[float],

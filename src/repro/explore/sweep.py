@@ -1,30 +1,29 @@
 """Design-space exploration sweeps.
 
-The paper's evaluation is a family of sweeps: the per-FPGA resource
-constraint is varied and each point is solved with one or more methods
-(Figs. 2-5), or the heuristic parameter ``T`` is varied at a fixed ``delta``
-(Fig. 2).  This module provides those sweeps as reusable functions returning
-plain data points, which the reporting layer turns into tables/figures.
+The paper's evaluation is a family of sweeps.  Figs. 3-5 vary the per-FPGA
+resource constraint and solve each point with several methods; that grid is
+:func:`repro.explore.compare.compare_methods_over`, which solves every point
+exactly as a single ``solve()`` would.  This module holds the other sweeps:
+the heuristic parameter ``T`` at a fixed ``delta`` (Fig. 2) and the number of
+FPGAs (the scalability study), returning plain data points that the
+reporting layer turns into tables/figures.
 
 All sweeps execute through :class:`~repro.explore.executor.SweepExecutor`:
 pass an executor configured for a process pool to fan points out over CPUs,
-or keep the default chunked-serial execution.  Either way each constraint's
-problem is built once and shared by every method/parameter solved at that
-constraint, and the T-sweep solves the GP relaxation + discretisation once
-per constraint (they do not depend on ``T``) via the discretisation memo.
+or keep the default chunked-serial execution.  The T-sweep solves the GP
+relaxation + discretisation once per constraint (they do not depend on
+``T``) via the discretisation memo.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from ..core.exact import ExactSettings, seed_sweep_relaxations
 from ..core.heuristic import HeuristicSettings
 from ..core.problem import AllocationProblem
 from ..core.solution import SolveOutcome
-from ..obs.trace import span
 from .executor import DEFAULT_EXECUTOR, SolveTask, SweepExecutor, run_solve_task
 
 
@@ -66,72 +65,6 @@ def default_constraint_range(start: float = 40.0, stop: float = 90.0, step: floa
         raise ValueError("step must be positive")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return [round(start + index * step, 6) for index in range(max(0, count))]
-
-
-def resource_constraint_sweep(
-    problem: AllocationProblem,
-    constraints: Sequence[float],
-    methods: Iterable[str] = ("gp+a",),
-    heuristic_settings: HeuristicSettings | None = None,
-    exact_settings: ExactSettings | None = None,
-    executor: SweepExecutor | None = None,
-    preserve_skew: bool = False,
-) -> list[SweepPoint]:
-    """Solve the problem at every resource constraint with every method.
-
-    Infeasible points are kept in the result (their outcome reports the
-    status); the reporting layer decides whether to plot or skip them.
-    ``preserve_skew`` sweeps a heterogeneous platform without flattening its
-    per-class capacity ratios (each constraint names the reference class's
-    cap; the other classes scale proportionally), so the Figure 3-5 sweeps
-    run unchanged over heterogeneous presets.
-
-    When ``"minlp+g"`` is among the methods, the root LP relaxations of all
-    sweep points are batch-solved up front on one shared model skeleton
-    (:func:`~repro.core.exact.seed_sweep_relaxations`): the points differ
-    only in their capacity right-hand sides, so one persistent LP instance
-    is patched and re-solved per point instead of rebuilding the model each
-    time.  The LPs spent this way surface as the ``lp_batched_solves``
-    counter on the corresponding outcomes.
-    """
-    executor = executor or DEFAULT_EXECUTOR
-    method_list = list(methods)
-    constrained_problems = [
-        problem.with_resource_constraint(constraint, preserve_skew=preserve_skew)
-        for constraint in constraints
-    ]
-    if "minlp+g" in method_list:
-        with span("sweep_seed"):
-            batched_counts = seed_sweep_relaxations(
-                constrained_problems, exact_settings or ExactSettings()
-            )
-    else:
-        batched_counts = [None] * len(constrained_problems)
-    tasks = []
-    for index, constrained in enumerate(constrained_problems):
-        for method in method_list:
-            tasks.append(
-                SolveTask(
-                    problem=constrained,
-                    method=method,
-                    heuristic_settings=heuristic_settings,
-                    exact_settings=exact_settings,
-                    tag=(constraints[index], method, index),
-                )
-            )
-    with span("sweep_solve"):
-        outcomes = executor.map(run_solve_task, tasks)
-    points = []
-    for task, outcome in zip(tasks, outcomes):
-        constraint, method, index = task.tag
-        if method == "minlp+g" and batched_counts[index] is not None:
-            outcome.counters["lp_batched_solves"] = (
-                outcome.counters.get("lp_batched_solves", 0) + batched_counts[index]
-            )
-        points.append(
-            SweepPoint(resource_constraint=constraint, method=method, outcome=outcome)
-        )
-    return points
 
 
 def _run_t_sweep_chunk(task: "TSweepTask") -> list[tuple[float, SweepPoint]]:

@@ -267,47 +267,22 @@ class MultiFPGAPlatform:
     # ------------------------------------------------------------------ #
     # Constraint sweeps
     # ------------------------------------------------------------------ #
-    def with_resource_limit(
-        self, limit_percent: float, preserve_skew: bool = False
-    ) -> "MultiFPGAPlatform":
+    def with_resource_limit(self, limit_percent: float) -> "MultiFPGAPlatform":
         """Return a copy with the per-FPGA resource cap set to ``limit_percent``.
 
         This is the knob swept on the x-axis of Figures 2-5 ("Resource
-        Constraint (%)").  By default the same percentage cap is applied to
-        every resource kind of every FPGA -- on a heterogeneous platform this
-        flattens any per-class skew.  With ``preserve_skew=True`` the cap is
-        applied to the *reference class* (the first class) and every other
-        class is scaled by its existing per-kind ratio to the reference, so
-        the resource-constraint sweeps of Figures 3-5 run unchanged over
-        heterogeneous presets: the sweep moves the whole fleet's capacity
-        while the class gap stays proportionally intact.
+        Constraint (%)").  The same percentage cap is applied to every
+        resource kind of every FPGA, so on a heterogeneous platform it
+        flattens any per-class skew (the skew sweep builds its own
+        platforms instead).
         """
         if limit_percent <= 0:
             raise ValueError("resource limit must be positive")
         uniform = ResourceVector.full(limit_percent)
         if self.classes is None:
             return replace(self, resource_limit=uniform)
-        if not preserve_skew:
-            classes = tuple(
-                replace(device_class, resource_limit=uniform) for device_class in self.classes
-            )
-            return replace(self, resource_limit=uniform, classes=classes)
-        reference = self.classes[0].resource_limit.as_dict()
         classes = tuple(
-            replace(
-                device_class,
-                resource_limit=ResourceVector.from_mapping(
-                    {
-                        kind: (
-                            limit_percent * value / reference[kind]
-                            if reference[kind] > 0
-                            else limit_percent
-                        )
-                        for kind, value in device_class.resource_limit.as_dict().items()
-                    }
-                ),
-            )
-            for device_class in self.classes
+            replace(device_class, resource_limit=uniform) for device_class in self.classes
         )
         return replace(self, resource_limit=uniform, classes=classes)
 

@@ -39,7 +39,6 @@ def cache_stats_table(stats: Mapping[str, Any], title: str = "Result cache") -> 
 #: feasibility/relaxation memo tiers).
 SOLVER_COUNTERS = (
     "lp_solves",
-    "lp_batched_solves",
     "feasibility_lps",
     "probe_lps",
     "node_solves",

@@ -5,6 +5,7 @@ import multiprocessing
 
 import pytest
 
+from repro.explore.compare import ComparisonSettings, compare_methods_over
 from repro.explore.executor import (
     ExecutorSettings,
     SolveTask,
@@ -12,11 +13,7 @@ from repro.explore.executor import (
     available_workers,
     run_solve_task,
 )
-from repro.explore.sweep import (
-    default_constraint_range,
-    resource_constraint_sweep,
-    t_parameter_sweep,
-)
+from repro.explore.sweep import default_constraint_range, t_parameter_sweep
 from repro.reporting.experiments import case_study
 
 
@@ -96,25 +93,29 @@ class TestSweepParity:
 
     def test_resource_sweep_serial_vs_parallel(self, problem):
         constraints = [60.0, 70.0, 80.0]
-        serial = resource_constraint_sweep(
+        settings = ComparisonSettings(methods=("gp+a",))
+        serial = compare_methods_over(
             problem,
             constraints,
-            methods=("gp+a",),
+            settings,
             executor=SweepExecutor(ExecutorSettings(parallel=False)),
         )
-        parallel = resource_constraint_sweep(
+        parallel = compare_methods_over(
             problem,
             constraints,
-            methods=("gp+a",),
+            settings,
             executor=SweepExecutor(
                 ExecutorSettings(parallel=True, max_workers=2, chunk_size=1)
             ),
         )
         assert len(serial) == len(parallel) == 3
         for a, b in zip(serial, parallel):
-            assert (a.resource_constraint, a.method) == (b.resource_constraint, b.method)
-            assert a.feasible == b.feasible
-            assert a.initiation_interval == pytest.approx(b.initiation_interval, abs=1e-12)
+            assert a.resource_constraint == b.resource_constraint
+            assert set(a.outcomes) == set(b.outcomes) == {"gp+a"}
+            assert a.outcomes["gp+a"].status == b.outcomes["gp+a"].status
+            assert a.initiation_interval("gp+a") == pytest.approx(
+                b.initiation_interval("gp+a"), abs=1e-12
+            )
 
     def test_t_sweep_groups_share_constraint_work(self, problem):
         results = t_parameter_sweep(

@@ -6,6 +6,8 @@ search with only a cross-call memo.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -165,6 +167,71 @@ class TestDiscretizationMemo:
         discretize_counts(problem, use_cache=False)
         assert discretization_cache_info() == {"hits": 0, "misses": 0, "entries": 0}
         discretization_cache_clear()
+
+    def test_memo_is_thread_safe_under_eviction(self, monkeypatch):
+        """Concurrent solves (HTTP handlers and job workers) share the memo:
+        with a 2-entry cap every thread's hit races another's eviction, yet
+        no lookup raises and no hit or miss goes uncounted."""
+        monkeypatch.setattr("repro.core.discretize._MEMO_MAX_ENTRIES", 2)
+        problems = [
+            case_study("alex-16", resource_limit_percent=60.0 + 4.0 * index)
+            for index in range(8)
+        ]
+        rounds = 200
+        start = threading.Barrier(len(problems))
+        errors: list[BaseException] = []
+
+        def worker(problem):
+            start.wait()
+            try:
+                for _ in range(rounds):
+                    discretize_counts(problem)
+            except BaseException as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        discretization_cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(p,)) for p in problems]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        info = discretization_cache_info()
+        discretization_cache_clear()
+        assert errors == []
+        assert info["hits"] + info["misses"] == len(problems) * rounds
+        assert info["entries"] <= 2
+
+    def test_concurrent_lookups_of_one_problem_count_every_call(self):
+        """Threads racing on one key all get the memoised answer, and each
+        call is counted exactly once as a hit or a miss."""
+        problem = case_study("alex-16", resource_limit_percent=70.0)
+        num_threads, rounds = 8, 100
+        start = threading.Barrier(num_threads)
+        results: list[list] = [[] for _ in range(num_threads)]
+
+        def worker(index):
+            start.wait()
+            for _ in range(rounds):
+                results[index].append(discretize_counts(problem))
+
+        discretization_cache_clear()
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(num_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        info = discretization_cache_info()
+        discretization_cache_clear()
+        expected = discretize_counts(problem, use_cache=False)
+        assert all(result == expected for batch in results for result in batch)
+        assert info["hits"] + info["misses"] == num_threads * rounds
+        assert 1 <= info["misses"] <= num_threads
+        assert info["entries"] == 1
 
     def test_node_relaxation_cache_is_shared_across_runs(self):
         discretization_cache_clear()

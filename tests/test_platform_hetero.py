@@ -124,24 +124,25 @@ class TestSweeps:
         )
         assert not derated.is_homogeneous  # class structure survives
 
-    def test_with_resource_limit_preserve_skew_scales_classes(self):
-        # 70/35 reference/derated ratio: capping the reference at 50 must
-        # derate the second class to 25, not flatten both to 50.
-        scaled = two_class_platform().with_resource_limit(50.0, preserve_skew=True)
-        assert scaled.classes[0].resource_limit == ResourceVector.full(50.0)
-        assert scaled.classes[1].resource_limit == ResourceVector.full(25.0)
-        assert scaled.resource_limit == ResourceVector.full(50.0)
-        assert not scaled.is_homogeneous
+    def test_with_resource_limit_lifts_a_derated_class(self):
+        # The cap replaces each class's limit, so a class below it is raised.
+        lifted = two_class_platform().with_resource_limit(90.0)
+        assert lifted.fpga_resource_limits() == (ResourceVector.full(90.0),) * 5
+        assert lifted.resource_limit == ResourceVector.full(90.0)
 
-    def test_preserve_skew_is_identity_at_reference_cap(self):
+    def test_with_resource_limit_keeps_devices_counts_and_bandwidth(self):
         platform = two_class_platform()
-        assert platform.with_resource_limit(70.0, preserve_skew=True) == platform
+        derated = platform.with_resource_limit(50.0)
+        assert [(c.device, c.count, c.bandwidth_limit) for c in derated.classes] == [
+            (c.device, c.count, c.bandwidth_limit) for c in platform.classes
+        ]
+        assert derated.fpga_bandwidth_limits() == platform.fpga_bandwidth_limits()
+        assert derated.num_fpgas == platform.num_fpgas
 
-    def test_preserve_skew_on_homogeneous_matches_default(self):
-        platform = aws_f1(num_fpgas=2, resource_limit_percent=70.0)
-        assert platform.with_resource_limit(55.0, preserve_skew=True) == (
-            platform.with_resource_limit(55.0)
-        )
+    @pytest.mark.parametrize("limit", [0.0, -5.0])
+    def test_with_resource_limit_rejects_non_positive_on_heterogeneous(self, limit):
+        with pytest.raises(ValueError):
+            two_class_platform().with_resource_limit(limit)
 
     def test_with_bandwidth_limit_applies_to_every_class(self):
         capped = two_class_platform().with_bandwidth_limit(25.0)

@@ -26,7 +26,7 @@ MANIFEST = json.loads((FIXTURE / "manifest.json").read_text())
 #: Outcome keys that only the older revision writes.
 RETIRED_KEYS = {
     "details": ("gp_backend", "discretization_nodes"),
-    "counters": ("packing_memo_dominance_hits",),
+    "counters": ("packing_memo_dominance_hits", "lp_batched_solves"),
 }
 
 
