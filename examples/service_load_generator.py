@@ -8,7 +8,9 @@ cache.  With ``--check`` the script asserts what the service must guarantee:
 
 * the batch performed exactly ``--unique`` solves (dedupe works),
 * the warm replay performed zero solves (the cache answers),
-* the reported cache counters are consistent with the traffic.
+* the reported cache counters are consistent with the traffic,
+* ``/metrics`` counts requests, solves and cache hits exactly as ``/stats``
+  does (summed over the ``worker`` labels behind the router).
 
 Point it at a running server with ``--url``, or let it spawn one on an
 ephemeral port with ``--spawn`` (the mode CI uses)::
@@ -41,6 +43,34 @@ from repro import aws_f1, alexnet_fx16, AllocationProblem
 from repro.obs.metrics import validate_prometheus_text
 from repro.reporting.service import batch_report_table, cache_stats_table
 from repro.service import ServiceClient, ServiceError, SolveRequest
+
+
+def metric_total(text: str, name: str, **labels: str) -> float:
+    """Sum of the ``/metrics`` samples of ``name`` carrying ``labels``
+    (every ``worker`` label included)."""
+    wanted = [f'{key}="{value}"' for key, value in labels.items()]
+    total = 0.0
+    for line in text.splitlines():
+        sample, _, value = line.rpartition(" ")
+        if sample.split("{", 1)[0] == name and all(label in sample for label in wanted):
+            total += float(value)
+    return total
+
+
+def counter_mismatches(stats: dict, metrics_text: str) -> list[str]:
+    """Where the ``/metrics`` counters disagree with ``/stats``."""
+    pairs = [
+        ("repro_requests_total", {}, stats["service"]["requests"]),
+        ("repro_solves_total", {}, stats["service"]["solves"]),
+    ] + [
+        ("repro_cache_hits_total", {"tier": tier}, stats["cache"][f"{tier}_hits"])
+        for tier in ("memory", "disk")
+    ]
+    return [
+        f"{name}{labels or ''} = {metric_total(metrics_text, name, **labels):g}, /stats {expected}"
+        for name, labels, expected in pairs
+        if metric_total(metrics_text, name, **labels) != expected
+    ]
 
 
 def build_requests(count: int, unique: int, seed: int) -> list[SolveRequest]:
@@ -228,9 +258,11 @@ def main() -> int:
         # Scrape /metrics and validate the Prometheus exposition format.
         metrics_text = client.metrics()
         metrics_problems = validate_prometheus_text(metrics_text)
+        mismatches = counter_mismatches(stats, metrics_text)
         solve_hist_populated = "repro_cache_hit_latency_seconds_bucket" in metrics_text
         print(f"\n/metrics: {len(metrics_text.splitlines())} lines, "
-              f"{len(metrics_problems)} format problems")
+              f"{len(metrics_problems)} format problems, "
+              f"{len(mismatches)} counters disagreeing with /stats")
         missing_worker_labels = []
         if args.worker_processes > 1:
             missing_worker_labels = [
@@ -258,6 +290,8 @@ def main() -> int:
             failures = []
             if metrics_problems:
                 failures.append(f"/metrics format problems: {metrics_problems[:3]}")
+            if mismatches:
+                failures.append(f"/metrics disagrees with /stats: {mismatches}")
             if not solve_hist_populated:
                 failures.append("latency histograms absent from /metrics after replay")
             if missing_worker_labels:

@@ -12,7 +12,6 @@ from .discretize import (
     DiscretizationError,
     DiscretizationResult,
     discretization_cache_clear,
-    discretization_cache_info,
     discretize_counts,
     round_counts,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "compare_methods",
     "default_weights",
     "discretization_cache_clear",
-    "discretization_cache_info",
     "discretize_counts",
     "first_fit_decreasing_allocate",
     "global_spreading",

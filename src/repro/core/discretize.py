@@ -35,13 +35,12 @@ provided for ablation.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
+from ..memo import Memo, value_key
 from .problem import AllocationProblem
 
 
@@ -61,36 +60,12 @@ class DiscretizationError(Exception):
 # --------------------------------------------------------------------------- #
 # Cross-call memo: sweeps re-discretise identical GP optima many times
 # --------------------------------------------------------------------------- #
-_MEMO_MAX_ENTRIES = 512
-_memo: "OrderedDict[tuple, DiscretizationResult]" = OrderedDict()
-_memo_hits = 0
-_memo_misses = 0
-_memo_lock = threading.Lock()
-
-
-def discretization_cache_info() -> dict[str, int]:
-    """Hit/miss/size counters of the cross-call discretisation memo."""
-    with _memo_lock:
-        return {"hits": _memo_hits, "misses": _memo_misses, "entries": len(_memo)}
+_memo: "Memo[tuple, DiscretizationResult]" = Memo(512)
 
 
 def discretization_cache_clear() -> None:
     """Empty the cross-call memo (used by tests and benchmarks)."""
-    global _memo_hits, _memo_misses
-    with _memo_lock:
-        _memo.clear()
-        _memo_hits = 0
-        _memo_misses = 0
-
-
-def _memo_key(problem: AllocationProblem) -> tuple | None:
-    """Value-based memo key; ``None`` when the problem is unhashable."""
-    try:
-        key = (problem.pipeline, problem.platform)
-        hash(key)  # hashability probe; the key itself is stored (value equality)
-    except TypeError:
-        return None
-    return key
+    _memo.clear()
 
 
 def _aggregate_feasible(problem: AllocationProblem, counts: Mapping[str, int]) -> bool:
@@ -174,16 +149,11 @@ def discretize_counts(
     DiscretizationError
         If no feasible integer assignment exists.
     """
-    global _memo_hits, _memo_misses
-    memo_key = _memo_key(problem) if use_cache else None
+    memo_key = value_key(problem.pipeline, problem.platform) if use_cache else None
     if memo_key is not None:
-        with _memo_lock:
-            cached = _memo.get(memo_key)
-            if cached is not None:
-                _memo_hits += 1
-                _memo.move_to_end(memo_key)
-                return cached
-            _memo_misses += 1
+        cached = _memo.get(memo_key)
+        if cached is not None:
+            return cached
 
     counts = problem.arrays().int_mapping(_threshold_search(problem))
     discretization = DiscretizationResult(
@@ -192,10 +162,7 @@ def discretize_counts(
         proven_optimal=True,
     )
     if memo_key is not None:
-        with _memo_lock:
-            if len(_memo) >= _MEMO_MAX_ENTRIES:
-                _memo.popitem(last=False)
-            _memo[memo_key] = discretization
+        _memo.put(memo_key, discretization)
     return discretization
 
 

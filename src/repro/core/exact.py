@@ -24,20 +24,21 @@ from typing import Mapping
 
 import numpy as np
 
+from ..memo import Memo
 from ..minlp.binpacking import (
     PackingItemType,
-    PackingMemo,
     PackingResult,
     VectorBinPacker,
     _strip_assignment,
+    packing_key,
     shared_packing_memo,
 )
 from ..minlp.bounds import VariableBounds
 from ..minlp.branch_and_bound import (
     BBSettings,
     BBStatus,
+    RELAXATION_CACHE_ENTRIES,
     BranchAndBoundSolver,
-    RelaxationCache,
     shared_relaxation_cache,
 )
 from ..minlp.errors import InfeasibleProblemError
@@ -227,12 +228,10 @@ def solve_exact_min_ii(
                 result = seeded
                 seed_packs += 1
                 if packer.memo is not None:  # repeat probes answer directly
-                    packer.memo.put(items, seeded)
+                    packer.memo.put(packing_key(items), seeded)
         return result
 
     def counters() -> dict[str, int]:
-        # Packer-local memo counters: the shared memo's global hit/miss
-        # totals interleave across concurrent solves of the service.
         return {
             "packs": packs,
             "packer_search_nodes": search_nodes,
@@ -300,7 +299,7 @@ def solve_exact_min_ii(
 # --------------------------------------------------------------------------- #
 def _weighted_relaxation_cache(
     problem: AllocationProblem, settings: ExactSettings
-) -> RelaxationCache:
+) -> Memo:
     """Relaxation cache shared by MINLP+G runs over the same problem."""
     try:
         return shared_relaxation_cache(
@@ -313,7 +312,7 @@ def _weighted_relaxation_cache(
             )
         )
     except TypeError:  # unhashable ad hoc problem: private per-call cache
-        return RelaxationCache()
+        return Memo(RELAXATION_CACHE_ENTRIES)
 
 
 def weighted_root_bounds(problem: AllocationProblem) -> VariableBounds:

@@ -13,14 +13,13 @@ problem.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from ..gp.minmax import VectorizedMinMaxProblem
+from ..memo import Memo, value_key
 from ..obs.trace import span
 from .problem import AllocationProblem
 
@@ -59,25 +58,12 @@ def build_vectorized_minmax(problem: AllocationProblem) -> VectorizedMinMaxProbl
 # The relaxation is the beta = 0 symmetric program -- objective weights never
 # enter it -- so every weight variant of a problem shares the entry.
 # --------------------------------------------------------------------------- #
-_MEMO_MAX_ENTRIES = 256
-_memo: "OrderedDict[tuple, GPStepResult]" = OrderedDict()
-_memo_lock = threading.Lock()
+_memo: "Memo[tuple, GPStepResult]" = Memo(256)
 
 
 def gp_step_cache_clear() -> None:
     """Empty the cross-call memo (used by tests and benchmarks)."""
-    with _memo_lock:
-        _memo.clear()
-
-
-def _memo_key(problem: AllocationProblem) -> tuple | None:
-    """Value-based memo key; ``None`` when the problem is unhashable."""
-    try:
-        key = (problem.pipeline, problem.platform)
-        hash(key)
-    except TypeError:
-        return None
-    return key
+    _memo.clear()
 
 
 def solve_gp_step(problem: AllocationProblem) -> GPStepResult:
@@ -92,21 +78,16 @@ def solve_gp_step(problem: AllocationProblem) -> GPStepResult:
         If even one CU per kernel exceeds the aggregated platform capacity.
     """
     with span("gp_step") as trace_span:
-        key = _memo_key(problem)
+        key = value_key(problem.pipeline, problem.platform)
         if key is not None:
-            with _memo_lock:
-                cached = _memo.get(key)
-                if cached is not None:
-                    _memo.move_to_end(key)
-                    if trace_span is not None:
-                        trace_span.attributes["cached"] = True
-                    return cached
+            cached = _memo.get(key)
+            if cached is not None:
+                if trace_span is not None:
+                    trace_span.attributes["cached"] = True
+                return cached
         result = _solve_gp_step_uncached(problem)
         if key is not None:
-            with _memo_lock:
-                if len(_memo) >= _MEMO_MAX_ENTRIES:
-                    _memo.popitem(last=False)
-                _memo[key] = result
+            _memo.put(key, result)
         return result
 
 

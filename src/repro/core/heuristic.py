@@ -9,12 +9,11 @@ chains them and packages the result.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..gp.errors import InfeasibleError
+from ..memo import Memo, value_key
 from ..obs.trace import span
 from .allocator import AllocatorResult, AllocatorSettings, GreedyAllocator
 from .discretize import DiscretizationError, discretize_counts
@@ -51,15 +50,12 @@ class HeuristicSettings:
 # problem shares the entry.  The GP and discretisation stages carry their own
 # memos (:mod:`repro.core.gp_step`, :mod:`repro.core.discretize`).
 # --------------------------------------------------------------------------- #
-_MEMO_MAX_ENTRIES = 512
-_memo: "OrderedDict[tuple, AllocatorResult]" = OrderedDict()
-_memo_lock = threading.Lock()
+_memo: "Memo[tuple, AllocatorResult]" = Memo(512)
 
 
 def allocation_cache_clear() -> None:
     """Empty the cross-call memo (used by tests and benchmarks)."""
-    with _memo_lock:
-        _memo.clear()
+    _memo.clear()
 
 
 def _allocate_memoized(
@@ -67,23 +63,14 @@ def _allocate_memoized(
     settings: AllocatorSettings,
     totals: "dict[str, int]",
 ) -> AllocatorResult:
-    try:
-        key = (problem.pipeline, problem.platform, settings, tuple(sorted(totals.items())))
-        hash(key)
-    except TypeError:
-        key = None
+    key = value_key(problem.pipeline, problem.platform, settings, tuple(sorted(totals.items())))
     if key is not None:
-        with _memo_lock:
-            cached = _memo.get(key)
-            if cached is not None:
-                _memo.move_to_end(key)
-                return cached
+        cached = _memo.get(key)
+        if cached is not None:
+            return cached
     result = GreedyAllocator(problem, settings).allocate(totals)
     if key is not None:
-        with _memo_lock:
-            if len(_memo) >= _MEMO_MAX_ENTRIES:
-                _memo.popitem(last=False)
-            _memo[key] = result
+        _memo.put(key, result)
     return result
 
 

@@ -52,6 +52,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ..memo import Memo
 from ..minlp.bounds import VariableBounds
 from ..minlp.branch_and_bound import RelaxationResult
 from ..obs.trace import span
@@ -371,10 +372,10 @@ class AllocationRelaxation:
         return counters
 
     @property
-    def _ii_cache(self) -> dict[tuple, tuple]:
+    def _ii_cache(self) -> "Memo[tuple, tuple]":
         cache = self.__dict__.get("_cached_ii_cache")
         if cache is None:
-            cache = {}
+            cache = Memo(_II_CACHE_LIMIT)
             object.__setattr__(self, "_cached_ii_cache", cache)
         return cache
 
@@ -516,9 +517,7 @@ class AllocationRelaxation:
                     ii_min = max(ii_floor, 1.0 / t_value)
                     result = (min(ii_min, model.ii_high), values[: model.num_n])
 
-        if len(cache) >= _II_CACHE_LIMIT:
-            cache.pop(next(iter(cache)))
-        cache[key] = result
+        cache.put(key, result)
         return result
 
     # ------------------------------------------------------------------ #

@@ -79,9 +79,13 @@ def compare_methods_over(
     settings: ComparisonSettings = ComparisonSettings(),
     executor: SweepExecutor | None = None,
 ) -> list[ComparisonPoint]:
-    """Run the full comparison over a resource-constraint grid (Figs. 3-5)."""
+    """Run the full comparison over a resource-constraint grid (Figs. 3-5).
+
+    A constraint listed twice is solved once; each listed constraint still
+    gets its own point.
+    """
     executor = executor or DEFAULT_EXECUTOR
-    tasks = _comparison_tasks(problem, constraints, settings)
+    tasks = _comparison_tasks(problem, list(dict.fromkeys(constraints)), settings)
     outcomes = executor.map(run_solve_task, tasks)
     by_constraint: dict[float, dict[str, SolveOutcome]] = {}
     for task, outcome in zip(tasks, outcomes):

@@ -12,16 +12,16 @@ from .branch_and_bound import (
     BBSettings,
     BBStatus,
     BranchAndBoundSolver,
-    RelaxationCache,
     RelaxationResult,
+    box_key,
     shared_relaxation_cache,
     shared_relaxation_caches_clear,
 )
 from .binpacking import (
     PackingItemType,
-    PackingMemo,
     PackingResult,
     VectorBinPacker,
+    packing_key,
     shared_packing_memo,
     shared_packing_memos_clear,
 )
@@ -43,13 +43,13 @@ __all__ = [
     "InfeasibleProblemError",
     "MINLPError",
     "PackingItemType",
-    "PackingMemo",
     "PackingResult",
-    "RelaxationCache",
     "RelaxationResult",
     "SecantSegment",
     "VariableBounds",
     "VectorBinPacker",
+    "box_key",
+    "packing_key",
     "secant_gap",
     "shared_packing_memo",
     "shared_packing_memos_clear",

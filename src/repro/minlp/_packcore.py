@@ -27,11 +27,9 @@ Pruning, in the order it is applied at each bin:
 The function body is written in nopython-compatible style (explicit stack,
 preallocated arrays, no Python containers) so the *same source* runs as the
 pure-NumPy reference implementation and, when numba is installed, as an
-``@njit``-compiled kernel.  ``REPRO_PACKER_BACKEND`` selects between them:
-
-* ``auto`` (default) -- compiled when numba imports, NumPy otherwise;
-* ``numba`` -- require the compiled kernel (raises if numba is missing);
-* ``numpy`` -- force the interpreted reference implementation.
+``@njit``-compiled kernel.  The compiled kernel runs whenever numba
+imports; the entry points' ``backend`` argument (``auto`` | ``numba`` |
+``numpy``) lets the parity tests pin either one.
 
 Parity between the two is guaranteed by construction (one source) and
 asserted by ``tests/test_packer_backends.py`` on hosts that have numba.
@@ -40,7 +38,6 @@ asserted by ``tests/test_packer_backends.py`` on hosts that have numba.
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable
 
 import numpy as np
@@ -52,8 +49,6 @@ UNDECIDED = 0
 
 #: Rows in the proven-infeasible state ring (per call; linear scan).
 _STORE_ROWS = 256
-
-_ENV_BACKEND = "REPRO_PACKER_BACKEND"
 
 
 def _completion_feasible_impl(sizes, counts, caps, tol, budget, store_rows):
@@ -506,20 +501,14 @@ def _compiled_greedy() -> Callable:
 def resolve_backend(name: "str | None" = None) -> str:
     """Resolve the packer backend: ``numba`` or ``numpy``.
 
-    ``name`` overrides the ``REPRO_PACKER_BACKEND`` environment variable
-    (``auto`` | ``numba`` | ``numpy``).
+    ``None`` and ``auto`` pick numba when it imports and NumPy otherwise;
+    ``numba`` and ``numpy`` pin one (the parity tests' hook).
     """
-    if name is None:
-        name = os.environ.get(_ENV_BACKEND, "auto")
-    name = name.strip().lower() or "auto"
-    if name == "auto":
+    if name is None or name == "auto":
         return "numba" if numba_available() else "numpy"
     if name == "numba":
         if not numba_available():
-            raise RuntimeError(
-                "REPRO_PACKER_BACKEND=numba but numba is not importable; "
-                "install numba or use 'auto'/'numpy'"
-            )
+            raise RuntimeError("backend 'numba' requested but numba is not importable")
         return "numba"
     if name == "numpy":
         return "numpy"

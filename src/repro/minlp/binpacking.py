@@ -28,21 +28,20 @@ prunes three ways:
 
 Because the same CU count vector is probed repeatedly -- by the binary search
 over candidate II values, by branch-and-bound nodes and by design-space sweep
-re-solves -- feasibility results can be memoized in a :class:`PackingMemo`
-shared across packer instances (mirroring the ``RelaxationCache`` of
-:mod:`repro.minlp.branch_and_bound`).
+re-solves -- feasibility results can be memoized in a :class:`~repro.memo.Memo`
+keyed by :func:`packing_key` and shared across packer instances (mirroring
+the relaxation caches of :mod:`repro.minlp.branch_and_bound`).
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..memo import Memo
 from ..obs.trace import span
 from . import _packcore
 
@@ -85,60 +84,9 @@ class PackingResult:
         )
 
 
-class PackingMemo:
-    """Memo of packing results keyed on the CU count vector of the request.
-
-    One packer configuration (bin count, capacities, placement, node budget)
-    maps a given item multiset to a deterministic result, so results can be
-    reused across packer instances: the binary search of the exact minimum-II
-    solver probes overlapping count vectors for adjacent candidate II values,
-    and sweep re-solves repeat them wholesale.  Use :func:`shared_packing_memo`
-    with the packer's configuration key to get that sharing.  Eviction is FIFO
-    with a bounded entry count.
-    """
-
-    def __init__(self, max_entries: int = 16384):
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self._max_entries = max_entries
-        #: full key -> result; FIFO order for eviction.
-        self._entries: "OrderedDict[tuple, PackingResult]" = OrderedDict()
-        # Shared memos are hit concurrently by the threaded HTTP service;
-        # the lock keeps eviction-during-insert and counter updates safe.
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key_of(items: Sequence[PackingItemType]) -> tuple:
-        return tuple((item.name, item.count, item.size) for item in items)
-
-    def get(self, items: Sequence[PackingItemType]) -> "PackingResult | None":
-        key = self.key_of(items)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return entry
-
-    def put(self, items: Sequence[PackingItemType], result: PackingResult) -> None:
-        key = self.key_of(items)
-        with self._lock:
-            if key not in self._entries and len(self._entries) >= self._max_entries:
-                self._entries.popitem(last=False)
-            self._entries[key] = result
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
+def packing_key(items: Sequence[PackingItemType]) -> tuple:
+    """Packing-memo key of a request: its item names, counts and sizes."""
+    return tuple((item.name, item.count, item.size) for item in items)
 
 
 def _strip_assignment(
@@ -168,29 +116,27 @@ def _strip_assignment(
     return stripped
 
 
-#: Bounded registry of packing memos shared across packer instances, keyed by
-#: the packer configuration (value-based, so equivalent problems share).
-_SHARED_MEMOS: "dict[tuple, PackingMemo]" = {}
-_SHARED_MEMO_LIMIT = 64
-_SHARED_MEMOS_LOCK = threading.Lock()
+#: Entries of one packing memo.  One packer configuration (bin count,
+#: capacities, placement, node budget) maps a given item multiset to a
+#: deterministic result, so results can be reused across packer instances:
+#: the binary search of the exact minimum-II solver probes overlapping count
+#: vectors for adjacent candidate II values, and sweep re-solves repeat them
+#: wholesale.
+PACKING_MEMO_ENTRIES = 16384
+
+#: Packing memos shared across packer instances, keyed by the packer
+#: configuration (value-based, so equivalent problems share).
+_shared_memos: "Memo[tuple, Memo]" = Memo(64)
 
 
-def shared_packing_memo(key: tuple, max_entries: int = 16384) -> PackingMemo:
+def shared_packing_memo(key: tuple) -> Memo:
     """Packing memo shared by every packer with the same configuration key."""
-    with _SHARED_MEMOS_LOCK:
-        memo = _SHARED_MEMOS.get(key)
-        if memo is None:
-            if len(_SHARED_MEMOS) >= _SHARED_MEMO_LIMIT:
-                _SHARED_MEMOS.pop(next(iter(_SHARED_MEMOS)))
-            memo = PackingMemo(max_entries=max_entries)
-            _SHARED_MEMOS[key] = memo
-    return memo
+    return _shared_memos.get_or_create(key, lambda: Memo(PACKING_MEMO_ENTRIES))
 
 
 def shared_packing_memos_clear() -> None:
     """Drop every shared packing memo (used by tests and benchmarks)."""
-    with _SHARED_MEMOS_LOCK:
-        _SHARED_MEMOS.clear()
+    _shared_memos.clear()
 
 
 class VectorBinPacker:
@@ -216,7 +162,7 @@ class VectorBinPacker:
         tolerance: float = 1e-9,
         max_backtrack_nodes: int = 200_000,
         placement: str = "consolidate",
-        memo: PackingMemo | None = None,
+        memo: "Memo[tuple, PackingResult] | None" = None,
         bin_capacities: "Sequence[Sequence[float]] | None" = None,
     ):
         if num_bins < 1:
@@ -262,9 +208,8 @@ class VectorBinPacker:
         self.last_nodes = 0
         #: Bin-completion engine nodes expended by the last :meth:`pack` call.
         self.last_completion_nodes = 0
-        #: Memo traffic of THIS packer instance.  Shared memos also keep
-        #: global ``hits``/``misses``, but those interleave across concurrent
-        #: solves; per-solve accounting must read the packer-local counters.
+        #: Memo traffic of THIS packer instance (a shared memo cannot tell
+        #: which of several concurrent solves a hit belongs to).
         self.memo_hits = 0
         self.memo_misses = 0
 
@@ -298,7 +243,8 @@ class VectorBinPacker:
         self.last_completion_nodes = 0
         with span("bin_pack") as trace_span:
             if self.memo is not None:
-                cached = self.memo.get(items)
+                key = packing_key(items)
+                cached = self.memo.get(key)
                 if cached is not None:
                     self.memo_hits += 1
                     if trace_span is not None:
@@ -307,7 +253,7 @@ class VectorBinPacker:
                 self.memo_misses += 1
             result = self._pack_uncached(items)
             if self.memo is not None:
-                self.memo.put(items, result)
+                self.memo.put(key, result)
             if trace_span is not None:
                 trace_span.attributes["nodes"] = self.last_nodes
                 trace_span.attributes["completion_nodes"] = self.last_completion_nodes

@@ -24,11 +24,11 @@ The allocation-specific relaxations (the LP + initiation-interval search of
 
 Two performance features are built into the engine itself:
 
-* **Relaxation caching** -- node relaxations are memoized keyed on the node's
-  box, ``(names, lower bytes, upper bytes)`` (a :class:`RelaxationCache` can
-  also be shared across solver instances, e.g. across the points of a
-  design-space sweep, so identical subproblems are never re-solved).
-  Hit/miss counts are reported on :class:`BBResult`.
+* **Relaxation caching** -- node relaxations are memoized in a
+  :class:`~repro.memo.Memo` keyed on the node's box (:func:`box_key`); a
+  cache can be shared across solver instances, e.g. across the points of a
+  design-space sweep, so identical subproblems are never re-solved.  Each
+  run counts its own hits and misses and reports them on :class:`BBResult`.
 * **Warm-starting** -- when the relaxation solver accepts a second argument,
   each child node receives its parent's :class:`RelaxationResult`, whose
   metadata (the allocation relaxation's feasibility point) can spare the
@@ -41,7 +41,6 @@ import heapq
 import inspect
 import itertools
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -49,6 +48,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
+from ..memo import Memo
 from ..obs.trace import span
 from .bounds import VariableBounds
 from .errors import InfeasibleProblemError
@@ -86,94 +86,39 @@ class BBStatus(Enum):
     NO_SOLUTION = "no-solution"  # stopped at a limit without any incumbent
 
 
-class RelaxationCache:
-    """Memo of relaxation results keyed on node boxes.
-
-    Within one tree the boxes of distinct nodes are disjoint, so the payoff
-    comes from *sharing* a cache across solver runs: repeated solves of the
-    same problem (a sweep re-solving each constraint for several heuristic
-    parameters, a root relaxation that equals the already-solved GP step)
-    return instantly.  Use :func:`shared_relaxation_cache` with a value-key
-    identifying the underlying problem to get that sharing; node bounds
-    alone are not a safe key across different problems.  Eviction is FIFO
-    with a bounded entry count.
-    """
-
-    def __init__(self, max_entries: int = 8192):
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self._max_entries = max_entries
-        self._entries: dict[tuple, RelaxationResult] = {}
-        # Shared caches are hit concurrently by the threaded HTTP service;
-        # the lock keeps eviction-during-insert and counter updates safe.
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key_of(bounds: VariableBounds) -> tuple:
-        """``(names, lower bytes, upper bytes)``: boxes over the same
-        variables in the same order share a key exactly when equal."""
-        return (bounds.names, bounds.lower.tobytes(), bounds.upper.tobytes())
-
-    def get(self, bounds: VariableBounds) -> "RelaxationResult | None":
-        key = self.key_of(bounds)
-        with self._lock:
-            result = self._entries.get(key)
-            if result is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return result
-
-    def put(self, bounds: VariableBounds, result: "RelaxationResult") -> None:
-        key = self.key_of(bounds)
-        with self._lock:
-            if len(self._entries) >= self._max_entries:
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = result
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
+def box_key(bounds: VariableBounds) -> tuple:
+    """Relaxation-cache key of a node: ``(names, lower bytes, upper bytes)``.
+    Boxes over the same variables in the same order share a key exactly
+    when equal."""
+    return (bounds.names, bounds.lower.tobytes(), bounds.upper.tobytes())
 
 
-#: Bounded registry of relaxation caches shared across solver runs, keyed by
-#: a caller-supplied value-key identifying the underlying problem.
-_SHARED_CACHES: "dict[tuple, RelaxationCache]" = {}
-_SHARED_CACHE_LIMIT = 64
-_SHARED_CACHES_LOCK = threading.Lock()
+#: Entries of one relaxation cache: a :class:`~repro.memo.Memo` of node
+#: relaxations keyed by :func:`box_key`.  Within one tree the boxes of
+#: distinct nodes are disjoint, so the payoff comes from *sharing* a cache
+#: across solver runs over one problem; node bounds alone are not a safe
+#: key across different problems.
+RELAXATION_CACHE_ENTRIES = 8192
+
+#: Relaxation caches shared across solver runs, keyed by a caller-supplied
+#: value-key identifying the underlying problem.
+_shared_caches: "Memo[tuple, Memo]" = Memo(64)
 
 
-def shared_relaxation_cache(key: tuple, max_entries: int = 8192) -> RelaxationCache:
+def shared_relaxation_cache(key: tuple) -> Memo:
     """Relaxation cache shared by every solver run over the same problem.
 
     Node relaxations depend only on the problem data and the node's box
     bounds, so separate branch-and-bound runs over one problem (repeated
     discretisations, sweep re-solves) can reuse each other's node bounds.
-    The caller's ``key`` must identify the problem by value; the registry
-    keeps at most ``_SHARED_CACHE_LIMIT`` caches (FIFO eviction).
+    The caller's ``key`` must identify the problem by value.
     """
-    with _SHARED_CACHES_LOCK:
-        cache = _SHARED_CACHES.get(key)
-        if cache is None:
-            if len(_SHARED_CACHES) >= _SHARED_CACHE_LIMIT:
-                _SHARED_CACHES.pop(next(iter(_SHARED_CACHES)))
-            cache = RelaxationCache(max_entries=max_entries)
-            _SHARED_CACHES[key] = cache
-    return cache
+    return _shared_caches.get_or_create(key, lambda: Memo(RELAXATION_CACHE_ENTRIES))
 
 
 def shared_relaxation_caches_clear() -> None:
     """Drop every shared relaxation cache (used by tests and benchmarks)."""
-    with _SHARED_CACHES_LOCK:
-        _SHARED_CACHES.clear()
+    _shared_caches.clear()
 
 
 #: The incumbent of a search that found none.
@@ -270,7 +215,7 @@ class BranchAndBoundSolver:
         incumbent_evaluator: IncumbentEvaluator,
         rounding_heuristic: RoundingHeuristic | None = None,
         settings: BBSettings = BBSettings(),
-        relaxation_cache: RelaxationCache | None = None,
+        relaxation_cache: "Memo[tuple, RelaxationResult] | None" = None,
         counters_provider: "Callable[[], Mapping[str, int]] | None" = None,
     ):
         self._relax = relaxation_solver
@@ -284,19 +229,28 @@ class BranchAndBoundSolver:
         self._counters_provider = counters_provider
 
     def _solve_relaxation(
-        self, bounds: VariableBounds, parent: RelaxationResult | None = None
+        self,
+        bounds: VariableBounds,
+        parent: RelaxationResult | None,
+        cache_counts: list[int],
     ) -> RelaxationResult:
-        """Solve one node's relaxation through the cache and warm start."""
+        """Solve one node's relaxation through the cache and warm start;
+        ``cache_counts`` is the run's ``[hits, misses]``.  They are counted
+        here, not read off the cache, because a shared cache also serves
+        concurrent runs."""
         if self._cache is not None:
-            cached = self._cache.get(bounds)
+            key = box_key(bounds)
+            cached = self._cache.get(key)
             if cached is not None:
+                cache_counts[0] += 1
                 return cached
+            cache_counts[1] += 1
         if self._relax_takes_parent:
             result = self._relax(bounds, parent)
         else:
             result = self._relax(bounds)
         if self._cache is not None:
-            self._cache.put(bounds, result)
+            self._cache.put(key, result)
         return result
 
     # ------------------------------------------------------------------ #
@@ -317,14 +271,7 @@ class BranchAndBoundSolver:
         start = time.perf_counter()
         settings = self._settings
         counter = itertools.count()
-        hits_before = self._cache.hits if self._cache is not None else 0
-        misses_before = self._cache.misses if self._cache is not None else 0
-
-        def cache_stats() -> tuple[int, int]:
-            if self._cache is None:
-                return 0, 0
-            return self._cache.hits - hits_before, self._cache.misses - misses_before
-
+        cache_counts = [0, 0]
         counters_before = (
             dict(self._counters_provider()) if self._counters_provider is not None else {}
         )
@@ -346,12 +293,12 @@ class BranchAndBoundSolver:
                 best_objective = value
                 best_solution = seeded
 
-        root_relaxation = self._solve_relaxation(initial_bounds)
+        root_relaxation = self._solve_relaxation(initial_bounds, None, cache_counts)
         if not root_relaxation.feasible:
             if best_solution.size:
                 # The caller's incumbent is feasible even though the root
                 # relaxation is not (should not happen for exact relaxations).
-                hits, misses = cache_stats()
+                hits, misses = cache_counts
                 return BBResult(
                     status=BBStatus.FEASIBLE,
                     objective=best_objective,
@@ -423,7 +370,9 @@ class BranchAndBoundSolver:
                     children.append(node.bounds.with_lower(index, floor_value + 1))
 
                 for child_bounds in children:
-                    relaxation = self._solve_relaxation(child_bounds, node.relaxation)
+                    relaxation = self._solve_relaxation(
+                        child_bounds, node.relaxation, cache_counts
+                    )
                     if not relaxation.feasible:
                         continue
                     if relaxation.objective >= best_objective - settings.gap_tolerance * max(
@@ -448,7 +397,7 @@ class BranchAndBoundSolver:
             # Search exhausted: the incumbent (if any) is optimal.
             global_lower = best_objective if math.isfinite(best_objective) else global_lower
 
-        hits, misses = cache_stats()
+        hits, misses = cache_counts
         if not math.isfinite(best_objective):
             status = BBStatus.NO_SOLUTION if (heap or nodes_explored) else BBStatus.INFEASIBLE
             return BBResult(

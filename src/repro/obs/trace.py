@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Iterable, Iterator, Mapping
+
+from ..memo import Memo
 
 
 def _env_flag(name: str) -> bool:
@@ -225,39 +225,17 @@ def start_trace(name: str, **attributes: Any) -> Iterator[SolveTrace]:
         trace.finish()
 
 
-class TraceStore:
+class TraceStore(Memo):
     """Bounded LRU of recorded traces (as JSON-safe dicts), keyed by
     request fingerprint; backs the service's ``GET /trace/<fingerprint>``."""
 
+    __slots__ = ()
+
     def __init__(self, capacity: int = 256):
-        if capacity <= 0:
-            raise ValueError("TraceStore capacity must be positive")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
-        self._lock = threading.Lock()
+        super().__init__(capacity)
 
     def put(self, key: str, trace: "SolveTrace | Mapping[str, Any]") -> None:
-        payload = trace.as_dict() if isinstance(trace, SolveTrace) else dict(trace)
-        with self._lock:
-            self._entries.pop(key, None)
-            self._entries[key] = payload
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def get(self, key: str) -> dict[str, Any] | None:
-        with self._lock:
-            payload = self._entries.get(key)
-            if payload is not None:
-                self._entries.move_to_end(key)
-            return payload
-
-    def keys(self) -> list[str]:
-        with self._lock:
-            return list(self._entries)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().put(key, trace.as_dict() if isinstance(trace, SolveTrace) else dict(trace))
 
 
 def traces_to_jsonl(traces: Iterable["SolveTrace | Mapping[str, Any]"]) -> str:

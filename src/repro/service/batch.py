@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
@@ -21,6 +21,7 @@ from ..core.heuristic import HeuristicSettings
 from ..core.problem import AllocationProblem
 from ..core.solution import SolveOutcome, SolveStatus
 from ..core.solvers import METHODS, solve
+from ..memo import Memo
 from ..obs.trace import span
 from ..workloads.serialization import SerializationError, problem_from_dict, problem_to_dict
 from .canonical import RETIRED_HEURISTIC_CONSTANTS, canonical_fpga_order, fingerprint
@@ -49,15 +50,12 @@ def encode_outcome(outcome: SolveOutcome, problem: AllocationProblem) -> str:
 #: a warm hit must return exactly what the store holds.  The problem is
 #: matched by identity first, so a replayed request object never pays the
 #: recursive dataclass hash or equality.
-_DECODE_MEMO_LIMIT = 4096
-_decode_memo: "OrderedDict[str, tuple[str, AllocationProblem, SolveOutcome]]" = OrderedDict()
-_decode_memo_lock = threading.Lock()
+_decode_memo: "Memo[str, tuple[str, AllocationProblem, SolveOutcome]]" = Memo(4096)
 
 
 def decode_memo_clear() -> None:
     """Drop every memoized decoded outcome (used by tests)."""
-    with _decode_memo_lock:
-        _decode_memo.clear()
+    _decode_memo.clear()
 
 
 def decode_outcome(
@@ -70,24 +68,18 @@ def decode_outcome(
     for the same (fingerprint, problem) pair skip the JSON parse entirely.
     """
     if fingerprint is not None:
-        with _decode_memo_lock:
-            entry = _decode_memo.get(fingerprint)
-            if (
-                entry is not None
-                and entry[0] == payload
-                and (entry[1] is problem or entry[1] == problem)
-            ):
-                _decode_memo.move_to_end(fingerprint)
-                return entry[2]
+        entry = _decode_memo.get(fingerprint)
+        if (
+            entry is not None
+            and entry[0] == payload
+            and (entry[1] is problem or entry[1] == problem)
+        ):
+            return entry[2]
     outcome = SolveOutcome.from_dict(
         outcome_payload_from_canonical(json.loads(payload), problem), problem=problem
     )
     if fingerprint is not None:
-        with _decode_memo_lock:
-            _decode_memo[fingerprint] = (payload, problem, outcome)
-            _decode_memo.move_to_end(fingerprint)
-            while len(_decode_memo) > _DECODE_MEMO_LIMIT:
-                _decode_memo.popitem(last=False)
+        _decode_memo.put(fingerprint, (payload, problem, outcome))
     return outcome
 
 
@@ -227,21 +219,20 @@ def requests_to_documents(requests: Sequence[SolveRequest]) -> list[dict[str, An
 #: entry for a case-study request weighs about 11 KB (tracemalloc: 8.6 KB
 #: decoded and fingerprinted, plus its 1.8 KB text), so 128 entries hold
 #: about 1.4 MB, about 1% of a serving process.
-_REQUEST_MEMO_LIMIT = 128
-_request_memo: "OrderedDict[str, SolveRequest]" = OrderedDict()
+_request_memo: "Memo[str, SolveRequest]" = Memo(128)
 #: Hashes of texts decoded once and not memoized.  A text enters the memo
 #: only when it repeats -- within one call, or in a later one while its
 #: hash is remembered -- so traffic that never repeats (cold batches) adds
 #: nothing to it and evicts nothing from it; 1024 hashes take about 70 KB.
 _SIGHTINGS_LIMIT = 1024
 _request_sightings: set[int] = set()
-_request_memo_lock = threading.Lock()
+_sightings_lock = threading.Lock()
 
 
 def request_memo_clear() -> None:
     """Drop every memoized decoded request (used by tests)."""
-    with _request_memo_lock:
-        _request_memo.clear()
+    _request_memo.clear()
+    with _sightings_lock:
         _request_sightings.clear()
 
 
@@ -277,11 +268,9 @@ def requests_from_documents(
     def decode(item: tuple[Any, str]) -> SolveRequest:
         document, text = item
         if shared:
-            with _request_memo_lock:
-                request = _request_memo.get(text)
-                if request is not None:
-                    _request_memo.move_to_end(text)
-                    return request
+            request = _request_memo.get(text)
+            if request is not None:
+                return request
         request = request_from_dict(document)
         decoded.append((text, request))
         return request
@@ -299,7 +288,7 @@ def _memoize_repeats(
     decoded: Sequence[tuple[str, SolveRequest]], occurrences: Mapping[str, int]
 ) -> None:
     """Memoize each freshly decoded text that repeats; remember the rest."""
-    with _request_memo_lock:
+    with _sightings_lock:
         for text, request in decoded:
             sighting = hash(text)
             if occurrences[text] < 2 and sighting not in _request_sightings:
@@ -308,9 +297,7 @@ def _memoize_repeats(
                 _request_sightings.add(sighting)
                 continue
             _request_sightings.discard(sighting)
-            _request_memo[text] = request
-            if len(_request_memo) > _REQUEST_MEMO_LIMIT:
-                _request_memo.popitem(last=False)
+            _request_memo.put(text, request)
 
 
 #: The pieces ``json.loads`` is made of, for :func:`loads_batch`.

@@ -176,7 +176,7 @@ class AllocationService(HTTPRoutes):
         )
         self._cache_hits_total = metrics.counter(
             "repro_cache_hits_total",
-            "Requests answered from a cache tier.",
+            "Store lookups answered from a cache tier (one per distinct batch fingerprint).",
             label_names=("tier",),
         )
         self._batches_total = metrics.counter(
@@ -346,7 +346,7 @@ class AllocationService(HTTPRoutes):
                 "solve", method=request.method, fingerprint=fingerprint
             ) as trace:
                 outcome, source = self._answer(request, fingerprint)
-            self.traces.put(fingerprint, trace.as_dict())
+            self.traces.put(fingerprint, trace)
         else:
             outcome, source = self._answer(request, fingerprint)
         latency_seconds = time.perf_counter() - start
@@ -397,6 +397,11 @@ class AllocationService(HTTPRoutes):
             self._batches += 1
             self._solves += report.solves
         self._batches_total.inc()
+        self._requests_total.inc(report.total)
+        self._solves_total.inc(report.solves)
+        for tier, hits in (("memory", report.memory_hits), ("disk", report.disk_hits)):
+            if hits:
+                self._cache_hits_total.labels(tier=tier).inc(hits)
         self._batch_latency.observe(report.runtime_seconds)
         return outcomes, report
 

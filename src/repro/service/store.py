@@ -60,18 +60,14 @@ class StoreLimits:
     """
 
     memory_entries: int = 4096
-    memory_bytes: int | None = None
-    disk_entries: int | None = None
     disk_bytes: int | None = None
     ttl_seconds: float | None = None
 
     def __post_init__(self) -> None:
         if self.memory_entries < 1:
             raise ValueError("memory_entries must be >= 1")
-        for name in ("memory_bytes", "disk_entries", "disk_bytes"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1 (or None for unbounded)")
+        if self.disk_bytes is not None and self.disk_bytes < 1:
+            raise ValueError("disk_bytes must be >= 1 (or None for unbounded)")
         if self.ttl_seconds is not None and self.ttl_seconds <= 0:
             raise ValueError("ttl_seconds must be positive (or None for no expiry)")
 
@@ -140,8 +136,8 @@ class CacheStats:
 class MemoryTier:
     """A bounded LRU mapping of fingerprint -> payload string.
 
-    Besides the entry cap of the PR 2 tier, the tier can bound its payload
-    bytes (``max_bytes``) and expire entries after ``ttl_seconds``.  Expiry
+    Besides its entry cap, the tier can expire entries after
+    ``ttl_seconds``.  Expiry
     is lazy -- an expired entry is dropped when it is next touched (or when
     it reaches the LRU head during an eviction pass) -- which is exactly
     right for deterministic solver results: the TTL exists to bound staleness
@@ -160,14 +156,12 @@ class MemoryTier:
     def __init__(
         self,
         capacity: int = 4096,
-        max_bytes: int | None = None,
         ttl_seconds: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         if capacity < 1:
             raise ValueError("memory tier capacity must be >= 1")
         self.capacity = capacity
-        self.max_bytes = max_bytes
         self.ttl_seconds = ttl_seconds
         self._clock = clock
         #: fingerprint -> (payload, stored_at, payload_bytes); ordered
@@ -227,17 +221,10 @@ class MemoryTier:
         return self._evict_over_caps(now)
 
     def _evict_over_caps(self, now: float) -> int:
-        """Evict LRU-head entries until the caps hold; returns cap evictions.
-
-        The most recently touched entry always survives: a just-written entry
-        sits at the tail, so an acknowledged put outlives its own eviction
-        pass even when it alone exceeds the byte cap.
-        """
+        """Evict LRU-head entries until the entry cap holds; returns cap
+        evictions.  The just-written entry sits at the tail, so it survives."""
         evicted = 0
-        while len(self._entries) > 1 and (
-            len(self._entries) > self.capacity
-            or (self.max_bytes is not None and self._bytes > self.max_bytes)
-        ):
+        while len(self._entries) > self.capacity:
             oldest, (_, oldest_stored_at, _) = next(iter(self._entries.items()))
             self._drop(oldest)
             if self._expired(oldest_stored_at, now):
@@ -275,7 +262,7 @@ class SqliteTier:
     A single connection is shared across threads behind the owning store's
     lock (SQLite connections are not concurrency-safe by themselves).  Writes
     are committed immediately: a crashed or killed server loses nothing that
-    was already answered.  Entry/byte caps evict the oldest rows first
+    was already answered.  A byte cap evicts the oldest rows first
     (``created_unix`` order), and expired rows are dropped lazily on access;
     both are counted on the tier (``evictions`` / ``ttl_evictions``).
 
@@ -291,14 +278,12 @@ class SqliteTier:
     def __init__(
         self,
         path: str | Path,
-        max_entries: int | None = None,
         max_bytes: int | None = None,
         ttl_seconds: float | None = None,
         clock: Callable[[], float] = time.time,
     ):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.ttl_seconds = ttl_seconds
         self._clock = clock
@@ -440,11 +425,10 @@ class SqliteTier:
         return evicted
 
     def _evict_over_caps(self, protect: str, now: float) -> int:
-        """Evict oldest-first until the caps hold, never touching ``protect``."""
+        """Evict oldest-first until the byte cap holds, never touching ``protect``."""
         evicted = 0
-        while self._entries > 1 and (
-            (self.max_entries is not None and self._entries > self.max_entries)
-            or (self.max_bytes is not None and self._bytes > self.max_bytes)
+        while (
+            self._entries > 1 and self.max_bytes is not None and self._bytes > self.max_bytes
         ):
             row = self._connection.execute(
                 "SELECT fingerprint, LENGTH(CAST(payload AS BLOB)), created_unix FROM results"
@@ -550,14 +534,12 @@ class ResultStore:
         self._monotonic_clock = monotonic_clock
         self._memory = MemoryTier(
             capacity=self.limits.memory_entries,
-            max_bytes=self.limits.memory_bytes,
             ttl_seconds=self.limits.ttl_seconds,
             clock=monotonic_clock,
         )
         self._disk = (
             SqliteTier(
                 Path(cache_dir) / SQLITE_FILENAME,
-                max_entries=self.limits.disk_entries,
                 max_bytes=self.limits.disk_bytes,
                 ttl_seconds=self.limits.ttl_seconds,
                 clock=clock,

@@ -28,12 +28,13 @@ from repro.core.discretize import DiscretizationError, DiscretizationResult
 from repro.core.gp_step import build_vectorized_minmax
 from repro.core.problem import AllocationProblem
 from repro.gp.errors import InfeasibleError
+from repro.memo import Memo
 from repro.minlp.bounds import VariableBounds
 from repro.minlp.branch_and_bound import (
+    RELAXATION_CACHE_ENTRIES,
     BBSettings,
     BBStatus,
     BranchAndBoundSolver,
-    RelaxationCache,
     RelaxationResult,
     shared_relaxation_cache,
 )
@@ -126,7 +127,7 @@ def oracle_discretize(
             ("discretize", problem.pipeline, problem.platform)
         )
     except TypeError:
-        relaxation_cache = RelaxationCache()
+        relaxation_cache = Memo(RELAXATION_CACHE_ENTRIES)
     solver = BranchAndBoundSolver(
         relaxation_solver=relaxation,
         incumbent_evaluator=evaluate,

@@ -98,6 +98,27 @@ class TestComparisons:
             assert point.average_utilization("gp+a") > 0
             assert point.runtime("gp+a") > 0
 
+    def test_repeated_constraint_is_solved_once(self, alex16_problem, monkeypatch):
+        from repro.explore import compare
+
+        tasks = []
+        run_solve_task = compare.run_solve_task
+
+        def counting(task):
+            tasks.append(task)
+            return run_solve_task(task)
+
+        monkeypatch.setattr(compare, "run_solve_task", counting)
+        points = compare_methods_over(
+            alex16_problem,
+            [70.0, 70.0],
+            ComparisonSettings(methods=("gp+a",)),
+            executor=SweepExecutor(ExecutorSettings(parallel=False)),
+        )
+        assert len(tasks) == 1
+        assert [point.resource_constraint for point in points] == [70.0, 70.0]
+        assert points[0].outcomes == points[1].outcomes
+
     @pytest.mark.parametrize(
         "executor_settings",
         [

@@ -7,8 +7,9 @@ Two halves:
   reference packer (plain DFS over per-bin distributions with per-bin caps,
   no symmetry/slack pruning) -- both must agree on feasibility whenever both
   answers are proven;
-* unit tests of the :class:`PackingMemo`: exact-key hits, FIFO eviction,
-  and the hit counters of an exact solve.
+* unit tests of the packing memo (a :class:`~repro.memo.Memo` keyed by
+  :func:`packing_key`): exact-key hits, eviction, and the hit counters of
+  an exact solve.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.memo import Memo
 from repro.minlp.binpacking import (
+    PACKING_MEMO_ENTRIES,
     PackingItemType,
-    PackingMemo,
     PackingResult,
     VectorBinPacker,
+    packing_key,
 )
 
 
@@ -178,21 +181,20 @@ def _items(counts):
 
 
 def test_memo_evicts_the_oldest_entry():
-    memo = PackingMemo(max_entries=2)
-    memo.put(_items([1]), PackingResult.infeasible(exact=True))
-    memo.put(_items([2]), PackingResult.infeasible(exact=True))
-    memo.put(_items([3]), PackingResult.infeasible(exact=True))  # evicts [1]
+    memo = Memo(2)
+    for count in (1, 2, 3):  # the third put evicts [1]
+        memo.put(packing_key(_items([count])), PackingResult.infeasible(exact=True))
     assert len(memo) == 2
-    assert memo.get(_items([1])) is None
-    assert memo.get(_items([2])) is not None
+    assert memo.get(packing_key(_items([1]))) is None
+    assert memo.get(packing_key(_items([2]))) is not None
     memo.clear()
     assert len(memo) == 0
-    assert memo.get(_items([3])) is None
+    assert memo.get(packing_key(_items([3]))) is None
 
 
 def test_memo_answers_only_the_exact_count_vector():
     """A repeat is a memo hit; a componentwise smaller vector is packed fresh."""
-    memo = PackingMemo()
+    memo = Memo(PACKING_MEMO_ENTRIES)
     packer = VectorBinPacker(num_bins=2, capacity=[10.0], memo=memo)
     first = packer.pack(_items([2, 2]))  # 4 items of size 4 into 2 x 10: packs
     assert first.feasible
@@ -206,12 +208,12 @@ def test_memo_answers_only_the_exact_count_vector():
     assert sum(smaller.assignment["k0"]) == 1 and sum(smaller.assignment["k1"]) == 2
     assert max(loads) <= 10.0 + 1e-9
     assert packer.pack(_items([2, 2])) is first
-    assert packer.memo_hits == 1 and memo.hits == 1
+    assert packer.memo_hits == 1
     assert len(memo) == 2
 
 
 def test_memo_key_includes_item_sizes():
-    memo = PackingMemo()
+    memo = Memo(PACKING_MEMO_ENTRIES)
     packer = VectorBinPacker(num_bins=1, capacity=[10.0], memo=memo)
     assert not packer.pack([PackingItemType("a", 3, (4.0,))]).feasible
     # Same name and count, different size: a different key, solved fresh.

@@ -15,11 +15,13 @@ from branching_packer import BranchingPacker
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.memo import Memo
 from repro.minlp.binpacking import (
+    PACKING_MEMO_ENTRIES,
     PackingItemType,
-    PackingMemo,
     PackingResult,
     VectorBinPacker,
+    packing_key,
     shared_packing_memo,
     shared_packing_memos_clear,
 )
@@ -245,7 +247,7 @@ class TestPackingMemo:
         second = build()  # distinct instance, same configuration
         assert second.memo is first.memo
         second_result = second.pack(items)
-        assert second.memo.hits == 1
+        assert (second.memo_hits, second.memo_misses) == (1, 0)
         assert second_result is first_result
 
     def test_different_configuration_does_not_share(self):
@@ -257,18 +259,17 @@ class TestPackingMemo:
         )
 
     def test_memo_eviction_and_clear(self):
-        memo = PackingMemo(max_entries=2)
+        memo = Memo(2)
         for count in range(3):
             items = [PackingItemType("a", count=count, size=(1.0,))]
-            memo.put(items, PackingResult(feasible=True, assignment={}, exact=True))
-        assert len(memo) == 2  # FIFO eviction kept the newest two
+            memo.put(packing_key(items), PackingResult(feasible=True, assignment={}, exact=True))
+        assert len(memo) == 2  # eviction kept the newest two
         memo.clear()
-        assert len(memo) == 0 and memo.hits == 0 and memo.misses == 0
+        assert len(memo) == 0
 
-    def test_memo_counts_hits_and_misses(self):
-        memo = PackingMemo()
+    def test_packer_counts_its_memo_hits_and_misses(self):
+        packer = VectorBinPacker(num_bins=1, capacity=[10.0], memo=Memo(PACKING_MEMO_ENTRIES))
         items = [PackingItemType("a", count=2, size=(1.0,))]
-        assert memo.get(items) is None
-        memo.put(items, PackingResult(feasible=True, assignment={"a": (2,)}, exact=True))
-        assert memo.get(items) is not None
-        assert memo.hits == 1 and memo.misses == 1
+        first = packer.pack(items)
+        assert packer.pack(items) is first
+        assert (packer.memo_hits, packer.memo_misses) == (1, 1)

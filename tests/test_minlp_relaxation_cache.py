@@ -13,18 +13,17 @@ import numpy as np
 import pytest
 from discretize_oracle import oracle_discretize
 
-from repro.core.discretize import (
-    discretization_cache_clear,
-    discretization_cache_info,
-    discretize_counts,
-)
+from repro.core import discretize
+from repro.core.discretize import discretization_cache_clear, discretize_counts
 from repro.core.gp_step import solve_gp_step
+from repro.memo import Memo
 from repro.minlp.bounds import VariableBounds
 from repro.minlp.branch_and_bound import (
+    RELAXATION_CACHE_ENTRIES,
     BBSettings,
     BranchAndBoundSolver,
-    RelaxationCache,
     RelaxationResult,
+    box_key,
     shared_relaxation_cache,
     shared_relaxation_caches_clear,
 )
@@ -42,50 +41,75 @@ def _toy_evaluate(candidate):
     return float(candidate[0] + candidate[1])
 
 
+def _cache() -> Memo:
+    return Memo(RELAXATION_CACHE_ENTRIES)
+
+
+def _toy_solver(cache: "Memo | None", relaxation=_toy_relaxation) -> BranchAndBoundSolver:
+    return BranchAndBoundSolver(
+        relaxation_solver=relaxation,
+        incumbent_evaluator=_toy_evaluate,
+        settings=BBSettings(max_nodes=100),
+        relaxation_cache=cache,
+    )
+
+
 class TestRelaxationCache:
-    def test_hit_and_miss_accounting(self):
-        cache = RelaxationCache()
+    def test_get_and_put_by_box_key(self):
+        cache = _cache()
         bounds = VariableBounds.from_ranges({"x": (1, 5), "y": (1, 5)})
-        assert cache.get(bounds) is None
-        assert (cache.hits, cache.misses) == (0, 1)
-        cache.put(bounds, _toy_relaxation(bounds))
-        assert cache.get(bounds) is not None
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert cache.get(box_key(bounds)) is None
+        cache.put(box_key(bounds), _toy_relaxation(bounds))
+        assert cache.get(box_key(bounds)) is not None
         assert len(cache) == 1
 
     def test_key_is_the_positional_box(self):
         a = VariableBounds.from_ranges({"x": (1, 5), "y": (2, 3)})
         same = VariableBounds.from_ranges({"x": (1, 5), "y": (2, 3)})
-        assert RelaxationCache.key_of(a) == RelaxationCache.key_of(same)
+        assert box_key(a) == box_key(same)
         # One tree's boxes share one names tuple; a different variable order
         # or a different box is a different key.
         reordered = VariableBounds.from_ranges({"y": (2, 3), "x": (1, 5)})
-        assert RelaxationCache.key_of(a) != RelaxationCache.key_of(reordered)
-        assert RelaxationCache.key_of(a) != RelaxationCache.key_of(a.with_upper(0, 4))
-        assert RelaxationCache.key_of(a.with_upper(0, 4)) == RelaxationCache.key_of(
-            same.with_upper(0, 4)
-        )
+        assert box_key(a) != box_key(reordered)
+        assert box_key(a) != box_key(a.with_upper(0, 4))
+        assert box_key(a.with_upper(0, 4)) == box_key(same.with_upper(0, 4))
 
     def test_eviction_is_bounded(self):
-        cache = RelaxationCache(max_entries=2)
+        cache = Memo(2)
         for lower in range(1, 5):
             bounds = VariableBounds.from_ranges({"x": (lower, lower + 1)})
-            cache.put(bounds, RelaxationResult(feasible=True, objective=float(lower)))
+            cache.put(box_key(bounds), RelaxationResult(feasible=True, objective=float(lower)))
         assert len(cache) == 2
+
+    def test_a_run_counts_only_its_own_lookups(self):
+        """A second search over the same shared cache -- started from inside
+        the first one's relaxation solver, as a concurrent request would run
+        -- adds nothing to the first search's hit and miss counts."""
+        cache = _cache()
+        inner: list = []
+
+        def relaxation(bounds: VariableBounds) -> RelaxationResult:
+            if not inner:
+                inner.append(None)
+                inner[0] = _toy_solver(cache).solve(
+                    VariableBounds.from_ranges({"u": (1, 4), "v": (1, 4)})
+                )
+            return _toy_relaxation(bounds)
+
+        bounds = VariableBounds.from_ranges({"x": (1, 4), "y": (1, 4)})
+        outer = _toy_solver(cache, relaxation).solve(bounds)
+        alone = _toy_solver(_cache()).solve(bounds)
+        assert inner[0].relaxation_cache_misses > 0
+        assert outer.relaxation_cache_hits == alone.relaxation_cache_hits == 0
+        assert outer.relaxation_cache_misses == alone.relaxation_cache_misses
 
     def test_shared_cache_across_solver_runs(self):
         """A second identical solve over a shared cache re-solves nothing."""
-        cache = RelaxationCache()
+        cache = _cache()
         bounds = VariableBounds.from_ranges({"x": (1, 4), "y": (1, 4)})
 
         def run():
-            solver = BranchAndBoundSolver(
-                relaxation_solver=_toy_relaxation,
-                incumbent_evaluator=_toy_evaluate,
-                settings=BBSettings(max_nodes=100),
-                relaxation_cache=cache,
-            )
-            return solver.solve(bounds)
+            return _toy_solver(cache).solve(bounds)
 
         first = run()
         assert first.relaxation_cache_hits == 0
@@ -104,7 +128,7 @@ class TestRelaxationCache:
         cached = BranchAndBoundSolver(
             relaxation_solver=_toy_relaxation,
             incumbent_evaluator=_toy_evaluate,
-            relaxation_cache=RelaxationCache(),
+            relaxation_cache=_cache(),
         ).solve(bounds)
         assert cached.objective == plain.objective
         assert np.array_equal(cached.solution, plain.solution)
@@ -144,13 +168,8 @@ class TestDiscretizationMemo:
         discretization_cache_clear()
         problem = case_study("alex-16", resource_limit_percent=70.0)
         first = discretize_counts(problem)
-        info = discretization_cache_info()
-        assert info["misses"] == 1 and info["hits"] == 0
-        second = discretize_counts(problem)
-        info = discretization_cache_info()
-        assert info["hits"] == 1
-        assert second.counts == first.counts
-        assert second.ii == first.ii
+        assert discretize_counts(problem) is first
+        assert len(discretize._memo) == 1
         discretization_cache_clear()
 
     def test_memo_distinguishes_constraints(self):
@@ -158,57 +177,55 @@ class TestDiscretizationMemo:
         for constraint in (65.0, 70.0):
             problem = case_study("alex-16", resource_limit_percent=constraint)
             discretize_counts(problem)
-        assert discretization_cache_info()["entries"] == 2
+        assert len(discretize._memo) == 2
         discretization_cache_clear()
 
     def test_use_cache_false_bypasses_the_memo(self):
         discretization_cache_clear()
         problem = case_study("alex-16", resource_limit_percent=70.0)
         discretize_counts(problem, use_cache=False)
-        assert discretization_cache_info() == {"hits": 0, "misses": 0, "entries": 0}
+        assert len(discretize._memo) == 0
         discretization_cache_clear()
 
     def test_memo_is_thread_safe_under_eviction(self, monkeypatch):
         """Concurrent solves (HTTP handlers and job workers) share the memo:
         with a 2-entry cap every thread's hit races another's eviction, yet
-        no lookup raises and no hit or miss goes uncounted."""
-        monkeypatch.setattr("repro.core.discretize._MEMO_MAX_ENTRIES", 2)
+        no lookup raises and every answer is the exact one."""
+        monkeypatch.setattr(discretize, "_memo", Memo(2))
         problems = [
             case_study("alex-16", resource_limit_percent=60.0 + 4.0 * index)
             for index in range(8)
         ]
+        expected = [discretize_counts(problem, use_cache=False) for problem in problems]
         rounds = 200
         start = threading.Barrier(len(problems))
         errors: list[BaseException] = []
 
-        def worker(problem):
+        def worker(problem, answer):
             start.wait()
             try:
                 for _ in range(rounds):
-                    discretize_counts(problem)
+                    assert discretize_counts(problem) == answer
             except BaseException as error:  # surfaced by the assertion below
                 errors.append(error)
 
-        discretization_cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=worker, args=(p,)) for p in problems]
+            threads = [
+                threading.Thread(target=worker, args=pair) for pair in zip(problems, expected)
+            ]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
         finally:
             sys.setswitchinterval(interval)
-        info = discretization_cache_info()
-        discretization_cache_clear()
         assert errors == []
-        assert info["hits"] + info["misses"] == len(problems) * rounds
-        assert info["entries"] <= 2
+        assert len(discretize._memo) <= 2
 
-    def test_concurrent_lookups_of_one_problem_count_every_call(self):
-        """Threads racing on one key all get the memoised answer, and each
-        call is counted exactly once as a hit or a miss."""
+    def test_concurrent_lookups_of_one_problem_share_one_entry(self):
+        """Threads racing on one key all get the memoised answer."""
         problem = case_study("alex-16", resource_limit_percent=70.0)
         num_threads, rounds = 8, 100
         start = threading.Barrier(num_threads)
@@ -225,13 +242,11 @@ class TestDiscretizationMemo:
             thread.start()
         for thread in threads:
             thread.join()
-        info = discretization_cache_info()
+        entries = len(discretize._memo)
         discretization_cache_clear()
         expected = discretize_counts(problem, use_cache=False)
         assert all(result == expected for batch in results for result in batch)
-        assert info["hits"] + info["misses"] == num_threads * rounds
-        assert 1 <= info["misses"] <= num_threads
-        assert info["entries"] == 1
+        assert entries == 1
 
     def test_node_relaxation_cache_is_shared_across_runs(self):
         discretization_cache_clear()

@@ -16,6 +16,7 @@ import urllib.request
 import pytest
 
 from repro.core.problem import AllocationProblem
+from repro.fleet import fleet_to_dict
 from repro.obs.metrics import validate_prometheus_text
 from repro.platform.presets import aws_f1
 from repro.service import (
@@ -27,6 +28,7 @@ from repro.service import (
 )
 from repro.service.jobs import JobQueue
 from repro.service.store import ResultStore, StoreLimits
+from repro.workloads.tenants import synthetic_fleet
 
 
 @pytest.fixture
@@ -38,6 +40,17 @@ def tiny_problem_at(tiny_pipeline):
         )
 
     return build
+
+
+def _sample_total(text: str, name: str, **labels: str) -> float:
+    """Sum of the samples of ``name`` whose labels include ``labels``."""
+    wanted = [f'{key}="{value}"' for key, value in labels.items()]
+    total = 0.0
+    for line in text.splitlines():
+        sample, _, value = line.rpartition(" ")
+        if sample.split("{", 1)[0] == name and all(label in sample for label in wanted):
+            total += float(value)
+    return total
 
 
 @pytest.fixture
@@ -211,6 +224,28 @@ class TestMetricsEndpoint:
         assert 'repro_cache_hits_total{tier="memory"} 1' in text
         assert 'repro_cache_hit_latency_seconds_count{tier="memory"} 1' in text
         assert "repro_requests_total 2" in text
+
+    def test_counters_agree_with_stats_on_every_path(self, traced_service, tiny_problem_at):
+        """/solve, sync and async batches and fleet calls all move the
+        request, solve and cache-hit counters exactly as ``/stats`` counts."""
+        client, _ = traced_service
+        p, q, r = (tiny_problem_at(resource) for resource in (70.0, 75.0, 80.0))
+        client.solve(p)
+        client.solve_batch([SolveRequest(p), SolveRequest(p), SolveRequest(q)])
+        job = client.solve_batch_async([SolveRequest(q), SolveRequest(r)])
+        assert client.wait_for_job(job["job_id"], timeout_seconds=60.0)["status"] == "done"
+        fleet = fleet_to_dict(synthetic_fleet(num_tenants=2, class_counts=(2, 1), seed=4))
+        client.fleet_allocate(fleet)
+        client.fleet_allocate(fleet)
+        stats = client.stats()
+        text = client.metrics()
+        assert _sample_total(text, "repro_requests_total") == stats["service"]["requests"] == 6
+        assert _sample_total(text, "repro_solves_total") == stats["service"]["solves"] == 3
+        for tier in ("memory", "disk"):
+            assert _sample_total(text, "repro_cache_hits_total", tier=tier) == (
+                stats["cache"][f"{tier}_hits"]
+            )
+        assert stats["cache"]["memory_hits"] == 3
 
     def test_gauges_sampled_at_scrape(self, traced_service, tiny_problem_at):
         client, _ = traced_service

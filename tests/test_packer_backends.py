@@ -7,7 +7,7 @@ Three independent implementations must agree on every instance:
 * the plain **branching** search (item-at-a-time backtracking, the parity
   reference :class:`branching_packer.BranchingPacker`),
 * the numba-compiled hot loop versus the always-available pure-NumPy
-  fallback of the completion engine (``REPRO_PACKER_BACKEND``).
+  fallback of the completion engine (their ``backend`` argument).
 
 Feasibility claims must match whenever both sides return a *proof* (an
 ``exact`` verdict); a budget-exhausted search may differ in verdict but must

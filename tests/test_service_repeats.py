@@ -264,7 +264,7 @@ def test_request_memo_admits_repeated_texts_only(monkeypatch):
 
 
 def test_request_memo_is_a_bounded_lru(monkeypatch):
-    limit = batch_module._REQUEST_MEMO_LIMIT
+    limit = batch_module._request_memo.max_entries
     documents, texts = _documents(limit + 1)
     request_memo_clear()
     decodes = _decode_counter(monkeypatch)

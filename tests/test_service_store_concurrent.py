@@ -129,7 +129,7 @@ class TestEvictionUnderPressure:
     def test_bounded_store_stays_consistent_and_within_caps(self, tmp_path):
         """Tiny caps + 8 threads: no exceptions, sizes within caps, eviction
         counters advance, stats arithmetic stays exact."""
-        limits = StoreLimits(memory_entries=32, disk_entries=64)
+        limits = StoreLimits(memory_entries=32, disk_bytes=4096)
         store = ResultStore(cache_dir=tmp_path, limits=limits)
         operations_per_thread = 200
 
@@ -149,17 +149,16 @@ class TestEvictionUnderPressure:
         assert stats.lookups == THREADS * operations_per_thread
         assert stats.memory_hits + stats.disk_hits + stats.misses == stats.lookups
         assert stats.evictions + stats.disk_evictions > 0  # the caps did bind
-        sizes = store.sizes()
-        assert sizes["memory"] <= 32
-        assert sizes["disk"] <= 64
+        assert store.sizes()["memory"] <= 32
+        assert store.payload_bytes()["disk"] <= 4096
         store.close()
 
     def test_eviction_never_drops_the_in_flight_entry(self, tmp_path):
         """The entry a put just wrote survives its own eviction pass in both
-        tiers, even when it alone exceeds the byte cap."""
+        tiers, even when it alone exceeds the disk tier's byte cap."""
         store = ResultStore(
             cache_dir=tmp_path,
-            limits=StoreLimits(memory_entries=4096, memory_bytes=16, disk_bytes=16),
+            limits=StoreLimits(memory_entries=1, disk_bytes=16),
         )
         big = "b" * 64  # four times the byte cap
         store.put("first", big)
