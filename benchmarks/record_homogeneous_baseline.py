@@ -21,7 +21,6 @@ from pathlib import Path
 from repro.core.exact import ExactSettings
 from repro.core.solvers import solve
 from repro.minlp.binpacking import shared_packing_memos_clear
-from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
 from repro.reporting.experiments import case_study
 from repro.service.canonical import fingerprint
 
@@ -38,7 +37,6 @@ EXACT_SETTINGS = ExactSettings(max_nodes=3, time_limit_seconds=120.0)
 
 def record() -> dict:
     shared_packing_memos_clear()
-    shared_relaxation_caches_clear()
     entries = []
     for case in CASES:
         for constraint in CONSTRAINTS:

@@ -8,7 +8,6 @@ symmetry never hurts the objective reached within a fixed node budget.
 import pytest
 
 from repro.core.exact import ExactSettings, solve_exact_weighted
-from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
 from repro.reporting.experiments import case_study
 
 NODE_BUDGET = 3
@@ -54,7 +53,6 @@ def test_seeding_never_hurts_objective():
 
 def test_lp_solves_per_node_stay_bounded():
     """Relaxation-assembly regressions fail loudly: LPs per node is capped."""
-    shared_relaxation_caches_clear()  # measure cold, not earlier tests' hits
     problem = case_study("alex-16", resource_limit_percent=70.0)
     outcome = solve_exact_weighted(problem, _settings(True, True))
     assert outcome.succeeded

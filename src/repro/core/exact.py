@@ -18,13 +18,13 @@ Two solvers mirror the two MINLP configurations of Section 4:
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from ..memo import Memo
 from ..minlp.binpacking import (
     PackingItemType,
     PackingResult,
@@ -34,13 +34,7 @@ from ..minlp.binpacking import (
     shared_packing_memo,
 )
 from ..minlp.bounds import VariableBounds
-from ..minlp.branch_and_bound import (
-    BBSettings,
-    BBStatus,
-    RELAXATION_CACHE_ENTRIES,
-    BranchAndBoundSolver,
-    shared_relaxation_cache,
-)
+from ..minlp.branch_and_bound import BBSettings, BBStatus, BranchAndBoundSolver
 from ..minlp.errors import InfeasibleProblemError
 from ..minlp.secant import spreading_of_kernel
 from ..obs.trace import span
@@ -51,9 +45,18 @@ from .relaxations import AllocationRelaxation, variable_names
 from .solution import AllocationSolution, SolveOutcome, SolveStatus, counts_matrix_feasible
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExactSettings:
-    """Limits for the exact solvers."""
+    """Limits for the exact solvers.
+
+    Every field is type- and range-checked on construction, so a bad wire
+    document fails to decode with an error naming the field; an integral
+    float (``3.0``) is taken as its int, which leaves the fingerprint as is.
+    """
 
     max_nodes: int = 2_000
     time_limit_seconds: float = 120.0
@@ -62,6 +65,30 @@ class ExactSettings:
     packer_max_nodes: int = 200_000
     symmetry_breaking: bool = True
     seed_with_heuristic: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("max_nodes", "packer_max_nodes"):
+            value = getattr(self, name)
+            integral = isinstance(value, numbers.Integral) or (
+                isinstance(value, float) and value.is_integer()
+            )
+            if isinstance(value, bool) or not integral or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not (_is_number(self.time_limit_seconds) and self.time_limit_seconds > 0):
+            raise ValueError(
+                f"time_limit_seconds must be a number > 0, got {self.time_limit_seconds!r}"
+            )
+        if not (_is_number(self.gap_tolerance) and self.gap_tolerance >= 0):
+            raise ValueError(f"gap_tolerance must be a number >= 0, got {self.gap_tolerance!r}")
+        if self.packing_placement not in ("balance", "consolidate"):
+            raise ValueError(
+                "packing_placement must be 'balance' or 'consolidate',"
+                f" got {self.packing_placement!r}"
+            )
+        for name in ("symmetry_breaking", "seed_with_heuristic"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -297,24 +324,6 @@ def solve_exact_min_ii(
 # --------------------------------------------------------------------------- #
 # General weighted objective: spatial branch-and-bound ("MINLP+G")
 # --------------------------------------------------------------------------- #
-def _weighted_relaxation_cache(
-    problem: AllocationProblem, settings: ExactSettings
-) -> Memo:
-    """Relaxation cache shared by MINLP+G runs over the same problem."""
-    try:
-        return shared_relaxation_cache(
-            (
-                "minlp+g",
-                problem.pipeline,
-                problem.platform,
-                problem.weights,
-                settings.symmetry_breaking,
-            )
-        )
-    except TypeError:  # unhashable ad hoc problem: private per-call cache
-        return Memo(RELAXATION_CACHE_ENTRIES)
-
-
 def weighted_root_bounds(problem: AllocationProblem) -> VariableBounds:
     """Root box bounds of the weighted exact search, over
     :func:`~repro.core.relaxations.variable_names` (the (K, F) grid).
@@ -421,10 +430,6 @@ def solve_exact_weighted(
             time_limit_seconds=settings.time_limit_seconds,
             gap_tolerance=settings.gap_tolerance,
         ),
-        # LP node relaxations are the dominant cost of this solver; runs
-        # over the same weighted problem (sweep re-solves) share one cache,
-        # and the hit/miss accounting lands in the outcome details.
-        relaxation_cache=_weighted_relaxation_cache(problem, settings),
         counters_provider=relaxation.counters,
     )
     try:
@@ -468,15 +473,8 @@ def solve_exact_weighted(
                 "gap": result.gap,
                 "seeded": incumbent is not None,
                 "heuristic_objective": heuristic_outcome.objective if heuristic_outcome else math.nan,
-                "relaxation_cache_hits": result.relaxation_cache_hits,
-                "relaxation_cache_misses": result.relaxation_cache_misses,
             },
-            counters={
-                **result.counters,
-                "bb_nodes": result.nodes_explored,
-                "relaxation_cache_hits": result.relaxation_cache_hits,
-                "relaxation_cache_misses": result.relaxation_cache_misses,
-            },
+            counters={**result.counters, "bb_nodes": result.nodes_explored},
         )
     return outcome
 

@@ -27,9 +27,8 @@ node low:
 * **One-LP feasibility** -- the smallest feasible II of a box is the optimum
   of a single auxiliary LP (maximise ``t`` subject to
   ``sum_f n_kf >= WCET_k * t``), replacing the former 60-step feasibility
-  bisection; the result is memoized per bound box, and a child box that
-  still contains the point its parent's feasibility LP found takes the
-  parent's answer without an LP.
+  bisection; a child box that still contains the point its parent's
+  feasibility LP found takes the parent's answer without an LP.
 * **Tangent-cut II search** -- in ``s = 1/II`` the relaxed spreading is
   convex and piecewise linear, so each probe LP yields a tangent cut (its
   value plus a subgradient read off the coverage-row duals).  The next probe
@@ -39,7 +38,7 @@ node low:
   relaxation's true minimum and within ``ii_search_tolerance`` of it.
   Nodes typically need one to three probes.
 
-Every LP solve, probe and memo hit is counted (:meth:`counters`), so callers
+Every LP solve and probe is counted (:meth:`counters`), so callers
 can assert LP-solves-per-node budgets end to end.
 """
 
@@ -48,11 +47,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from ..memo import Memo
 from ..minlp.bounds import VariableBounds
 from ..minlp.branch_and_bound import RelaxationResult
 from ..obs.trace import span
@@ -69,9 +66,6 @@ BOUND_SAFETY = 1e-7
 #: Probe LPs after which the II search returns its (still valid) cut-model
 #: bound uncertified; it converges in a handful.
 _MAX_PROBES = 40
-
-#: Entries kept in the per-bound-box minimum-feasible-II memo.
-_II_CACHE_LIMIT = 4096
 
 
 @functools.cache
@@ -365,19 +359,9 @@ class AllocationRelaxation:
                 "feasibility_lps": 0,
                 "probe_lps": 0,
                 "node_solves": 0,
-                "ii_cache_hits": 0,
-                "ii_cache_misses": 0,
             }
             object.__setattr__(self, "_cached_counters", counters)
         return counters
-
-    @property
-    def _ii_cache(self) -> "Memo[tuple, tuple]":
-        cache = self.__dict__.get("_cached_ii_cache")
-        if cache is None:
-            cache = Memo(_II_CACHE_LIMIT)
-            object.__setattr__(self, "_cached_ii_cache", cache)
-        return cache
 
     def counters(self) -> dict[str, int]:
         """Snapshot of the instrumentation counters."""
@@ -463,7 +447,7 @@ class AllocationRelaxation:
             )
 
     # ------------------------------------------------------------------ #
-    # Minimum feasible II (one LP, memoized per bound box)
+    # Minimum feasible II (at most one LP)
     # ------------------------------------------------------------------ #
     def _min_feasible_ii(
         self, lower: np.ndarray, upper: np.ndarray, parent: RelaxationResult | None = None
@@ -478,47 +462,32 @@ class AllocationRelaxation:
         """
         model = self._model
         counters = self._counters
-        cache = self._ii_cache
-        key = (lower.tobytes(), upper.tobytes())
-        cached = cache.get(key)
-        if cached is not None:
-            counters["ii_cache_hits"] += 1
-            return cached
-        counters["ii_cache_misses"] += 1
-
         inherited = parent.metadata.get("feasibility") if parent is not None else None
-        result: "tuple[float, np.ndarray] | tuple[None, None]"
         # Cheap screen: every kernel must be able to reach one CU in total.
         totals_upper = upper.reshape(model.num_k, model.num_fpgas).sum(axis=1)
         if np.any(totals_upper < 1.0 - 1e-9):
-            result = (None, None)
-        elif (
+            return None, None
+        if (
             inherited is not None
             and np.all(lower <= inherited[1])
             and np.all(inherited[1] <= upper)
         ):
-            result = inherited
-        else:
-            ii_floor = float(np.max(model.wcet / np.maximum(totals_upper, 1e-12)))
-            ii_floor = max(ii_floor, 1e-9)
-            model.feas_bounds[: model.num_n, 0] = lower
-            model.feas_bounds[: model.num_n, 1] = upper
-            counters["lp_solves"] += 1
-            counters["feasibility_lps"] += 1
-            solved = self._solve_lp("feas", model.feas_b, model.feas_bounds)
-            if solved is None:
-                result = (None, None)
-            else:
-                values, _ = solved
-                t_value = float(values[-1])
-                if t_value <= 0.0:
-                    result = (None, None)
-                else:
-                    ii_min = max(ii_floor, 1.0 / t_value)
-                    result = (min(ii_min, model.ii_high), values[: model.num_n])
-
-        cache.put(key, result)
-        return result
+            return inherited
+        ii_floor = float(np.max(model.wcet / np.maximum(totals_upper, 1e-12)))
+        ii_floor = max(ii_floor, 1e-9)
+        model.feas_bounds[: model.num_n, 0] = lower
+        model.feas_bounds[: model.num_n, 1] = upper
+        counters["lp_solves"] += 1
+        counters["feasibility_lps"] += 1
+        solved = self._solve_lp("feas", model.feas_b, model.feas_bounds)
+        if solved is None:
+            return None, None
+        values, _ = solved
+        t_value = float(values[-1])
+        if t_value <= 0.0:
+            return None, None
+        ii_min = max(ii_floor, 1.0 / t_value)
+        return min(ii_min, model.ii_high), values[: model.num_n]
 
     # ------------------------------------------------------------------ #
     # Scalar search: tangent cuts of the convex spreading in s = 1/II

@@ -13,8 +13,6 @@ from .branch_and_bound import (
     BBStatus,
     BranchAndBoundSolver,
     RelaxationResult,
-    box_key,
-    shared_relaxation_cache,
     shared_relaxation_caches_clear,
 )
 from .binpacking import (
@@ -48,12 +46,10 @@ __all__ = [
     "SecantSegment",
     "VariableBounds",
     "VectorBinPacker",
-    "box_key",
     "packing_key",
     "secant_gap",
     "shared_packing_memo",
     "shared_packing_memos_clear",
-    "shared_relaxation_cache",
     "shared_relaxation_caches_clear",
     "secant_of",
     "spreading_of_kernel",

@@ -29,8 +29,7 @@ prunes three ways:
 Because the same CU count vector is probed repeatedly -- by the binary search
 over candidate II values, by branch-and-bound nodes and by design-space sweep
 re-solves -- feasibility results can be memoized in a :class:`~repro.memo.Memo`
-keyed by :func:`packing_key` and shared across packer instances (mirroring
-the relaxation caches of :mod:`repro.minlp.branch_and_bound`).
+keyed by :func:`packing_key` and shared across packer instances.
 """
 
 from __future__ import annotations

@@ -22,23 +22,17 @@ The allocation-specific relaxations (the LP + initiation-interval search of
 :mod:`repro.core.exact`) plug into this engine; the paper's reference tool
 (Couenne) follows the same spatial branch-and-bound architecture.
 
-Two performance features are built into the engine itself:
-
-* **Relaxation caching** -- node relaxations are memoized in a
-  :class:`~repro.memo.Memo` keyed on the node's box (:func:`box_key`); a
-  cache can be shared across solver instances, e.g. across the points of a
-  design-space sweep, so identical subproblems are never re-solved.  Each
-  run counts its own hits and misses and reports them on :class:`BBResult`.
-* **Warm-starting** -- when the relaxation solver accepts a second argument,
-  each child node receives its parent's :class:`RelaxationResult`, whose
-  metadata (the allocation relaxation's feasibility point) can spare the
-  child an LP.
+Each node's relaxation is solved exactly once and nothing is kept once a
+search returns: no two nodes of one tree have the same box, so a cache
+would never hit within a search, and a result never depends on an earlier
+search.  The relaxation solver is warm-started instead: each child node
+receives its parent's :class:`RelaxationResult`, whose metadata (the
+allocation relaxation's feasibility point) can spare the child an LP.
 """
 
 from __future__ import annotations
 
 import heapq
-import inspect
 import itertools
 import math
 import time
@@ -48,7 +42,6 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from ..memo import Memo
 from ..obs.trace import span
 from .bounds import VariableBounds
 from .errors import InfeasibleProblemError
@@ -86,39 +79,9 @@ class BBStatus(Enum):
     NO_SOLUTION = "no-solution"  # stopped at a limit without any incumbent
 
 
-def box_key(bounds: VariableBounds) -> tuple:
-    """Relaxation-cache key of a node: ``(names, lower bytes, upper bytes)``.
-    Boxes over the same variables in the same order share a key exactly
-    when equal."""
-    return (bounds.names, bounds.lower.tobytes(), bounds.upper.tobytes())
-
-
-#: Entries of one relaxation cache: a :class:`~repro.memo.Memo` of node
-#: relaxations keyed by :func:`box_key`.  Within one tree the boxes of
-#: distinct nodes are disjoint, so the payoff comes from *sharing* a cache
-#: across solver runs over one problem; node bounds alone are not a safe
-#: key across different problems.
-RELAXATION_CACHE_ENTRIES = 8192
-
-#: Relaxation caches shared across solver runs, keyed by a caller-supplied
-#: value-key identifying the underlying problem.
-_shared_caches: "Memo[tuple, Memo]" = Memo(64)
-
-
-def shared_relaxation_cache(key: tuple) -> Memo:
-    """Relaxation cache shared by every solver run over the same problem.
-
-    Node relaxations depend only on the problem data and the node's box
-    bounds, so separate branch-and-bound runs over one problem (repeated
-    discretisations, sweep re-solves) can reuse each other's node bounds.
-    The caller's ``key`` must identify the problem by value.
-    """
-    return _shared_caches.get_or_create(key, lambda: Memo(RELAXATION_CACHE_ENTRIES))
-
-
 def shared_relaxation_caches_clear() -> None:
-    """Drop every shared relaxation cache (used by tests and benchmarks)."""
-    _shared_caches.clear()
+    """Do nothing: no relaxation outlives its search.  Kept so callers that
+    clear every memo before a cold measurement still import it."""
 
 
 #: The incumbent of a search that found none.
@@ -136,10 +99,8 @@ class BBResult:
     lower_bound: float
     nodes_explored: int
     runtime_seconds: float
-    relaxation_cache_hits: int = 0
-    relaxation_cache_misses: int = 0
     #: Instrumentation deltas from the relaxation solver's counters (LP
-    #: solves, probes, feasibility memo hits, ...) accumulated over this run.
+    #: solves, probes, node solves, ...) accumulated over this run.
     counters: Mapping[str, int] = field(default_factory=dict)
 
     @property
@@ -166,33 +127,13 @@ class BBSettings:
     integrality_tolerance: float = INTEGRALITY_TOLERANCE
 
 
-#: A relaxation solver maps node bounds to a bound + fractional solution; it
-#: may optionally accept the parent node's relaxation as a second positional
-#: argument to warm-start (``None`` at the root).  Points are arrays aligned
-#: with the bounds' ``names``: integer candidates are int64, relaxation
-#: points float.
-RelaxationSolver = Callable[..., RelaxationResult]
+#: A relaxation solver maps node bounds and the parent node's relaxation
+#: (``None`` at the root, for warm starts) to a bound + fractional solution.
+#: Points are arrays aligned with the bounds' ``names``: integer candidates
+#: are int64, relaxation points float.
+RelaxationSolver = Callable[[VariableBounds, RelaxationResult | None], RelaxationResult]
 IncumbentEvaluator = Callable[[np.ndarray], float | None]
 RoundingHeuristic = Callable[[np.ndarray, VariableBounds], Iterable[np.ndarray]]
-
-
-def _accepts_parent(solver: RelaxationSolver) -> bool:
-    """Whether a relaxation solver takes a (bounds, parent) pair."""
-    try:
-        parameters = inspect.signature(solver).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins/C callables
-        return False
-    positional = [
-        parameter
-        for parameter in parameters.values()
-        if parameter.kind
-        in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
-    ]
-    if any(
-        parameter.kind is inspect.Parameter.VAR_POSITIONAL for parameter in parameters.values()
-    ):
-        return True
-    return len(positional) >= 2
 
 
 @dataclass(order=True)
@@ -215,43 +156,15 @@ class BranchAndBoundSolver:
         incumbent_evaluator: IncumbentEvaluator,
         rounding_heuristic: RoundingHeuristic | None = None,
         settings: BBSettings = BBSettings(),
-        relaxation_cache: "Memo[tuple, RelaxationResult] | None" = None,
         counters_provider: "Callable[[], Mapping[str, int]] | None" = None,
     ):
         self._relax = relaxation_solver
-        self._relax_takes_parent = _accepts_parent(relaxation_solver)
         self._evaluate = incumbent_evaluator
         self._round = rounding_heuristic
         self._settings = settings
-        self._cache = relaxation_cache
         #: Optional callable returning monotone instrumentation counters of
         #: the relaxation solver; the per-run delta lands on ``BBResult``.
         self._counters_provider = counters_provider
-
-    def _solve_relaxation(
-        self,
-        bounds: VariableBounds,
-        parent: RelaxationResult | None,
-        cache_counts: list[int],
-    ) -> RelaxationResult:
-        """Solve one node's relaxation through the cache and warm start;
-        ``cache_counts`` is the run's ``[hits, misses]``.  They are counted
-        here, not read off the cache, because a shared cache also serves
-        concurrent runs."""
-        if self._cache is not None:
-            key = box_key(bounds)
-            cached = self._cache.get(key)
-            if cached is not None:
-                cache_counts[0] += 1
-                return cached
-            cache_counts[1] += 1
-        if self._relax_takes_parent:
-            result = self._relax(bounds, parent)
-        else:
-            result = self._relax(bounds)
-        if self._cache is not None:
-            self._cache.put(key, result)
-        return result
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -271,7 +184,6 @@ class BranchAndBoundSolver:
         start = time.perf_counter()
         settings = self._settings
         counter = itertools.count()
-        cache_counts = [0, 0]
         counters_before = (
             dict(self._counters_provider()) if self._counters_provider is not None else {}
         )
@@ -293,12 +205,11 @@ class BranchAndBoundSolver:
                 best_objective = value
                 best_solution = seeded
 
-        root_relaxation = self._solve_relaxation(initial_bounds, None, cache_counts)
+        root_relaxation = self._relax(initial_bounds, None)
         if not root_relaxation.feasible:
             if best_solution.size:
                 # The caller's incumbent is feasible even though the root
                 # relaxation is not (should not happen for exact relaxations).
-                hits, misses = cache_counts
                 return BBResult(
                     status=BBStatus.FEASIBLE,
                     objective=best_objective,
@@ -306,8 +217,6 @@ class BranchAndBoundSolver:
                     lower_bound=-math.inf,
                     nodes_explored=0,
                     runtime_seconds=time.perf_counter() - start,
-                    relaxation_cache_hits=hits,
-                    relaxation_cache_misses=misses,
                     counters=counter_deltas(),
                 )
             raise InfeasibleProblemError("root relaxation is infeasible")
@@ -370,9 +279,7 @@ class BranchAndBoundSolver:
                     children.append(node.bounds.with_lower(index, floor_value + 1))
 
                 for child_bounds in children:
-                    relaxation = self._solve_relaxation(
-                        child_bounds, node.relaxation, cache_counts
-                    )
+                    relaxation = self._relax(child_bounds, node.relaxation)
                     if not relaxation.feasible:
                         continue
                     if relaxation.objective >= best_objective - settings.gap_tolerance * max(
@@ -397,7 +304,6 @@ class BranchAndBoundSolver:
             # Search exhausted: the incumbent (if any) is optimal.
             global_lower = best_objective if math.isfinite(best_objective) else global_lower
 
-        hits, misses = cache_counts
         if not math.isfinite(best_objective):
             status = BBStatus.NO_SOLUTION if (heap or nodes_explored) else BBStatus.INFEASIBLE
             return BBResult(
@@ -407,8 +313,6 @@ class BranchAndBoundSolver:
                 lower_bound=global_lower,
                 nodes_explored=nodes_explored,
                 runtime_seconds=runtime,
-                relaxation_cache_hits=hits,
-                relaxation_cache_misses=misses,
                 counters=counter_deltas(),
             )
 
@@ -421,7 +325,5 @@ class BranchAndBoundSolver:
             lower_bound=min(global_lower, best_objective),
             nodes_explored=nodes_explored,
             runtime_seconds=runtime,
-            relaxation_cache_hits=hits,
-            relaxation_cache_misses=misses,
             counters=counter_deltas(),
         )

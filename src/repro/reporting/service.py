@@ -36,17 +36,13 @@ def cache_stats_table(stats: Mapping[str, Any], title: str = "Result cache") -> 
 #: Solver work counters rendered by :func:`solver_stats_table`, in display
 #: order: the exact-path instrumentation of PR 3 (LP solves and probes of the
 #: node relaxations, branch-and-bound nodes, bin-packer search nodes and the
-#: feasibility/relaxation memo tiers).
+#: packing memo).
 SOLVER_COUNTERS = (
     "lp_solves",
     "feasibility_lps",
     "probe_lps",
     "node_solves",
     "bb_nodes",
-    "ii_cache_hits",
-    "ii_cache_misses",
-    "relaxation_cache_hits",
-    "relaxation_cache_misses",
     "packs",
     "packer_search_nodes",
     "packer_completion_nodes",

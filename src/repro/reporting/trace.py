@@ -19,7 +19,6 @@ from ..core.gp_step import gp_step_cache_clear
 from ..core.heuristic import allocation_cache_clear
 from ..core.solvers import solve
 from ..minlp.binpacking import shared_packing_memos_clear
-from ..minlp.branch_and_bound import shared_relaxation_caches_clear
 from ..obs.trace import SolveTrace, start_trace
 from .experiments import case_study
 from .tables import TextTable
@@ -36,7 +35,6 @@ def cold_solver_caches() -> None:
     Traced rows are solved cold so the spans measure real work, not memo
     lookups (mirroring the perf-gate benchmark's cache discipline).
     """
-    shared_relaxation_caches_clear()
     shared_packing_memos_clear()
     discretization_cache_clear()
     gp_step_cache_clear()

@@ -7,7 +7,7 @@ oracle the production threshold search in :mod:`repro.core.discretize` is
 checked against.  It is the former production discretiser with two
 differences: it has no cross-call memo, and every node solves its
 relaxation with the bisection of ``tests/minmax_oracle.py`` instead of the
-production closed form.  Its result also carries the search's relaxation-cache counters.
+production closed form.  Its result also carries the search's node count.
 
 It carries one known defect, kept on purpose so differential tests can
 recognise it: the search is seeded with ``floor(N̂)`` without checking the
@@ -28,26 +28,21 @@ from repro.core.discretize import DiscretizationError, DiscretizationResult
 from repro.core.gp_step import build_vectorized_minmax
 from repro.core.problem import AllocationProblem
 from repro.gp.errors import InfeasibleError
-from repro.memo import Memo
 from repro.minlp.bounds import VariableBounds
 from repro.minlp.branch_and_bound import (
-    RELAXATION_CACHE_ENTRIES,
     BBSettings,
     BBStatus,
     BranchAndBoundSolver,
     RelaxationResult,
-    shared_relaxation_cache,
 )
 from repro.minlp.errors import InfeasibleProblemError
 
 
 @dataclass(frozen=True)
 class OracleResult(DiscretizationResult):
-    """A discretisation plus the search's node and relaxation-cache counters."""
+    """A discretisation plus the search's node count."""
 
     nodes_explored: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
 
 def oracle_caps(problem: AllocationProblem) -> dict[str, int]:
@@ -92,7 +87,7 @@ def oracle_discretize(
     weight_matrix = arrays.weights
 
     # Points are kernel-indexed vectors in ``names`` order.
-    def relaxation(node_bounds: VariableBounds) -> RelaxationResult:
+    def relaxation(node_bounds: VariableBounds, parent=None) -> RelaxationResult:
         min_counts = node_bounds.lower.astype(np.float64)
         max_counts = node_bounds.upper.astype(np.float64)
         try:
@@ -120,20 +115,11 @@ def oracle_discretize(
         ]
         return [np.array(ceil_candidate), np.array(floor_candidate)]
 
-    # Node relaxations depend only on (problem, node bounds), so every
-    # discretisation of the same problem shares one cache.
-    try:
-        relaxation_cache = shared_relaxation_cache(
-            ("discretize", problem.pipeline, problem.platform)
-        )
-    except TypeError:
-        relaxation_cache = Memo(RELAXATION_CACHE_ENTRIES)
     solver = BranchAndBoundSolver(
         relaxation_solver=relaxation,
         incumbent_evaluator=evaluate,
         rounding_heuristic=rounding,
         settings=BBSettings(max_nodes=max_nodes, time_limit_seconds=time_limit_seconds),
-        relaxation_cache=relaxation_cache,
     )
 
     seed = {name: max(1, int(math.floor(counts_hat.get(name, 1.0)))) for name in names}
@@ -151,6 +137,4 @@ def oracle_discretize(
         ii=_achieved_ii(problem, counts),
         nodes_explored=result.nodes_explored,
         proven_optimal=result.status is BBStatus.OPTIMAL,
-        cache_hits=result.relaxation_cache_hits,
-        cache_misses=result.relaxation_cache_misses,
     )

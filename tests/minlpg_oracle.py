@@ -5,8 +5,6 @@ search moved to positions, kept as the oracle the production solver is
 checked against (``tests/test_minlpg_differential.py``):
 
 * :class:`NamedBounds` -- ``{name: (lower, upper)}`` box bounds;
-* :class:`NamedCache` -- the relaxation memo keyed on the sorted
-  ``(name, lower, upper)`` triples of a box;
 * :func:`named_branch_and_bound` -- the best-first engine over dict points,
   with the same integrality test, most-fractional branching (first name in
   box order on ties) and incumbent rules;
@@ -88,30 +86,6 @@ class NamedRelaxation:
     inner: Any = None
 
 
-class NamedCache:
-    """Relaxation memo keyed on a box's sorted ``(name, lower, upper)`` triples."""
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, NamedRelaxation] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key_of(bounds: NamedBounds) -> tuple:
-        return tuple(sorted((name, *bounds[name]) for name in bounds))
-
-    def get(self, bounds: NamedBounds) -> NamedRelaxation | None:
-        result = self._entries.get(self.key_of(bounds))
-        if result is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return result
-
-    def put(self, bounds: NamedBounds, result: NamedRelaxation) -> None:
-        self._entries[self.key_of(bounds)] = result
-
-
 def named_relaxation(relaxation: AllocationRelaxation):
     """The dict-solution adapter over the production relaxation."""
 
@@ -137,8 +111,6 @@ class NamedBBResult:
     solution: dict[str, int]
     lower_bound: float
     nodes_explored: int
-    cache_hits: int
-    cache_misses: int
     counters: Mapping[str, int]
 
     @property
@@ -167,7 +139,6 @@ def named_branch_and_bound(
     evaluate,
     rounding,
     settings: BBSettings,
-    cache: NamedCache,
     counters_provider,
     initial_bounds: NamedBounds,
     initial_incumbent: Mapping[str, int] | None,
@@ -177,14 +148,6 @@ def named_branch_and_bound(
     counter = itertools.count()
     counters_before = dict(counters_provider())
 
-    def solve_relaxation(bounds, parent=None):
-        cached = cache.get(bounds)
-        if cached is not None:
-            return cached
-        result = relax(bounds, parent)
-        cache.put(bounds, result)
-        return result
-
     def finish(status, objective, solution, lower_bound, nodes):
         return NamedBBResult(
             status=status,
@@ -192,8 +155,6 @@ def named_branch_and_bound(
             solution=solution,
             lower_bound=lower_bound,
             nodes_explored=nodes,
-            cache_hits=cache.hits,
-            cache_misses=cache.misses,
             counters={
                 name: value - counters_before.get(name, 0)
                 for name, value in counters_provider().items()
@@ -211,7 +172,7 @@ def named_branch_and_bound(
         if value is not None:
             best_objective, best_solution = value, seeded
 
-    root = solve_relaxation(initial_bounds)
+    root = relax(initial_bounds, None)
     if not root.feasible:
         if best_solution:
             return finish(BBStatus.FEASIBLE, best_objective, best_solution, -math.inf, 0)
@@ -266,7 +227,7 @@ def named_branch_and_bound(
         if floor_value + 1 <= upper:
             children.append(node.bounds.with_lower(name, floor_value + 1))
         for child in children:
-            relaxation = solve_relaxation(child, node.relaxation)
+            relaxation = relax(child, node.relaxation)
             if relaxation.feasible and not pruned(relaxation.objective):
                 heapq.heappush(
                     heap, _Node(relaxation.objective, next(counter), child, relaxation)
@@ -358,7 +319,7 @@ def solve_exact_weighted_by_name(
     problem: AllocationProblem, settings: ExactSettings = ExactSettings()
 ) -> SolveOutcome:
     """:func:`repro.core.exact.solve_exact_weighted` over the name-keyed
-    search, with a private relaxation cache."""
+    search."""
     start = time.perf_counter()
     names = problem.kernel_names
     num_fpgas = problem.num_fpgas
@@ -426,7 +387,6 @@ def solve_exact_weighted_by_name(
                 time_limit_seconds=settings.time_limit_seconds,
                 gap_tolerance=settings.gap_tolerance,
             ),
-            NamedCache(),
             relaxation.counters,
             bounds,
             incumbent,
@@ -464,15 +424,8 @@ def solve_exact_weighted_by_name(
             "gap": result.gap,
             "seeded": incumbent is not None,
             "heuristic_objective": heuristic_outcome.objective if heuristic_outcome else math.nan,
-            "relaxation_cache_hits": result.cache_hits,
-            "relaxation_cache_misses": result.cache_misses,
         },
-        counters={
-            **result.counters,
-            "bb_nodes": result.nodes_explored,
-            "relaxation_cache_hits": result.cache_hits,
-            "relaxation_cache_misses": result.cache_misses,
-        },
+        counters={**result.counters, "bb_nodes": result.nodes_explored},
     )
 
 

@@ -138,19 +138,6 @@ class TestAllocationRelaxation:
         assert counters["lp_solves"] <= 3
         assert counters["lp_solves"] == counters["feasibility_lps"] + counters["probe_lps"]
 
-    def test_min_feasible_ii_memoized_per_bound_box(self, tiny_weighted_problem):
-        relaxation = AllocationRelaxation(
-            problem=tiny_weighted_problem, weights=tiny_weighted_problem.weights
-        )
-        bounds = full_bounds(tiny_weighted_problem)
-        first = relaxation.solve(bounds)
-        feasibility_lps = relaxation.counters()["feasibility_lps"]
-        second = relaxation.solve(bounds)
-        counters = relaxation.counters()
-        assert counters["ii_cache_hits"] >= 1
-        assert counters["feasibility_lps"] == feasibility_lps  # no new aux LP
-        assert second.objective == pytest.approx(first.objective, abs=1e-9)
-
     def test_parent_warm_start_keeps_bound_and_saves_probes(self, tiny_weighted_problem):
         relaxation = AllocationRelaxation(
             problem=tiny_weighted_problem, weights=tiny_weighted_problem.weights

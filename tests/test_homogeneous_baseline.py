@@ -17,14 +17,12 @@ from pathlib import Path
 import pytest
 
 from repro.minlp.binpacking import shared_packing_memos_clear
-from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _cold_shared_caches():
     """Drop solver caches warmed by earlier tests so the replay starts from
     the recorder's cold state."""
-    shared_relaxation_caches_clear()
     shared_packing_memos_clear()
 
 from repro.core.exact import ExactSettings

@@ -24,7 +24,7 @@ def make_knapsack_solver(values, weights, capacity, settings=BBSettings()):
     """
     names = [f"x{i}" for i in range(len(values))]
 
-    def relaxation(bounds: VariableBounds) -> RelaxationResult:
+    def relaxation(bounds: VariableBounds, parent=None) -> RelaxationResult:
         remaining = capacity
         total_value = 0.0
         solution = np.zeros(len(values))
@@ -110,7 +110,7 @@ class TestBranchAndBound:
         assert result.nodes_explored <= 1
 
     def test_infeasible_root_raises(self):
-        def relaxation(bounds):
+        def relaxation(bounds, parent=None):
             return RelaxationResult.infeasible()
 
         solver = BranchAndBoundSolver(
@@ -146,7 +146,7 @@ class TestBranchAndBound:
     def test_most_fractional_branching_takes_the_first_tie(self):
         boxes = []
 
-        def relaxation(bounds):
+        def relaxation(bounds, parent=None):
             boxes.append(bounds)
             if len(boxes) > 1:
                 return RelaxationResult.infeasible()

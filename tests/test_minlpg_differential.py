@@ -1,7 +1,7 @@
 """MINLP+G against its name-keyed reference search.
 
 :func:`repro.core.exact.solve_exact_weighted` indexes its branch and bound
-by position (array boxes, byte cache keys, array branching and rounding).
+by position (array boxes, array branching and rounding).
 ``tests/minlpg_oracle.py`` keeps the search it replaced, keyed by variable
 name.  Both run the same node relaxation, so every outcome document --
 allocation, lower bound, gap, node count and every counter -- must match
@@ -22,7 +22,6 @@ from repro.core.exact import ExactSettings, solve_exact_weighted
 from repro.core.objective import ObjectiveWeights
 from repro.core.problem import AllocationProblem
 from repro.core.relaxations import _cut_model_minimum
-from repro.minlp import shared_relaxation_caches_clear
 from repro.platform.presets import aws_f1, mixed_fleet
 from repro.reporting.experiments import case_study
 from repro.workloads.alexnet import alexnet_fx16
@@ -40,7 +39,6 @@ def document(outcome) -> str:
 
 def assert_matches_reference(problem: AllocationProblem, max_nodes: int) -> None:
     exact = ExactSettings(max_nodes=max_nodes)
-    shared_relaxation_caches_clear()  # both searches start cold
     produced = solve_exact_weighted(problem, exact)
     expected = solve_exact_weighted_by_name(problem, exact)
     assert document(produced) == document(expected)

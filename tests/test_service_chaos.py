@@ -26,7 +26,6 @@ import pytest
 from repro.core.discretize import discretization_cache_clear
 from repro.core.problem import AllocationProblem
 from repro.minlp.binpacking import shared_packing_memos_clear
-from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
 from repro.platform.presets import aws_f1
 from repro.platform.resources import ResourceVector
 from repro.service import (
@@ -159,7 +158,6 @@ def _stop(process: subprocess.Popen) -> None:
 def _reference_documents() -> dict[int, str]:
     """Comparable outcome document per pool index from an in-process run."""
     shared_packing_memos_clear()
-    shared_relaxation_caches_clear()
     discretization_cache_clear()
     service = AllocationService(store=ResultStore())
     try:

@@ -36,7 +36,6 @@ from repro.core.discretize import discretization_cache_clear
 from repro.core.objective import ObjectiveWeights
 from repro.core.problem import AllocationProblem
 from repro.minlp.binpacking import shared_packing_memos_clear
-from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
 from repro.platform.multi_fpga import DeviceClass, MultiFPGAPlatform
 from repro.platform.presets import XCKU115, XCVU9P, aws_f1
 from repro.platform.resources import ResourceVector
@@ -127,7 +126,6 @@ POOL = _request_pool()
 
 def _clear_solver_memos() -> None:
     shared_packing_memos_clear()
-    shared_relaxation_caches_clear()
     discretization_cache_clear()
 
 

@@ -25,8 +25,20 @@ FIXTURE = Path(__file__).parent / "fixtures" / "parent_state"
 MANIFEST = json.loads((FIXTURE / "manifest.json").read_text())
 #: Outcome keys that only the older revision writes.
 RETIRED_KEYS = {
-    "details": ("gp_backend", "discretization_nodes"),
-    "counters": ("packing_memo_dominance_hits", "lp_batched_solves"),
+    "details": (
+        "gp_backend",
+        "discretization_nodes",
+        "relaxation_cache_hits",
+        "relaxation_cache_misses",
+    ),
+    "counters": (
+        "packing_memo_dominance_hits",
+        "lp_batched_solves",
+        "relaxation_cache_hits",
+        "relaxation_cache_misses",
+        "ii_cache_hits",
+        "ii_cache_misses",
+    ),
 }
 
 

@@ -22,7 +22,6 @@ import pytest
 from repro.core.discretize import discretization_cache_clear
 from repro.core.problem import AllocationProblem
 from repro.minlp.binpacking import shared_packing_memos_clear
-from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
 from repro.obs.metrics import validate_prometheus_text
 from repro.platform.presets import aws_f1
 from repro.platform.resources import ResourceVector
@@ -90,7 +89,6 @@ def _comparable(document: dict) -> str:
 
 def _clear_solver_memos() -> None:
     shared_packing_memos_clear()
-    shared_relaxation_caches_clear()
     discretization_cache_clear()
 
 

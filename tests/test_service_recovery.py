@@ -31,7 +31,6 @@ from repro.core.discretize import discretization_cache_clear
 from repro.core.heuristic import HeuristicSettings
 from repro.core.problem import AllocationProblem
 from repro.minlp.binpacking import shared_packing_memos_clear
-from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
 from repro.platform.presets import aws_f1
 from repro.service import (
     AllocationService,
@@ -90,7 +89,6 @@ BATCHES = [
 
 def _clear_solver_memos() -> None:
     shared_packing_memos_clear()
-    shared_relaxation_caches_clear()
     discretization_cache_clear()
 
 

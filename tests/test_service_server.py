@@ -11,12 +11,14 @@ import pytest
 from repro.core.problem import AllocationProblem
 from repro.core.solution import SolveOutcome
 from repro.platform.presets import aws_f1
+from repro.reporting.experiments import case_study
 from repro.service import (
     AllocationService,
     ResultStore,
     ServiceClient,
     ServiceError,
     SolveRequest,
+    request_to_dict,
     start_server,
 )
 
@@ -122,6 +124,53 @@ class TestEndpoints:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
         assert "error" in json.loads(excinfo.value.read().decode("utf-8"))
+
+
+#: One bad value per ``ExactSettings`` field, each of a kind that was
+#: solved or answered with a 500 before the fields were checked.
+BAD_EXACT_SETTINGS = [
+    ("max_nodes", "abc"),
+    ("max_nodes", -5),
+    ("packer_max_nodes", 2.5),
+    ("time_limit_seconds", "x"),
+    ("gap_tolerance", -1.0),
+    ("packing_placement", "spread"),
+    ("symmetry_breaking", "no"),
+    ("seed_with_heuristic", 1),
+]
+
+
+class TestExactSettingsValidation:
+    @staticmethod
+    def _document(exact_settings: dict) -> dict:
+        problem = case_study("alex-16", resource_limit_percent=70.0)
+        document = request_to_dict(SolveRequest(problem=problem, method="minlp+g"))
+        document["exact_settings"] = exact_settings
+        return document
+
+    @pytest.mark.parametrize("route", ["/solve", "/solve_batch"])
+    @pytest.mark.parametrize(("field", "value"), BAD_EXACT_SETTINGS)
+    def test_bad_field_is_a_400_naming_it(self, running_service, route, field, value):
+        client, service, _ = running_service
+        document = self._document({field: value})
+        payload = document if route == "/solve" else {"requests": [document]}
+        with pytest.raises(ServiceError, match=field) as excinfo:
+            client._request(route, payload)
+        assert excinfo.value.status == 400
+        assert service.stats()["service"]["solves"] == 0
+
+    @pytest.mark.parametrize("route", ["/solve", "/solve_batch"])
+    def test_integral_float_is_the_same_request(self, running_service, route):
+        client, _, _ = running_service
+        answers = []
+        for max_nodes in (3, 3.0):
+            document = self._document({"max_nodes": max_nodes})
+            if route == "/solve":
+                answers.append(client._request(route, document)["fingerprint"])
+            else:
+                batch = client._request(route, {"requests": [document]})
+                answers.append(batch["fingerprints"][0])
+        assert answers[0] == answers[1]
 
 
 class TestWarmRestart:
