@@ -2,18 +2,14 @@
 
 Paper: GP+A takes 0.78 s (Alex-16, 2 FPGAs) to 4.4 s (VGG, 8 FPGAs) while the
 MINLP runs take minutes to hours (100x-1000x slower).  Our from-scratch exact
-solvers were always much faster than Couenne, and PR 3 (incremental LP
-relaxations, derivative-bracketed II probing, counting-bound packing proofs)
-made the exact path comparable to the heuristic on these instances.  PR 6
-(bin-completion packing, GP-step/allocation memos shared with the exact
-seeds) retired the last slow rows: the whole nine-row table runs in ~50 ms
-cold on the single-core reference container.  What this benchmark asserts
-is (i) the paper's absolute heuristic budget, and (ii) the exact path's
-work counters: packer search nodes (0 since bin-completion decides every
-table packing at the root) and LP solves per branch-and-bound node, so a
-relaxation-assembly or packing-bound regression fails loudly here (and in
-the ``exact-smoke`` CI job, which runs this module under a wall-clock
-budget).
+solvers were always much faster than Couenne: bin-completion packing
+decides every ``minlp`` table packing at the root, and ``minlp+g`` is a
+candidate-II decomposition whose split search certifies each row in a few
+dozen nodes.  What this benchmark asserts is (i) the paper's absolute
+heuristic budget, and (ii) the exact path's work counters: packer search
+nodes (0 since bin-completion) and split-search nodes, so a packing-bound
+or split-search regression fails loudly here (and in the ``exact-smoke`` CI
+job, which runs this module under a wall-clock budget).
 """
 
 import time
@@ -26,13 +22,13 @@ from repro.reporting.trace import cold_solver_caches
 EXACT_SETTINGS = ExactSettings(max_nodes=3, time_limit_seconds=120.0)
 
 #: Ceilings for the exact-path work counters.  The bin-completion packer
-#: (PR 6) decides every runtime-table packing at the root, so the node
-#: ceiling drops from the branching packer's 25k to 100 (measured: 0 search
-#: nodes on all three cases; the PR 3 branching packer needed ~2.9k on
-#: alex-16 and the seed ~400k on vgg-16).  The LP ceiling is 1.5x the
-#: measured cold 3.0 LPs/node on vgg-16 (21 LPs over 7 nodes; the
-#: derivative-sign bisection needed 7.0, the seed ~62).
-MAX_LP_SOLVES_PER_NODE = 4.5
+#: decides every runtime-table packing at the root, so the packer node
+#: ceiling is 100 (measured: 0 search nodes on all three cases; the plain
+#: branching packer needed ~2.9k on alex-16 and the first version ~400k on
+#: vgg-16).
+#: The split-search ceiling is 1.5x the measured cold 29 nodes on alex-16
+#: (vgg-16 needs 0: its greedy incumbent meets the first candidate's bound).
+MAX_SPLIT_SEARCH_NODES = 45
 MAX_PACKER_SEARCH_NODES = 100
 
 
@@ -78,11 +74,11 @@ def test_exact_path_wall_clock_budget(benchmark):
 
 
 def test_exact_path_work_counters():
-    """Packer search nodes and LP solves per node stay at their measured
-    levels (0 search nodes: bin-completion decides every table packing at
-    the root; at most 3.0 LPs/node cold, on vgg-16).  Pre-PR 3 baselines
-    were ~62 LPs/node and ~400k packer nodes on the vgg-16 row; the PR 3-5
-    branching packer still burned ~2.9k nodes on alex-16."""
+    """Packer search nodes and split-search nodes stay at their measured
+    levels (0 packer search nodes: bin-completion decides every table
+    packing at the root; at most 29 split-search nodes, on alex-16), and
+    every ``minlp+g`` row is certified.  The first packer burned ~400k
+    nodes on the vgg-16 row; the plain branching packer ~2.9k on alex-16."""
     for case in ("alex-16", "vgg-16"):
         cold_solver_caches()
         problem = case_study(case, resource_limit_percent=70.0)
@@ -96,10 +92,9 @@ def test_exact_path_work_counters():
         weighted = solve(
             problem.with_paper_weights(), method="minlp+g", exact_settings=EXACT_SETTINGS
         )
-        assert weighted.succeeded
-        counters = weighted.counters
-        assert counters["node_solves"] > 0
-        assert counters["lp_solves"] / counters["node_solves"] <= MAX_LP_SOLVES_PER_NODE
+        assert weighted.status.value == "optimal"
+        assert weighted.details["gap"] <= EXACT_SETTINGS.gap_tolerance
+        assert weighted.counters["split_search_nodes"] <= MAX_SPLIT_SEARCH_NODES
 
 
 def test_warm_exact_replay_is_cached():

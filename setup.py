@@ -1,9 +1,9 @@
 """Packaging for the ``repro`` package (``src/`` layout).
 
 Install for development with ``pip install -e .``, or with
-``python setup.py develop`` where the ``wheel`` package is missing.  SciPy
-1.15 is the floor: from that release on scipy vendors the HiGHS bindings
-(``scipy.optimize._highspy._core``) that the exact solver's LPs run on.
+``python setup.py develop`` where the ``wheel`` package is missing.  NumPy
+is the only runtime dependency; the test oracles also need SciPy
+(``tests/minmax_oracle.py`` solves LPs with ``linprog``).
 """
 
 from setuptools import find_packages, setup
@@ -18,6 +18,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",
-    install_requires=["numpy", "scipy>=1.15"],
+    install_requires=["numpy"],
     entry_points={"console_scripts": ["repro-fpga=repro.cli:main"]},
 )

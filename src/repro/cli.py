@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve_parser.add_argument("--method", choices=METHODS, default="gp+a")
     solve_parser.add_argument("--t", type=float, default=0.0, help="heuristic T parameter (percent)")
     solve_parser.add_argument("--delta", type=float, default=1.0, help="heuristic delta parameter (percent)")
-    solve_parser.add_argument("--max-nodes", type=int, default=50, help="branch-and-bound node limit for exact methods")
+    solve_parser.add_argument("--max-nodes", type=int, default=50, help="exact settings field no solver reads (part of the request fingerprint)")
     solve_parser.add_argument("--time-limit", type=float, default=120.0, help="exact-method time limit (seconds)")
 
     experiment_parser = subparsers.add_parser("experiment", help="regenerate a table or figure of the paper")
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-nodes",
         type=int,
         default=8,
-        help="branch-and-bound node limit for the exact rows",
+        help="exact settings field of the exact rows (no solver reads it)",
     )
     trace_parser.add_argument(
         "--output",

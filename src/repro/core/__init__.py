@@ -37,7 +37,6 @@ from .objective import (
     kernel_spreading,
 )
 from .problem import AllocationProblem, CapacityDimension
-from .relaxations import AllocationRelaxation, variable_name
 from .solution import (
     AllocationSolution,
     SolveOutcome,
@@ -49,7 +48,6 @@ from .validate import ValidationReport, check_outcome_consistency, compare_metho
 
 __all__ = [
     "AllocationProblem",
-    "AllocationRelaxation",
     "AllocationSolution",
     "AllocatorResult",
     "AllocatorSettings",
@@ -91,5 +89,4 @@ __all__ = [
     "solve_gp_step",
     "solver_for",
     "validate_solution",
-    "variable_name",
 ]

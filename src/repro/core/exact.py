@@ -10,9 +10,11 @@ Two solvers mirror the two MINLP configurations of Section 4:
   the discrete candidate II values ``WCET_k / m`` yields the proven optimum.
 
 * :func:`solve_exact_weighted` -- the general configuration with a spreading
-  weight ("MINLP+G").  A spatial branch-and-bound over the integer
-  ``n_{k,f}`` variables with the convex LP relaxation of
-  :mod:`repro.core.relaxations`, seeded with the GP+A incumbent.
+  weight ("MINLP+G").  The same candidate IIs fix the least CU totals; with
+  the totals fixed, the spreading depends only on how each total splits
+  over the FPGAs, so each candidate is a packing of allowed splits under a
+  spreading cap (:mod:`repro.minlp.split_search`).  Candidates are visited
+  in order of a closed-form bound, seeded with the GP+A incumbent.
 """
 
 from __future__ import annotations
@@ -33,16 +35,12 @@ from ..minlp.binpacking import (
     packing_key,
     shared_packing_memo,
 )
-from ..minlp.bounds import VariableBounds
-from ..minlp.branch_and_bound import BBSettings, BBStatus, BranchAndBoundSolver
-from ..minlp.errors import InfeasibleProblemError
-from ..minlp.secant import spreading_of_kernel
+from ..minlp.split_search import SearchBudgetExhausted, SplitPacker
 from ..obs.trace import span
 from .gp_step import solve_gp_step
 from .heuristic import HeuristicSettings, solve_gp_a
 from .problem import AllocationProblem
-from .relaxations import AllocationRelaxation, variable_names
-from .solution import AllocationSolution, SolveOutcome, SolveStatus, counts_matrix_feasible
+from .solution import CAPACITY_TOLERANCE, AllocationSolution, SolveOutcome, SolveStatus
 
 
 def _is_number(value) -> bool:
@@ -52,6 +50,12 @@ def _is_number(value) -> bool:
 @dataclass(frozen=True)
 class ExactSettings:
     """Limits for the exact solvers.
+
+    ``packer_max_nodes`` bounds the ``minlp`` bin packer per probe and the
+    ``minlp+g`` split search over the whole solve; ``gap_tolerance`` and
+    ``seed_with_heuristic`` steer ``minlp+g``.  No solver reads
+    ``max_nodes``, ``time_limit_seconds`` or ``symmetry_breaking``: they
+    stay fields so that request fingerprints do not move.
 
     Every field is type- and range-checked on construction, so a bad wire
     document fails to decode with an error naming the field; an integral
@@ -153,19 +157,24 @@ def _pack_items(
     ]
 
 
-def candidate_ii_values(problem: AllocationProblem) -> list[float]:
-    """All candidate optimal II values ``WCET_k / m``, sorted increasingly.
+def candidate_ii_values(problem: AllocationProblem, floor: float = 0.0) -> list[float]:
+    """All candidate optimal II values ``WCET_k / m`` not below ``floor``,
+    sorted increasingly.
 
-    The optimum of the ``beta = 0`` problem is always of this form because the
-    II is ``max_k WCET_k / N_k`` for integer ``N_k``.  Computed as one
-    vectorized outer division over the memoized kernel arrays.
+    The II of any allocation is of this form because it is
+    ``max_k WCET_k / N_k`` for integer ``N_k``.  A positive ``floor`` also
+    bounds each kernel's ``m``, so a kernel with a huge CU cap lists only
+    the values that can matter.
     """
     arrays = problem.arrays()
-    per_kernel = [
-        wcet / np.arange(1, max(1, cap) + 1)
-        for wcet, cap in zip(arrays.wcet, arrays.max_total_cus)
-    ]
-    return np.unique(np.concatenate(per_kernel)).tolist()
+    per_kernel = []
+    for wcet, cap in zip(arrays.wcet, arrays.max_total_cus):
+        count = max(1, cap)
+        if floor > 0:
+            count = min(count, int(wcet / floor) + 1)
+        per_kernel.append(wcet / np.arange(1, count + 1))
+    values = np.unique(np.concatenate(per_kernel))
+    return values[values >= floor].tolist()
 
 
 def solve_exact_min_ii(
@@ -187,9 +196,7 @@ def solve_exact_min_ii(
     with span("candidate_iis"):
         # All candidate II values, restricted to those not below the
         # continuous lower bound.
-        candidates = [
-            ii for ii in candidate_ii_values(problem) if ii >= lower_bound - 1e-9
-        ]
+        candidates = candidate_ii_values(problem, floor=lower_bound - 1e-9)
         if not candidates:
             candidates = [lower_bound]
 
@@ -322,205 +329,205 @@ def solve_exact_min_ii(
 
 
 # --------------------------------------------------------------------------- #
-# General weighted objective: spatial branch-and-bound ("MINLP+G")
+# General weighted objective: candidate-II decomposition ("MINLP+G")
 # --------------------------------------------------------------------------- #
-def weighted_root_bounds(problem: AllocationProblem) -> VariableBounds:
-    """Root box bounds of the weighted exact search, over
-    :func:`~repro.core.relaxations.variable_names` (the (K, F) grid).
+@dataclass(frozen=True)
+class _Candidate:
+    """One candidate of the weighted search: least CU totals for a candidate
+    II, the II they reach and the bound no allocation with them beats."""
 
-    Upper bounds: no optimal solution uses more CUs of a kernel than needed
-    to reach the relaxed GP optimum (extra CUs cannot reduce II further and
-    only increase spreading), nor more than fit on one FPGA.  Raises when the
-    relaxed problem is infeasible (propagated from :func:`solve_gp_step`).
+    bound: float
+    ii: float
+    totals: tuple[int, ...]
+
+
+def _weighted_candidates(problem: AllocationProblem, ii_hat: float) -> list[_Candidate]:
+    """Every distinct least-totals vector ``N(c)`` of a candidate II
+    ``c >= ii_hat``, in ascending order of its bound.
+
+    An allocation with II ``c`` has totals ``>= N(c)``, and dropping the
+    surplus CUs keeps it feasible and lowers its spreading, so some optimum
+    uses exactly ``N(c)`` for its own II.  With the totals fixed, the least
+    spreading ``phi_min(N_k)`` of kernel ``k`` is its most concentrated
+    split: ``n / (1 + n)`` is concave, so the minimum over the box of parts
+    lies at a vertex, as many parts of the largest FPGA's cap as possible
+    plus the remainder.  That gives the bound
+    ``alpha * II(N) + beta * max_k phi_min(N_k)``.
     """
-    gp_result = solve_gp_step(problem)
     arrays = problem.arrays()
-    upper: list[int] = []
-    for name, per_fpga, max_total in zip(arrays.names, arrays.fpga_max_cus, arrays.max_total_cus):
-        total_cap = max(1, min(
-            max_total,
-            int(math.ceil(problem.wcet[name] / max(gp_result.ii_hat, 1e-12) - 1e-9)) + 1,
-        ))
-        upper += [min(cap, total_cap) for cap in per_fpga]
-    return VariableBounds(variable_names(problem), [0] * len(upper), upper)
+    values = np.asarray(candidate_ii_values(problem, floor=ii_hat - 1e-9))
+    totals = np.maximum(1, np.ceil(arrays.wcet[:, None] / values[None, :] - 1e-9))
+    distinct = np.ones(totals.shape[1], dtype=bool)
+    distinct[1:] = (totals[:, 1:] != totals[:, :-1]).any(axis=0)
+    totals = totals[:, distinct]
+    # phi_min of every kernel and candidate at once (inf: more parts than
+    # FPGAs, or a kernel no FPGA holds one CU of).
+    part_caps = np.array([max(caps) for caps in arrays.fpga_max_cus], dtype=np.float64)[:, None]
+    divisor = np.maximum(part_caps, 1.0)
+    full, rest = np.floor_divide(totals, divisor), np.remainder(totals, divisor)
+    spreading = full * (divisor / (1.0 + divisor)) + rest / (1.0 + rest)
+    spreading[(full + (rest > 0) > problem.num_fpgas) | (part_caps < 1)] = math.inf
+    spreading = spreading.max(axis=0)
+    ii = (arrays.wcet[:, None] / totals).max(axis=0)
+    bound = problem.weights.alpha * ii + problem.weights.beta * spreading
+    candidates = [
+        _Candidate(value, rate, tuple(column))
+        for value, rate, column in zip(
+            bound.tolist(), ii.tolist(), totals.astype(np.int64).T.tolist()
+        )
+        if value < math.inf
+    ]
+    candidates.sort(key=lambda candidate: candidate.bound)
+    return candidates
+
+
+def _split_packer(problem: AllocationProblem, settings: ExactSettings) -> SplitPacker:
+    """The split search over the problem's capacity dimensions."""
+    arrays = problem.arrays()
+    return SplitPacker(
+        sizes=arrays.weights.T.tolist(),
+        capacities=arrays.fpga_capacity.T.tolist(),
+        part_caps=[max(caps) for caps in arrays.fpga_max_cus],
+        tolerance=CAPACITY_TOLERANCE,
+        max_nodes=settings.packer_max_nodes,
+    )
 
 
 def solve_exact_weighted(
     problem: AllocationProblem,
     settings: ExactSettings = ExactSettings(),
 ) -> SolveOutcome:
-    """Exact (bounded-gap) solver for the weighted II + spreading objective."""
-    start = time.perf_counter()
-    num_kernels, num_fpgas = len(problem.kernel_names), problem.num_fpgas
-    wcets = [problem.wcet[name] for name in problem.kernel_names]
+    """Exact allocation for the weighted II + spreading objective.
 
+    Visits the candidates of :func:`_weighted_candidates` in bound order and
+    stops once a bound reaches the incumbent (less ``gap_tolerance``).  The
+    incumbent starts from the GP+A allocation and one greedy split packing
+    per candidate; then the complete split search tries each remaining
+    candidate under the spreading cap the incumbent leaves it, lowering the
+    cap below every packing it finds.  ``packer_max_nodes`` bounds the split
+    search over the whole solve: when it runs out the outcome is
+    ``feasible``, bounded by the first candidate left undecided.
+    """
+    start = time.perf_counter()
     if not problem.weights.spreading_enabled:
         return solve_exact_min_ii(problem, settings)
+    alpha, beta = problem.weights.alpha, problem.weights.beta
 
-    try:
-        with span("root_bounds"):
-            bounds = weighted_root_bounds(problem)
-    except Exception as error:  # infeasible relaxation
-        return SolveOutcome(
-            method="minlp+g",
-            status=SolveStatus.INFEASIBLE,
-            solution=None,
-            runtime_seconds=time.perf_counter() - start,
-            details={"reason": f"relaxed problem infeasible: {error}"},
-        )
-
-    relaxation = AllocationRelaxation(
-        problem=problem,
-        weights=problem.weights,
-        symmetry_breaking=settings.symmetry_breaking,
-    )
-
-    # The engine's points are the (K, F) grid of CU counts, flattened.
-    def evaluate(candidate: np.ndarray) -> float | None:
-        """The objective of an integer point, ``None`` when infeasible
-        (the values :attr:`AllocationSolution.objective` and
-        :meth:`AllocationSolution.is_feasible` give)."""
-        grid = candidate.reshape(num_kernels, num_fpgas)
-        if (grid < 0).any():
-            return None
-        rows = grid.tolist()
-        totals = [sum(row) for row in rows]
-        if min(totals) < 1 or not counts_matrix_feasible(problem, grid.astype(np.float64)):
-            return None
-        ii = max(wcet / total for wcet, total in zip(wcets, totals))
-        return problem.weights.goal(ii, max(spreading_of_kernel(row) for row in rows))
-
-    def rounding(values: np.ndarray, node_bounds: VariableBounds) -> list[np.ndarray]:
-        """One proposal: each kernel's fractional total, rounded, laid out
-        by largest remainders and clamped into the node's box."""
-        rounded: list[int] = []
-        for per_fpga, lows, ups in zip(
-            values.reshape(num_kernels, num_fpgas).tolist(),
-            node_bounds.lower.reshape(num_kernels, num_fpgas).tolist(),
-            node_bounds.upper.reshape(num_kernels, num_fpgas).tolist(),
-        ):
-            floors = [int(math.floor(value + 1e-9)) for value in per_fpga]
-            target = max(1, int(round(sum(per_fpga))))
-            deficit = target - sum(floors)
-            order = sorted(
-                range(num_fpgas), key=lambda f: per_fpga[f] - floors[f], reverse=True
+    with span("candidates"):
+        try:
+            ii_hat = solve_gp_step(problem).ii_hat
+        except Exception as error:  # infeasible relaxation
+            return SolveOutcome(
+                method="minlp+g",
+                status=SolveStatus.INFEASIBLE,
+                solution=None,
+                runtime_seconds=time.perf_counter() - start,
+                details={"reason": f"relaxed problem infeasible: {error}"},
             )
-            for position in range(max(0, deficit)):
-                floors[order[position % num_fpgas]] += 1
-            floors = [min(max(floor, low), up) for floor, low, up in zip(floors, lows, ups)]
-            if sum(floors) < 1:
-                floors[order[0]] = max(1, floors[order[0]])
-            rounded += floors
-        return [np.array(rounded, dtype=np.int64)]
+        candidates = _weighted_candidates(problem, ii_hat)
 
-    incumbent: np.ndarray | None = None
+    incumbent = math.inf
+    best: AllocationSolution | None = None
     heuristic_outcome: SolveOutcome | None = None
     if settings.seed_with_heuristic:
         with span("heuristic_seed"):
             heuristic_outcome = solve_gp_a(problem, HeuristicSettings())
-            if heuristic_outcome.succeeded and heuristic_outcome.solution is not None:
-                incumbent = _solution_to_candidate(heuristic_outcome.solution, canonical=settings.symmetry_breaking)
+        if heuristic_outcome.succeeded and heuristic_outcome.solution is not None:
+            best = heuristic_outcome.solution
+            incumbent = best.objective
+    seeded = best is not None
 
-    solver = BranchAndBoundSolver(
-        relaxation_solver=relaxation.solve,
-        incumbent_evaluator=evaluate,
-        rounding_heuristic=rounding,
-        settings=BBSettings(
-            max_nodes=settings.max_nodes,
-            time_limit_seconds=settings.time_limit_seconds,
-            gap_tolerance=settings.gap_tolerance,
-        ),
-        counters_provider=relaxation.counters,
-    )
-    try:
-        with span("bb_search"):
-            result = solver.solve(bounds, initial_incumbent=incumbent)
-    except InfeasibleProblemError:
-        return SolveOutcome(
-            method="minlp+g",
-            status=SolveStatus.INFEASIBLE,
-            solution=None,
-            runtime_seconds=time.perf_counter() - start,
-            details={"reason": "root relaxation infeasible"},
+    def target() -> float:
+        """Objectives at or above this do not improve the incumbent."""
+        if math.isinf(incumbent):
+            return incumbent
+        return incumbent - settings.gap_tolerance * max(1.0, abs(incumbent))
+
+    def accept(candidate: _Candidate, grid: list[list[int]], spreading: float) -> None:
+        nonlocal incumbent, best
+        best = AllocationSolution(
+            problem=problem,
+            counts={name: tuple(row) for name, row in zip(problem.kernel_names, grid)},
         )
+        incumbent = alpha * candidate.ii + beta * spreading
 
+    packer = _split_packer(problem, settings)
+    with span("greedy_pass"):
+        for candidate in candidates:
+            if candidate.bound >= target():
+                break
+            packed = packer.greedy(candidate.totals, (target() - alpha * candidate.ii) / beta)
+            if packed is not None:
+                accept(candidate, *packed)
+
+    visited = 0
+    exhausted = False
+    lower_bound = math.inf
+    with span("split_search"):
+        for candidate in candidates:
+            if candidate.bound >= target():
+                lower_bound = candidate.bound
+                break
+            visited += 1
+            failed: set = set()
+            cap = math.inf
+            try:
+                while candidate.bound < target():
+                    # Strictly below the last packing's spreading, even when
+                    # rounding leaves the incumbent's cap a hair above it.
+                    cap = min(cap, (target() - alpha * candidate.ii) / beta)
+                    packed = packer.search(candidate.totals, cap, failed)
+                    if packed is None:
+                        break
+                    accept(candidate, *packed)
+                    cap = packed[1]
+            except SearchBudgetExhausted:
+                exhausted = True
+                lower_bound = candidate.bound
+                break
+
+    counters = {
+        "candidates_considered": len(candidates),
+        "candidates_visited": visited,
+        "split_search_nodes": packer.nodes,
+    }
     runtime = time.perf_counter() - start
-    if not result.has_solution:
+    if best is None:
         return SolveOutcome(
             method="minlp+g",
             status=SolveStatus.INFEASIBLE,
             solution=None,
             runtime_seconds=runtime,
-            lower_bound=result.lower_bound,
-            nodes_explored=result.nodes_explored,
-            details={"reason": "no feasible integer point found within limits"},
-            counters={**result.counters, "bb_nodes": result.nodes_explored},
+            lower_bound=lower_bound if exhausted else math.nan,
+            nodes_explored=packer.nodes,
+            details={
+                "reason": (
+                    "no feasible allocation found within the node budget"
+                    if exhausted
+                    else "no allocation of the candidate totals fits the platform"
+                )
+            },
+            counters=counters,
         )
 
     with span("finalize"):
-        solution = AllocationSolution(
-            problem=problem, counts=_candidate_to_counts(problem, result.solution)
-        )
-        status = SolveStatus.OPTIMAL if result.status is BBStatus.OPTIMAL else SolveStatus.FEASIBLE
+        objective = best.objective
+        lower_bound = min(lower_bound, objective)
+        gap = max(0.0, objective - lower_bound) / max(1e-12, abs(objective))
         outcome = SolveOutcome(
             method="minlp+g",
-            status=status,
-            solution=solution,
-            runtime_seconds=runtime,
-            lower_bound=result.lower_bound,
-            nodes_explored=result.nodes_explored,
+            status=SolveStatus.FEASIBLE if exhausted else SolveStatus.OPTIMAL,
+            solution=best,
+            runtime_seconds=time.perf_counter() - start,
+            lower_bound=lower_bound,
+            nodes_explored=packer.nodes,
             details={
-                "gap": result.gap,
-                "seeded": incumbent is not None,
-                "heuristic_objective": heuristic_outcome.objective if heuristic_outcome else math.nan,
+                "gap": gap,
+                "seeded": seeded,
+                "heuristic_objective": (
+                    heuristic_outcome.objective if heuristic_outcome else math.nan
+                ),
             },
-            counters={**result.counters, "bb_nodes": result.nodes_explored},
+            counters=counters,
         )
     return outcome
-
-
-# --------------------------------------------------------------------------- #
-# Helpers shared by the exact solvers
-# --------------------------------------------------------------------------- #
-def _candidate_to_counts(
-    problem: AllocationProblem, candidate: np.ndarray
-) -> dict[str, tuple[int, ...]]:
-    """The ``{kernel: per-FPGA counts}`` of a flattened (K, F) grid."""
-    rows = candidate.reshape(len(problem.kernel_names), problem.num_fpgas).tolist()
-    return {name: tuple(row) for name, row in zip(problem.kernel_names, rows)}
-
-
-def _solution_to_candidate(solution: AllocationSolution, canonical: bool = True) -> np.ndarray:
-    """Convert an allocation into branch-and-bound variable values (the
-    flattened (K, F) grid).
-
-    With ``canonical=True`` the FPGAs are re-ordered by decreasing load of
-    the dominant dimension so that the candidate satisfies the
-    symmetry-breaking constraints of the relaxation.  Only identically
-    capped FPGAs are interchangeable, so the reordering happens per run of
-    equal-capacity FPGAs (on a homogeneous platform that is the whole
-    platform, the original behaviour; it matches the capacity-equality
-    notion of the relaxation's symmetry rows).
-    """
-    problem = solution.problem
-    platform = problem.platform
-    caps = [
-        (platform.fpga_resource_limit(f), platform.fpga_bandwidth_limit(f))
-        for f in range(problem.num_fpgas)
-    ]
-    order: list[int] = []
-    start = 0
-    while start < problem.num_fpgas:
-        end = start
-        while end < problem.num_fpgas and caps[end] == caps[start]:
-            end += 1
-        block = list(range(start, end))
-        if canonical:
-            max_usage = solution.max_usage_per_fpga()
-            block.sort(key=lambda f: max_usage[f], reverse=True)
-        order.extend(block)
-        start = end
-    return np.array(
-        [[solution.counts[name][fpga] for fpga in order] for name in problem.kernel_names],
-        dtype=np.int64,
-    ).ravel()

@@ -9,13 +9,16 @@ chains them and packages the result.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
+from typing import get_args
 
 from ..gp.errors import InfeasibleError
 from ..memo import Memo, value_key
 from ..obs.trace import span
-from .allocator import AllocatorResult, AllocatorSettings, GreedyAllocator
+from .allocator import AllocatorResult, AllocatorSettings, CriticalityRule, GreedyAllocator
 from .discretize import DiscretizationError, discretize_counts
 from .gp_step import solve_gp_step
 from .problem import AllocationProblem
@@ -27,12 +30,30 @@ class HeuristicSettings:
     """Configuration of the GP+A heuristic: the allocator's parameters.
 
     The GP step and the discretisation each have one exact solver, so
-    nothing about them is configurable.
+    nothing about them is configurable.  Every field is type- and
+    range-checked on construction, so a bad wire document fails to decode
+    with an error naming the field.
     """
 
     t_percent: float = 0.0
     delta_percent: float = 1.0
     criticality: str = "ii-impact"
+
+    def __post_init__(self) -> None:
+        for name, positive in (("t_percent", False), ("delta_percent", True)):
+            value = getattr(self, name)
+            valid = (
+                isinstance(value, numbers.Real)
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+                and (value > 0 if positive else value >= 0)
+            )
+            if not valid:
+                bound = "> 0" if positive else ">= 0"
+                raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+        rules = get_args(CriticalityRule)
+        if not isinstance(self.criticality, str) or self.criticality not in rules:
+            raise ValueError(f"criticality must be one of {rules}, got {self.criticality!r}")
 
     def allocator_settings(self) -> AllocatorSettings:
         return AllocatorSettings(

@@ -370,7 +370,7 @@ class SolveOutcome:
     lower_bound: float = math.nan
     nodes_explored: int = 0
     details: Mapping[str, object] = field(default_factory=dict)
-    #: Work counters of the solve (LP solves, probes, packer search nodes,
+    #: Work counters of the solve (packer and split-search nodes, candidates,
     #: memo hits, ...) -- additive across solves, so services can aggregate
     #: them and performance tests can assert per-solve work budgets.
     counters: Mapping[str, int] = field(default_factory=dict)

@@ -1,7 +1,7 @@
 """One bounded memo for every cross-call cache.
 
 Each stage of the pipeline (the relaxed GP, the discretisation, Algorithm 1,
-the packing probes, the B&B node relaxations) and the service (decoded
+the packing probes) and the service (decoded
 outcomes, decoded requests, traces) keeps results across calls in a
 :class:`Memo`: a lock-protected LRU map with an entry cap.  The memos are
 shared by the threads of the HTTP service, so every operation holds the

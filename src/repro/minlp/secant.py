@@ -1,19 +1,11 @@
-"""Secant (chord) relaxations of concave functions.
+"""The spreading terms of the paper's objective (eqs. 4-5).
 
-The only nonconvex terms of the paper's MINLP (eqs. 5-10) are the spreading
-functions ``phi_k = sum_f n/(1+n)`` -- each term concave and increasing in
-``n``.  Over an interval ``[l, u]`` a concave function lies *above* its chord,
-so replacing ``h(n)`` by the chord in a constraint ``phi >= sum h(n)`` yields
-a valid convex (indeed linear) relaxation: any point feasible for the
-original constraint is feasible for the relaxed one.  When branching fixes
-``l == u`` the chord is exact, which is what makes the spatial
-branch-and-bound converge to the true optimum.
+The only nonconvex terms of the MINLP are the spreading functions
+``phi_k = sum_f h(n_kf)`` with ``h(n) = n/(1+n)``: concave, increasing and
+``h(0) = 0``, which is all :mod:`repro.minlp.split_search` relies on.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 
 def spreading_term(n: float) -> float:
@@ -26,55 +18,3 @@ def spreading_term(n: float) -> float:
 def spreading_of_kernel(counts_per_fpga: list[float] | tuple[float, ...]) -> float:
     """Spreading function of one kernel, ``phi_k = sum_f n_kf/(1+n_kf)``."""
     return sum(spreading_term(n) for n in counts_per_fpga)
-
-
-@dataclass(frozen=True)
-class SecantSegment:
-    """The affine chord ``slope * n + intercept`` of a concave function on [l, u]."""
-
-    lower: float
-    upper: float
-    slope: float
-    intercept: float
-
-    def value(self, n: float) -> float:
-        return self.slope * n + self.intercept
-
-
-def secant_of(function: Callable[[float], float], lower: float, upper: float) -> SecantSegment:
-    """Chord of ``function`` over ``[lower, upper]``.
-
-    For a degenerate interval (``lower == upper``) the chord collapses to the
-    constant ``function(lower)``, i.e. the relaxation becomes exact.
-    """
-    if lower > upper:
-        raise ValueError(f"invalid interval [{lower}, {upper}]")
-    if upper == lower:
-        return SecantSegment(lower=lower, upper=upper, slope=0.0, intercept=function(lower))
-    f_lower = function(lower)
-    f_upper = function(upper)
-    slope = (f_upper - f_lower) / (upper - lower)
-    intercept = f_lower - slope * lower
-    return SecantSegment(lower=lower, upper=upper, slope=slope, intercept=intercept)
-
-
-def spreading_secant(lower: float, upper: float) -> SecantSegment:
-    """Chord of the spreading term ``n/(1+n)`` over ``[lower, upper]``."""
-    return secant_of(spreading_term, lower, upper)
-
-
-def secant_gap(function: Callable[[float], float], lower: float, upper: float, samples: int = 16) -> float:
-    """Maximum gap between a concave function and its chord over [l, u].
-
-    Used by tests (the gap must be non-negative and shrink to zero as the
-    interval collapses) and by the branching rule that prefers variables whose
-    relaxation is loosest.
-    """
-    segment = secant_of(function, lower, upper)
-    if upper == lower:
-        return 0.0
-    worst = 0.0
-    for index in range(samples + 1):
-        n = lower + (upper - lower) * index / samples
-        worst = max(worst, function(n) - segment.value(n))
-    return worst

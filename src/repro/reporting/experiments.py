@@ -3,7 +3,7 @@
 Every driver returns plain data (a :class:`~repro.reporting.tables.TextTable`
 or :class:`~repro.reporting.series.FigureData`) so it can be reused by the
 benchmark harness, the CLI and the tests.  The drivers accept the knobs that
-control runtime (constraint grids, branch-and-bound limits) so the benchmark
+control runtime (constraint grids, exact-solver settings) so the benchmark
 suite can run a faithful-but-bounded configuration and record it in
 EXPERIMENTS.md.
 """

@@ -34,15 +34,10 @@ def cache_stats_table(stats: Mapping[str, Any], title: str = "Result cache") -> 
 
 
 #: Solver work counters rendered by :func:`solver_stats_table`, in display
-#: order: the exact-path instrumentation of PR 3 (LP solves and probes of the
-#: node relaxations, branch-and-bound nodes, bin-packer search nodes and the
-#: packing memo).
+#: order: the exact paths' instrumentation (bin-packer search nodes and the
+#: packing memo of ``minlp``, the candidates and split-search nodes of
+#: ``minlp+g``).
 SOLVER_COUNTERS = (
-    "lp_solves",
-    "feasibility_lps",
-    "probe_lps",
-    "node_solves",
-    "bb_nodes",
     "packs",
     "packer_search_nodes",
     "packer_completion_nodes",
@@ -50,6 +45,8 @@ SOLVER_COUNTERS = (
     "packing_memo_hits",
     "packing_memo_misses",
     "candidates_considered",
+    "candidates_visited",
+    "split_search_nodes",
 )
 
 

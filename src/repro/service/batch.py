@@ -498,7 +498,7 @@ class BatchReport:
     solves: int = 0
     runtime_seconds: float = 0.0
     fingerprints: list[str] = field(default_factory=list)
-    #: Solver work counters (LP solves, packer nodes, memo hits, ...) summed
+    #: Solver work counters (packer and split-search nodes, memo hits, ...) summed
     #: over the freshly solved requests of the batch -- cached answers add
     #: nothing, so these measure the actual work the batch caused.
     solver_counters: dict[str, int] = field(default_factory=dict)

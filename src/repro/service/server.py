@@ -160,8 +160,8 @@ class AllocationService(HTTPRoutes):
         self._requests = 0
         self._batches = 0
         self._solves = 0
-        #: Aggregated solver work counters (LP solves, probes, packer search
-        #: nodes, memo hits, ...) over every non-cached solve this service
+        #: Aggregated solver work counters (packer and split-search nodes,
+        #: memo hits, ...) over every non-cached solve this service
         #: performed; cache hits add nothing, mirroring the actual work done.
         self._solver_counters: dict[str, int] = {}
         # The registry is per-service (not module-global) so tests and

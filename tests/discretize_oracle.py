@@ -2,7 +2,7 @@
 
 The paper (Section 3.2.2) enforces integrality of the GP totals "by a
 branch-and-bound technique similar to those used in ILP".  This module keeps
-that search, on top of the generic engine of :mod:`repro.minlp`, as the
+that search, on top of the generic engine of ``tests/bb_engine.py``, as the
 oracle the production threshold search in :mod:`repro.core.discretize` is
 checked against.  It is the former production discretiser with two
 differences: it has no cross-call memo, and every node solves its
@@ -23,19 +23,19 @@ from typing import Mapping
 
 import numpy as np
 
+from bb_engine import (
+    BBSettings,
+    BBStatus,
+    BranchAndBoundSolver,
+    InfeasibleProblemError,
+    RelaxationResult,
+    VariableBounds,
+)
 from minmax_oracle import bisection_min_max
 from repro.core.discretize import DiscretizationError, DiscretizationResult
 from repro.core.gp_step import build_vectorized_minmax
 from repro.core.problem import AllocationProblem
 from repro.gp.errors import InfeasibleError
-from repro.minlp.bounds import VariableBounds
-from repro.minlp.branch_and_bound import (
-    BBSettings,
-    BBStatus,
-    BranchAndBoundSolver,
-    RelaxationResult,
-)
-from repro.minlp.errors import InfeasibleProblemError
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,18 @@
-"""Tests for the generic branch-and-bound engine on small synthetic problems."""
+"""Tests for the generic branch-and-bound engine (``tests/bb_engine.py``,
+the discretisation oracle's engine) on small synthetic problems."""
 
 import math
 
 import numpy as np
 import pytest
-
-from repro.minlp.bounds import VariableBounds
-from repro.minlp.branch_and_bound import (
+from bb_engine import (
     BBSettings,
     BBStatus,
     BranchAndBoundSolver,
+    InfeasibleProblemError,
     RelaxationResult,
+    VariableBounds,
 )
-from repro.minlp.errors import InfeasibleProblemError
 
 
 def make_knapsack_solver(values, weights, capacity, settings=BBSettings()):

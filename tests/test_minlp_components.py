@@ -1,19 +1,13 @@
-"""Tests for the MINLP substrate: bounds, secants, bin packing."""
+"""Tests for the MINLP substrate: bounds, spreading terms, bin packing."""
 
 import math
 
 import numpy as np
 import pytest
+from bb_engine import VariableBounds
 
-from repro.minlp.bounds import VariableBounds
 from repro.minlp.binpacking import PackingItemType, VectorBinPacker
-from repro.minlp.secant import (
-    secant_gap,
-    secant_of,
-    spreading_of_kernel,
-    spreading_secant,
-    spreading_term,
-)
+from repro.minlp.secant import spreading_of_kernel, spreading_term
 
 
 # Box helpers no solver needs, over the positional bounds.
@@ -118,30 +112,6 @@ class TestSecants:
     def test_spreading_of_kernel_prefers_consolidation(self):
         # 4 CUs on one FPGA vs spread 1+1+1+1: consolidation has lower phi.
         assert spreading_of_kernel([4, 0, 0, 0]) < spreading_of_kernel([1, 1, 1, 1])
-
-    def test_secant_underestimates_concave_function(self):
-        segment = spreading_secant(0.0, 5.0)
-        for n in (0.0, 0.5, 1.0, 2.5, 5.0):
-            assert segment.value(n) <= spreading_term(n) + 1e-12
-
-    def test_secant_exact_at_endpoints(self):
-        segment = spreading_secant(1.0, 4.0)
-        assert segment.value(1.0) == pytest.approx(spreading_term(1.0))
-        assert segment.value(4.0) == pytest.approx(spreading_term(4.0))
-
-    def test_degenerate_interval_is_exact(self):
-        segment = spreading_secant(3.0, 3.0)
-        assert segment.value(3.0) == pytest.approx(spreading_term(3.0))
-        assert secant_gap(spreading_term, 3.0, 3.0) == 0.0
-
-    def test_gap_shrinks_with_interval(self):
-        wide = secant_gap(spreading_term, 0.0, 8.0)
-        narrow = secant_gap(spreading_term, 0.0, 1.0)
-        assert narrow < wide
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            secant_of(spreading_term, 2.0, 1.0)
 
 
 class TestVectorBinPacker:

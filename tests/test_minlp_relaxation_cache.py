@@ -12,14 +12,13 @@ import threading
 
 import numpy as np
 import pytest
+from bb_engine import BBSettings, BranchAndBoundSolver, RelaxationResult, VariableBounds
 from discretize_oracle import oracle_discretize
 
 from repro.core import discretize
 from repro.core.discretize import discretization_cache_clear, discretize_counts
 from repro.core.gp_step import solve_gp_step
 from repro.memo import Memo
-from repro.minlp.bounds import VariableBounds
-from repro.minlp.branch_and_bound import BBSettings, BranchAndBoundSolver, RelaxationResult
 from repro.reporting.experiments import case_study
 
 

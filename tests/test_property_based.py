@@ -12,7 +12,6 @@ from repro.core.solution import AllocationSolution
 from repro.gp.errors import InfeasibleError
 from repro.gp.minmax import VectorizedMinMaxProblem
 from repro.minlp.binpacking import PackingItemType, VectorBinPacker
-from repro.minlp.secant import spreading_secant, spreading_term
 from repro.platform.presets import aws_f1
 from repro.platform.resources import ResourceVector
 from repro.workloads.kernel import Kernel
@@ -89,21 +88,6 @@ def test_sum_always_fits_within_itself(a, b):
     total = a + b
     assert a.fits_within(total)
     assert b.fits_within(total)
-
-
-# --------------------------------------------------------------------------- #
-# Spreading secants (MINLP relaxation validity)
-# --------------------------------------------------------------------------- #
-@given(
-    st.floats(min_value=0.0, max_value=20.0),
-    st.floats(min_value=0.0, max_value=20.0),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-def test_secant_never_overestimates_spreading_term(lower, width, position):
-    upper = lower + width
-    segment = spreading_secant(lower, upper)
-    point = lower + position * width
-    assert segment.value(point) <= spreading_term(point) + 1e-9
 
 
 # --------------------------------------------------------------------------- #

@@ -173,6 +173,41 @@ class TestExactSettingsValidation:
         assert answers[0] == answers[1]
 
 
+#: One bad value per ``HeuristicSettings`` field, each of a kind that was
+#: solved or answered with a 500 before the fields were checked.
+BAD_HEURISTIC_SETTINGS = [
+    ("t_percent", "abc"),
+    ("t_percent", float("nan")),
+    ("t_percent", -1.0),
+    ("delta_percent", 0),
+    ("delta_percent", True),
+    ("delta_percent", float("inf")),
+    ("criticality", "zzz"),
+    ("criticality", 3),
+]
+
+
+class TestHeuristicSettingsValidation:
+    """Sync routes and the async batch route alike reject a bad field before
+    anything is solved or queued."""
+
+    @pytest.mark.parametrize("mode", ["/solve", "sync", "async"])
+    @pytest.mark.parametrize(("field", "value"), BAD_HEURISTIC_SETTINGS)
+    def test_bad_field_is_a_400_naming_it(self, running_service, mode, field, value):
+        client, service, _ = running_service
+        problem = case_study("alex-16", resource_limit_percent=70.0)
+        document = request_to_dict(SolveRequest(problem=problem, method="gp+a"))
+        document["heuristic_settings"] = {field: value}
+        if mode == "/solve":
+            route, payload = "/solve", document
+        else:
+            route, payload = "/solve_batch", {"requests": [document], "mode": mode}
+        with pytest.raises(ServiceError, match=field) as excinfo:
+            client._request(route, payload)
+        assert excinfo.value.status == 400
+        assert service.stats()["service"]["solves"] == 0
+
+
 class TestWarmRestart:
     def test_restarted_server_answers_from_disk_without_resolving(
         self, tmp_path, tiny_problem_at
