@@ -1,20 +1,26 @@
 """Exact solvers for the allocation MINLP (the paper's reference methods).
 
-Two solvers mirror the two MINLP configurations of Section 4:
+The paper's MINLP and MINLP+G are one model (eqs. 4-10) with ``beta = 0``
+and ``beta > 0``, and both are solved by one candidate-II decomposition.
+The II of any allocation is ``max_k WCET_k / N_k``, so every candidate II
+``c >= ii_hat`` fixes the least CU totals ``N(c)`` that reach it; the
+distinct ``N(c)`` vectors are the candidates (:func:`_weighted_candidates`).
+The GP+A allocation is the starting incumbent, and a candidate the node
+budget leaves undecided makes the answer ``feasible``, bounded by the
+candidates no search has ruled out.  Only the step that decides one
+candidate depends on ``beta``:
 
-* :func:`solve_exact_min_ii` -- the ``beta = 0`` configuration ("MINLP" in
-  the figures).  The initiation interval depends only on the CU totals, so
-  the problem decomposes exactly into (i) a search over the smallest II whose
-  required CU totals (ii) pack into the FPGAs (a vector bin-packing
-  feasibility test).  Feasibility is monotone in II, so a binary search over
-  the discrete candidate II values ``WCET_k / m`` yields the proven optimum.
+* :func:`solve_exact_min_ii` -- ``beta = 0`` ("MINLP" in the figures).
+  Packing feasibility is monotone in II, so the search starts at the
+  highest candidate whose II is at most the incumbent's, packs candidates
+  downwards with the vector bin packer and stops at the first that does
+  not pack: proven infeasible means the last packing is optimal.
 
-* :func:`solve_exact_weighted` -- the general configuration with a spreading
-  weight ("MINLP+G").  The same candidate IIs fix the least CU totals; with
-  the totals fixed, the spreading depends only on how each total splits
-  over the FPGAs, so each candidate is a packing of allowed splits under a
+* :func:`solve_exact_weighted` -- ``beta > 0`` ("MINLP+G").  With the
+  totals fixed, the spreading depends only on how each total splits over
+  the FPGAs, so each candidate is a packing of allowed splits under a
   spreading cap (:mod:`repro.minlp.split_search`).  Candidates are visited
-  in order of a closed-form bound, seeded with the GP+A incumbent.
+  in order of a closed-form bound.
 """
 
 from __future__ import annotations
@@ -23,18 +29,11 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 
-from ..minlp.binpacking import (
-    PackingItemType,
-    PackingResult,
-    VectorBinPacker,
-    _strip_assignment,
-    packing_key,
-    shared_packing_memo,
-)
+from ..minlp.binpacking import PackingItemType, VectorBinPacker, shared_packing_memo
 from ..minlp.split_search import SearchBudgetExhausted, SplitPacker
 from ..obs.trace import span
 from .gp_step import solve_gp_step
@@ -51,11 +50,12 @@ def _is_number(value) -> bool:
 class ExactSettings:
     """Limits for the exact solvers.
 
-    ``packer_max_nodes`` bounds the ``minlp`` bin packer per probe and the
-    ``minlp+g`` split search over the whole solve; ``gap_tolerance`` and
-    ``seed_with_heuristic`` steer ``minlp+g``.  No solver reads
-    ``max_nodes``, ``time_limit_seconds`` or ``symmetry_breaking``: they
-    stay fields so that request fingerprints do not move.
+    ``packer_max_nodes`` bounds the ``minlp`` bin packer per probe (one
+    candidate) and the ``minlp+g`` split search over the whole solve;
+    ``seed_with_heuristic`` starts both from the GP+A incumbent and
+    ``gap_tolerance`` steers ``minlp+g``.  No solver reads ``max_nodes``,
+    ``time_limit_seconds`` or ``symmetry_breaking``: they stay fields so
+    that request fingerprints do not move.
 
     Every field is type- and range-checked on construction, so a bad wire
     document fails to decode with an error naming the field; an integral
@@ -65,7 +65,6 @@ class ExactSettings:
     max_nodes: int = 2_000
     time_limit_seconds: float = 120.0
     gap_tolerance: float = 1e-6
-    packing_placement: str = "balance"
     packer_max_nodes: int = 200_000
     symmetry_breaking: bool = True
     seed_with_heuristic: bool = True
@@ -85,78 +84,14 @@ class ExactSettings:
             )
         if not (_is_number(self.gap_tolerance) and self.gap_tolerance >= 0):
             raise ValueError(f"gap_tolerance must be a number >= 0, got {self.gap_tolerance!r}")
-        if self.packing_placement not in ("balance", "consolidate"):
-            raise ValueError(
-                "packing_placement must be 'balance' or 'consolidate',"
-                f" got {self.packing_placement!r}"
-            )
         for name in ("symmetry_breaking", "seed_with_heuristic"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
 # --------------------------------------------------------------------------- #
-# beta = 0: decomposed exact minimum-II solver ("MINLP")
+# Candidates
 # --------------------------------------------------------------------------- #
-def _required_totals(problem: AllocationProblem, ii: float) -> dict[str, int]:
-    """Smallest integer CU totals achieving an initiation interval <= ii."""
-    totals: dict[str, int] = {}
-    for name in problem.kernel_names:
-        needed = problem.wcet[name] / ii
-        totals[name] = max(1, int(math.ceil(needed - 1e-9)))
-    return totals
-
-
-def _packer_for(
-    problem: AllocationProblem, settings: ExactSettings
-) -> VectorBinPacker:
-    """Packer over the problem's capacity dimensions, with a shared memo.
-
-    The memo is shared between every packer with an identical configuration
-    (bin count, capacities, placement, budget), so the feasibility of a CU
-    count vector is established once across the candidate-II binary search,
-    repeated solves and design-space sweep points.  On a heterogeneous
-    platform the packer receives one capacity row per FPGA (class-major
-    order) instead of the shared capacity vector.
-    """
-    dimensions = problem.capacity_dimensions()
-    num_fpgas = problem.num_fpgas
-    if problem.platform.is_homogeneous:
-        packer = VectorBinPacker(
-            num_bins=num_fpgas,
-            capacity=[dimension.capacity for dimension in dimensions],
-            placement=settings.packing_placement,
-            max_backtrack_nodes=settings.packer_max_nodes,
-        )
-    else:
-        per_dimension = [dimension.fpga_capacities(num_fpgas) for dimension in dimensions]
-        packer = VectorBinPacker(
-            num_bins=num_fpgas,
-            bin_capacities=[
-                [capacities[fpga] for capacities in per_dimension]
-                for fpga in range(num_fpgas)
-            ],
-            placement=settings.packing_placement,
-            max_backtrack_nodes=settings.packer_max_nodes,
-        )
-    packer.memo = shared_packing_memo(packer.config_key())
-    return packer
-
-
-def _pack_items(
-    problem: AllocationProblem, totals: Mapping[str, int]
-) -> list[PackingItemType]:
-    dimensions = problem.capacity_dimensions()
-    return [
-        PackingItemType(
-            name=name,
-            count=int(totals[name]),
-            size=tuple(dimension.weights.get(name, 0.0) for dimension in dimensions),
-        )
-        for name in problem.kernel_names
-    ]
-
-
 def candidate_ii_values(problem: AllocationProblem, floor: float = 0.0) -> list[float]:
     """All candidate optimal II values ``WCET_k / m`` not below ``floor``,
     sorted increasingly.
@@ -177,181 +112,31 @@ def candidate_ii_values(problem: AllocationProblem, floor: float = 0.0) -> list[
     return values[values >= floor].tolist()
 
 
-def solve_exact_min_ii(
-    problem: AllocationProblem, settings: ExactSettings = ExactSettings()
-) -> SolveOutcome:
-    """Exact minimum-II allocation (the beta = 0 "MINLP" reference)."""
-    start = time.perf_counter()
-    try:
-        lower_bound = solve_gp_step(problem).ii_hat
-    except Exception as error:
-        return SolveOutcome(
-            method="minlp",
-            status=SolveStatus.INFEASIBLE,
-            solution=None,
-            runtime_seconds=time.perf_counter() - start,
-            details={"reason": f"relaxed problem infeasible: {error}"},
-        )
-
-    with span("candidate_iis"):
-        # All candidate II values, restricted to those not below the
-        # continuous lower bound.
-        candidates = candidate_ii_values(problem, floor=lower_bound - 1e-9)
-        if not candidates:
-            candidates = [lower_bound]
-
-    packs = 0
-    search_nodes = 0
-    completion_nodes = 0
-    exact_searches = 0
-    seed_packs = 0
-
-    # Heuristic packing seed (lazy).  When the exact search exhausts its node
-    # budget, the reported infeasibility is not proven, and treating it as a
-    # true failure drives the binary search to a *larger* II than the optimum
-    # (observed on alex-16 x 4 FPGAs at R <= 80 %, where the gp+a allocation
-    # at a smaller II is feasible but the search misses it within budget).
-    # The gp+a allocation is a feasible packing of its own CU totals, and
-    # packing feasibility is monotone in the count vector, so any candidate
-    # whose required totals are componentwise dominated by the heuristic's
-    # counts is feasible -- the proof is the heuristic assignment minus the
-    # surplus CUs.  The seed is consulted only after a budget-exhausted
-    # failure, so proven results (and recorded baselines) are untouched.
-    seed_counts: dict[str, tuple[int, ...]] | None | bool = False  # False = not yet computed
-
-    def heuristic_seed() -> dict[str, tuple[int, ...]] | None:
-        nonlocal seed_counts
-        if seed_counts is False:
-            seed_counts = None
-            heuristic = solve_gp_a(problem, HeuristicSettings())
-            if heuristic.succeeded and heuristic.solution is not None:
-                seed_counts = {
-                    name: tuple(heuristic.solution.counts[name])
-                    for name in problem.kernel_names
-                }
-        return seed_counts  # type: ignore[return-value]
-
-    def seeded_result(items: list[PackingItemType]) -> PackingResult | None:
-        if not settings.seed_with_heuristic:
-            return None
-        seed = heuristic_seed()
-        if seed is None:
-            return None
-        seed_totals = [sum(seed[item.name]) for item in items]
-        if any(total < item.count for total, item in zip(seed_totals, items)):
-            return None
-        wanted = [item.count for item in items]
-        return PackingResult(
-            feasible=True,
-            assignment=_strip_assignment(seed, seed_totals, wanted, items),
-            exact=True,
-        )
-
-    def pack(ii: float):
-        nonlocal packs, search_nodes, completion_nodes, exact_searches, seed_packs
-        items = _pack_items(problem, _required_totals(problem, ii))
-        result = packer.pack(items)
-        packs += 1
-        search_nodes += packer.last_nodes
-        completion_nodes += packer.last_completion_nodes
-        if packer.last_nodes or packer.last_completion_nodes:
-            exact_searches += 1
-        if not result.feasible and not result.exact:
-            seeded = seeded_result(items)
-            if seeded is not None:
-                result = seeded
-                seed_packs += 1
-                if packer.memo is not None:  # repeat probes answer directly
-                    packer.memo.put(packing_key(items), seeded)
-        return result
-
-    def counters() -> dict[str, int]:
-        return {
-            "packs": packs,
-            "packer_search_nodes": search_nodes,
-            "packer_completion_nodes": completion_nodes,
-            "packer_exact_searches": exact_searches,
-            "packer_seed_packs": seed_packs,
-            "packing_memo_hits": packer.memo_hits,
-            "packing_memo_misses": packer.memo_misses,
-            "candidates_considered": len(candidates),
-        }
-
-    feasible_index: int | None = None
-    feasible_packing = None
-    with span("pack_search"):
-        packer = _packer_for(problem, settings)
-        low, high = 0, len(candidates) - 1
-        # Check the largest candidate first: if even that fails, it is
-        # infeasible.
-        packing = pack(candidates[high])
-        if not packing.feasible:
-            return SolveOutcome(
-                method="minlp",
-                status=SolveStatus.INFEASIBLE,
-                solution=None,
-                runtime_seconds=time.perf_counter() - start,
-                details={"reason": "even one CU per kernel cannot be packed"},
-                counters=counters(),
-            )
-        feasible_index, feasible_packing = high, packing
-
-        while low < high:
-            mid = (low + high) // 2
-            packing = pack(candidates[mid])
-            if packing.feasible:
-                feasible_index, feasible_packing = mid, packing
-                high = mid
-            else:
-                low = mid + 1
-
-    assert feasible_index is not None and feasible_packing is not None
-    with span("finalize"):
-        counts = {
-            name: tuple(feasible_packing.assignment[name]) for name in problem.kernel_names
-        }
-        solution = AllocationSolution(problem=problem, counts=counts)
-        runtime = time.perf_counter() - start
-        outcome = SolveOutcome(
-            method="minlp",
-            status=SolveStatus.OPTIMAL,
-            solution=solution,
-            runtime_seconds=runtime,
-            lower_bound=problem.weights.alpha * max(lower_bound, 0.0),
-            nodes_explored=len(candidates),
-            details={
-                "optimal_ii": solution.initiation_interval,
-                "candidates_considered": len(candidates),
-            },
-            counters=counters(),
-        )
-    return outcome
-
-
-# --------------------------------------------------------------------------- #
-# General weighted objective: candidate-II decomposition ("MINLP+G")
-# --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class _Candidate:
-    """One candidate of the weighted search: least CU totals for a candidate
-    II, the II they reach and the bound no allocation with them beats."""
+    """One candidate of the search: least CU totals for a candidate II, the
+    II they reach and the bound no allocation with them beats."""
 
     bound: float
     ii: float
     totals: tuple[int, ...]
 
 
-def _weighted_candidates(problem: AllocationProblem, ii_hat: float) -> list[_Candidate]:
+def _weighted_candidates(
+    problem: AllocationProblem, ii_hat: float, beta: float
+) -> list[_Candidate]:
     """Every distinct least-totals vector ``N(c)`` of a candidate II
-    ``c >= ii_hat``, in ascending order of its bound.
+    ``c >= ii_hat`` that some platform can hold, in ascending order of its
+    bound under spreading weight ``beta``.
 
     An allocation with II ``c`` has totals ``>= N(c)``, and dropping the
     surplus CUs keeps it feasible and lowers its spreading, so some optimum
-    uses exactly ``N(c)`` for its own II.  With the totals fixed, the least
-    spreading ``phi_min(N_k)`` of kernel ``k`` is its most concentrated
-    split: ``n / (1 + n)`` is concave, so the minimum over the box of parts
-    lies at a vertex, as many parts of the largest FPGA's cap as possible
-    plus the remainder.  That gives the bound
+    uses exactly ``N(c)`` for its own II.  The IIs of distinct vectors are
+    distinct, so at ``beta = 0`` the order is ascending II.  With the
+    totals fixed, the least spreading ``phi_min(N_k)`` of kernel ``k`` is
+    its most concentrated split: ``n / (1 + n)`` is concave, so the minimum
+    over the box of parts lies at a vertex, as many parts of the largest
+    FPGA's cap as possible plus the remainder.  That gives the bound
     ``alpha * II(N) + beta * max_k phi_min(N_k)``.
     """
     arrays = problem.arrays()
@@ -361,7 +146,7 @@ def _weighted_candidates(problem: AllocationProblem, ii_hat: float) -> list[_Can
     distinct[1:] = (totals[:, 1:] != totals[:, :-1]).any(axis=0)
     totals = totals[:, distinct]
     # phi_min of every kernel and candidate at once (inf: more parts than
-    # FPGAs, or a kernel no FPGA holds one CU of).
+    # FPGAs, or a kernel no FPGA holds one CU of -- no allocation exists).
     part_caps = np.array([max(caps) for caps in arrays.fpga_max_cus], dtype=np.float64)[:, None]
     divisor = np.maximum(part_caps, 1.0)
     full, rest = np.floor_divide(totals, divisor), np.remainder(totals, divisor)
@@ -369,18 +154,128 @@ def _weighted_candidates(problem: AllocationProblem, ii_hat: float) -> list[_Can
     spreading[(full + (rest > 0) > problem.num_fpgas) | (part_caps < 1)] = math.inf
     spreading = spreading.max(axis=0)
     ii = (arrays.wcet[:, None] / totals).max(axis=0)
-    bound = problem.weights.alpha * ii + problem.weights.beta * spreading
+    holdable = spreading < math.inf
+    bound = problem.weights.alpha * ii + beta * np.where(holdable, spreading, 0.0)
     candidates = [
         _Candidate(value, rate, tuple(column))
-        for value, rate, column in zip(
-            bound.tolist(), ii.tolist(), totals.astype(np.int64).T.tolist()
+        for value, rate, column, keep in zip(
+            bound.tolist(), ii.tolist(), totals.astype(np.int64).T.tolist(), holdable.tolist()
         )
-        if value < math.inf
+        if keep
     ]
     candidates.sort(key=lambda candidate: candidate.bound)
     return candidates
 
 
+#: What a per-candidate step leaves: the best allocation (or ``None``), a
+#: lower bound on every allocation it did not rule out (``inf``: none
+#: left), whether the node budget ran out, the nodes it expanded and its
+#: work counters.
+_StepResult = tuple["AllocationSolution | None", float, bool, int, "dict[str, int]"]
+
+
+# --------------------------------------------------------------------------- #
+# beta = 0: walk down the candidates with the bin packer ("MINLP")
+# --------------------------------------------------------------------------- #
+def _packer_for(problem: AllocationProblem, settings: ExactSettings) -> VectorBinPacker:
+    """Packer over the problem's capacity dimensions, with a shared memo.
+
+    The memo is shared between every packer with an identical configuration
+    (bin count, capacities, budget), so the feasibility of a CU count vector
+    is established once across repeated solves and design-space sweep
+    points.  On a heterogeneous platform the packer receives one capacity
+    row per FPGA (class-major order) instead of the shared capacity vector.
+    """
+    dimensions = problem.capacity_dimensions()
+    num_fpgas = problem.num_fpgas
+    if problem.platform.is_homogeneous:
+        packer = VectorBinPacker(
+            num_bins=num_fpgas,
+            capacity=[dimension.capacity for dimension in dimensions],
+            max_backtrack_nodes=settings.packer_max_nodes,
+        )
+    else:
+        per_dimension = [dimension.fpga_capacities(num_fpgas) for dimension in dimensions]
+        packer = VectorBinPacker(
+            num_bins=num_fpgas,
+            bin_capacities=[
+                [capacities[fpga] for capacities in per_dimension]
+                for fpga in range(num_fpgas)
+            ],
+            max_backtrack_nodes=settings.packer_max_nodes,
+        )
+    packer.memo = shared_packing_memo(packer.config_key())
+    return packer
+
+
+def _pack_items(problem: AllocationProblem, totals: Sequence[int]) -> list[PackingItemType]:
+    dimensions = problem.capacity_dimensions()
+    return [
+        PackingItemType(
+            name=name,
+            count=int(total),
+            size=tuple(dimension.weights.get(name, 0.0) for dimension in dimensions),
+        )
+        for name, total in zip(problem.kernel_names, totals)
+    ]
+
+
+def _walk_down(
+    problem: AllocationProblem,
+    settings: ExactSettings,
+    candidates: Sequence[_Candidate],
+    seed: AllocationSolution | None,
+) -> _StepResult:
+    """Pack the candidates from the incumbent's II downwards.
+
+    The walk starts at the highest candidate whose II is at most the
+    incumbent's (ties included: the packer's allocation replaces the
+    incumbent's at the same II) and stops at the first candidate that does
+    not pack.  A packing of ``N(c)`` proves every candidate above it
+    feasible, and a proven failure every candidate below it infeasible, so
+    a proven failure certifies the last packing.  A failure on an exhausted
+    budget leaves every candidate below it open.
+    """
+    packer = _packer_for(problem, settings)
+    top = len(candidates)
+    if seed is not None:
+        limit = seed.initiation_interval * (1.0 + 1e-12)
+        top = sum(1 for candidate in candidates if candidate.ii <= limit)
+    best = seed
+    lower_bound = candidates[0].bound if candidates else math.inf
+    exhausted = False
+    visited = search_nodes = completion_nodes = exact_searches = 0
+    with span("pack_search"):
+        for candidate in reversed(candidates[:top]):
+            packing = packer.pack(_pack_items(problem, candidate.totals))
+            visited += 1
+            search_nodes += packer.last_nodes
+            completion_nodes += packer.last_completion_nodes
+            if packer.last_nodes or packer.last_completion_nodes:
+                exact_searches += 1
+            if not packing.feasible:
+                if not packing.exact:
+                    exhausted, lower_bound = True, candidates[0].bound
+                break
+            best = AllocationSolution(
+                problem=problem,
+                counts={name: tuple(packing.assignment[name]) for name in problem.kernel_names},
+            )
+            lower_bound = candidate.bound
+    counters = {
+        "packs": visited,
+        "packer_search_nodes": search_nodes,
+        "packer_completion_nodes": completion_nodes,
+        "packer_exact_searches": exact_searches,
+        "packing_memo_hits": packer.memo_hits,
+        "packing_memo_misses": packer.memo_misses,
+    }
+    return best, lower_bound, exhausted, visited, counters
+
+
+# --------------------------------------------------------------------------- #
+# beta > 0: greedy pass and split search in bound order ("MINLP+G")
+# --------------------------------------------------------------------------- #
 def _split_packer(problem: AllocationProblem, settings: ExactSettings) -> SplitPacker:
     """The split search over the problem's capacity dimensions."""
     arrays = problem.arrays()
@@ -393,49 +288,23 @@ def _split_packer(problem: AllocationProblem, settings: ExactSettings) -> SplitP
     )
 
 
-def solve_exact_weighted(
+def _split_search(
     problem: AllocationProblem,
-    settings: ExactSettings = ExactSettings(),
-) -> SolveOutcome:
-    """Exact allocation for the weighted II + spreading objective.
+    settings: ExactSettings,
+    candidates: Sequence[_Candidate],
+    seed: AllocationSolution | None,
+) -> _StepResult:
+    """Visit the candidates in bound order until a bound reaches the
+    incumbent (less ``gap_tolerance``).
 
-    Visits the candidates of :func:`_weighted_candidates` in bound order and
-    stops once a bound reaches the incumbent (less ``gap_tolerance``).  The
-    incumbent starts from the GP+A allocation and one greedy split packing
-    per candidate; then the complete split search tries each remaining
-    candidate under the spreading cap the incumbent leaves it, lowering the
-    cap below every packing it finds.  ``packer_max_nodes`` bounds the split
-    search over the whole solve: when it runs out the outcome is
-    ``feasible``, bounded by the first candidate left undecided.
+    One greedy split packing per candidate improves the incumbent first;
+    then the complete split search tries each remaining candidate under the
+    spreading cap the incumbent leaves it, lowering the cap below every
+    packing it finds.
     """
-    start = time.perf_counter()
-    if not problem.weights.spreading_enabled:
-        return solve_exact_min_ii(problem, settings)
     alpha, beta = problem.weights.alpha, problem.weights.beta
-
-    with span("candidates"):
-        try:
-            ii_hat = solve_gp_step(problem).ii_hat
-        except Exception as error:  # infeasible relaxation
-            return SolveOutcome(
-                method="minlp+g",
-                status=SolveStatus.INFEASIBLE,
-                solution=None,
-                runtime_seconds=time.perf_counter() - start,
-                details={"reason": f"relaxed problem infeasible: {error}"},
-            )
-        candidates = _weighted_candidates(problem, ii_hat)
-
-    incumbent = math.inf
-    best: AllocationSolution | None = None
-    heuristic_outcome: SolveOutcome | None = None
-    if settings.seed_with_heuristic:
-        with span("heuristic_seed"):
-            heuristic_outcome = solve_gp_a(problem, HeuristicSettings())
-        if heuristic_outcome.succeeded and heuristic_outcome.solution is not None:
-            best = heuristic_outcome.solution
-            incumbent = best.objective
-    seeded = best is not None
+    best = seed
+    incumbent = math.inf if seed is None else seed.objective
 
     def target() -> float:
         """Objectives at or above this do not improve the incumbent."""
@@ -485,21 +354,55 @@ def solve_exact_weighted(
                 exhausted = True
                 lower_bound = candidate.bound
                 break
+    counters = {"candidates_visited": visited, "split_search_nodes": packer.nodes}
+    return best, lower_bound, exhausted, packer.nodes, counters
 
-    counters = {
-        "candidates_considered": len(candidates),
-        "candidates_visited": visited,
-        "split_search_nodes": packer.nodes,
-    }
-    runtime = time.perf_counter() - start
+
+# --------------------------------------------------------------------------- #
+# The one skeleton
+# --------------------------------------------------------------------------- #
+def _solve_decomposed(
+    problem: AllocationProblem, settings: ExactSettings, beta: float
+) -> SolveOutcome:
+    """Candidates, GP+A seed, the per-candidate step ``beta`` picks, one
+    outcome shape.
+
+    When the step's node budget runs out the outcome is ``feasible``,
+    bounded by the candidates it left undecided.
+    """
+    start = time.perf_counter()
+    method, step = ("minlp", _walk_down) if beta == 0 else ("minlp+g", _split_search)
+    with span("candidates"):
+        try:
+            ii_hat = solve_gp_step(problem).ii_hat
+        except Exception as error:  # infeasible relaxation
+            return SolveOutcome(
+                method=method,
+                status=SolveStatus.INFEASIBLE,
+                solution=None,
+                runtime_seconds=time.perf_counter() - start,
+                details={"reason": f"relaxed problem infeasible: {error}"},
+            )
+        candidates = _weighted_candidates(problem, ii_hat, beta)
+
+    heuristic: SolveOutcome | None = None
+    if settings.seed_with_heuristic:
+        with span("heuristic_seed"):
+            heuristic = solve_gp_a(problem, HeuristicSettings())
+    seed = heuristic.solution if heuristic is not None and heuristic.succeeded else None
+
+    best, lower_bound, exhausted, nodes, step_counters = step(
+        problem, settings, candidates, seed
+    )
+    counters = {"candidates_considered": len(candidates), **step_counters}
     if best is None:
         return SolveOutcome(
-            method="minlp+g",
+            method=method,
             status=SolveStatus.INFEASIBLE,
             solution=None,
-            runtime_seconds=runtime,
+            runtime_seconds=time.perf_counter() - start,
             lower_bound=lower_bound if exhausted else math.nan,
-            nodes_explored=packer.nodes,
+            nodes_explored=nodes,
             details={
                 "reason": (
                     "no feasible allocation found within the node budget"
@@ -515,19 +418,40 @@ def solve_exact_weighted(
         lower_bound = min(lower_bound, objective)
         gap = max(0.0, objective - lower_bound) / max(1e-12, abs(objective))
         outcome = SolveOutcome(
-            method="minlp+g",
+            method=method,
             status=SolveStatus.FEASIBLE if exhausted else SolveStatus.OPTIMAL,
             solution=best,
             runtime_seconds=time.perf_counter() - start,
             lower_bound=lower_bound,
-            nodes_explored=packer.nodes,
+            nodes_explored=nodes,
             details={
                 "gap": gap,
-                "seeded": seeded,
-                "heuristic_objective": (
-                    heuristic_outcome.objective if heuristic_outcome else math.nan
-                ),
+                "seeded": seed is not None,
+                "heuristic_objective": heuristic.objective if heuristic else math.nan,
             },
             counters=counters,
         )
     return outcome
+
+
+def solve_exact_min_ii(
+    problem: AllocationProblem, settings: ExactSettings = ExactSettings()
+) -> SolveOutcome:
+    """Exact minimum-II allocation (the ``beta = 0`` "MINLP" reference).
+
+    The problem's own ``beta`` is ignored by the search: it minimises the
+    II, and ``packer_max_nodes`` bounds each candidate's packing.
+    """
+    return _solve_decomposed(problem, settings, 0.0)
+
+
+def solve_exact_weighted(
+    problem: AllocationProblem,
+    settings: ExactSettings = ExactSettings(),
+) -> SolveOutcome:
+    """Exact allocation for the weighted II + spreading objective.
+
+    A problem with ``beta = 0`` is the minimum-II problem.  Otherwise
+    ``packer_max_nodes`` bounds the split search over the whole solve.
+    """
+    return _solve_decomposed(problem, settings, problem.weights.beta)

@@ -26,10 +26,10 @@ prunes three ways:
 * a **node budget** bounding worst-case effort; if it is exhausted a reported
   infeasibility is flagged as not proven (``PackingResult.exact == False``).
 
-Because the same CU count vector is probed repeatedly -- by the binary search
-over candidate II values, by branch-and-bound nodes and by design-space sweep
-re-solves -- feasibility results can be memoized in a :class:`~repro.memo.Memo`
-keyed by :func:`packing_key` and shared across packer instances.
+Because the same CU count vector is probed repeatedly -- by repeated exact
+solves and by design-space sweep re-solves -- feasibility results can be
+memoized in a :class:`~repro.memo.Memo` keyed by :func:`packing_key` and
+shared across packer instances.
 """
 
 from __future__ import annotations
@@ -88,39 +88,10 @@ def packing_key(items: Sequence[PackingItemType]) -> tuple:
     return tuple((item.name, item.count, item.size) for item in items)
 
 
-def _strip_assignment(
-    assignment: Mapping[str, tuple[int, ...]],
-    stored_counts: Sequence[int],
-    wanted_counts: Sequence[int],
-    items: Sequence[PackingItemType],
-) -> dict[str, tuple[int, ...]]:
-    """Remove surplus CUs from a packing of larger counts (highest bins first).
-
-    Removing items from a feasible packing keeps every bin within capacity,
-    so any deterministic removal order yields a valid assignment; stripping
-    from the highest-indexed bins first keeps the canonical consolidated
-    prefix shape the exact search emits.
-    """
-    stripped: dict[str, tuple[int, ...]] = {}
-    for item, stored, wanted in zip(items, stored_counts, wanted_counts):
-        per_bin = list(assignment.get(item.name, ()))
-        surplus = stored - wanted
-        for bin_index in range(len(per_bin) - 1, -1, -1):
-            if surplus <= 0:
-                break
-            take = min(per_bin[bin_index], surplus)
-            per_bin[bin_index] -= take
-            surplus -= take
-        stripped[item.name] = tuple(per_bin)
-    return stripped
-
-
 #: Entries of one packing memo.  One packer configuration (bin count,
-#: capacities, placement, node budget) maps a given item multiset to a
-#: deterministic result, so results can be reused across packer instances:
-#: the binary search of the exact minimum-II solver probes overlapping count
-#: vectors for adjacent candidate II values, and sweep re-solves repeat them
-#: wholesale.
+#: capacities, node budget) maps a given item multiset to a deterministic
+#: result, so results can be reused across packer instances: repeated
+#: exact solves and sweep re-solves probe the same count vectors.
 PACKING_MEMO_ENTRIES = 16384
 
 #: Packing memos shared across packer instances, keyed by the packer
@@ -160,14 +131,11 @@ class VectorBinPacker:
         capacity: Sequence[float] | None = None,
         tolerance: float = 1e-9,
         max_backtrack_nodes: int = 200_000,
-        placement: str = "consolidate",
         memo: "Memo[tuple, PackingResult] | None" = None,
         bin_capacities: "Sequence[Sequence[float]] | None" = None,
     ):
         if num_bins < 1:
             raise ValueError("num_bins must be >= 1")
-        if placement not in ("consolidate", "balance"):
-            raise ValueError("placement must be 'consolidate' or 'balance'")
         if (capacity is None) == (bin_capacities is None):
             raise ValueError("pass exactly one of capacity or bin_capacities")
         if bin_capacities is not None:
@@ -198,10 +166,6 @@ class VectorBinPacker:
         self.num_bins = num_bins
         self.tolerance = tolerance
         self.max_backtrack_nodes = max_backtrack_nodes
-        #: "consolidate" fills the fullest bin that still fits (few bins used);
-        #: "balance" fills the emptiest bin first, mimicking the spread-out
-        #: allocations that a pure II-minimising MINLP solver typically emits.
-        self.placement = placement
         self.memo = memo
         #: Exact-search nodes expended by the last :meth:`pack` call.
         self.last_nodes = 0
@@ -218,7 +182,6 @@ class VectorBinPacker:
             "pack",
             self.num_bins,
             self.capacity,
-            self.placement,
             self.max_backtrack_nodes,
             self.tolerance,
         )
@@ -368,7 +331,8 @@ class VectorBinPacker:
         self, items: Sequence[PackingItemType]
     ) -> dict[str, tuple[int, ...]] | None:
         """Greedy packing: biggest item groups first, each CU into the
-        fullest bin that still fits (best-fit flavour keeps bins consolidated)."""
+        emptiest bin that still fits (worst-fit spreads the CUs out, as the
+        allocations of a pure II-minimising MINLP solver typically are)."""
         order = sorted(
             items,
             key=lambda item: max(
@@ -381,13 +345,9 @@ class VectorBinPacker:
         assignment = {item.name: [0] * self.num_bins for item in items}
 
         # Fullness measure ordering the candidate bins.  Identical bins use
-        # absolute load (the historical ordering, kept byte-identical for
-        # every homogeneous baseline); a mixed fleet orders by
-        # fraction-of-own-capacity, like the allocator's normalized-residual
-        # consolidation: a small nearly-full device must outrank a large
-        # half-empty one, or its last slack goes unused while the large
-        # device burns the contiguous space that only it can offer to the
-        # biggest CUs.
+        # absolute load; a mixed fleet orders by fraction-of-own-capacity, so
+        # a large device is not taken for emptier than a small one merely
+        # because its capacity is larger.
         if self.uniform:
             def fullness(bin_index: int) -> float:
                 return sum(loads[bin_index])
@@ -406,11 +366,7 @@ class VectorBinPacker:
         for item in order:
             for _ in range(item.count):
                 placed = False
-                if self.placement == "consolidate":
-                    candidates = sorted(range(self.num_bins), key=lambda b: -fullness(b))
-                else:
-                    candidates = sorted(range(self.num_bins), key=fullness)
-                for bin_index in candidates:
+                for bin_index in sorted(range(self.num_bins), key=fullness):
                     if self._fits(loads[bin_index], item.size, bin_index):
                         for dim in range(len(self.capacity)):
                             loads[bin_index][dim] += item.size[dim]

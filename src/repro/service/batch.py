@@ -24,7 +24,8 @@ from ..core.solvers import METHODS, solve
 from ..memo import Memo
 from ..obs.trace import span
 from ..workloads.serialization import SerializationError, problem_from_dict, problem_to_dict
-from .canonical import RETIRED_HEURISTIC_CONSTANTS, canonical_fpga_order, fingerprint
+from .canonical import RETIRED_EXACT_CONSTANTS, RETIRED_HEURISTIC_CONSTANTS
+from .canonical import canonical_fpga_order, fingerprint
 from .canonical import outcome_payload_from_canonical, outcome_payload_to_canonical
 from .store import ResultStore
 
@@ -118,13 +119,23 @@ class SolveRequest:
         return self
 
 
-#: ``HeuristicSettings`` fields of retired solver options.  Older clients and
-#: WAL records still carry them; they are dropped on decode so journaled
-#: jobs replay.  The discretiser's branch-and-bound limits accept any value;
-#: a field of :data:`RETIRED_HEURISTIC_CONSTANTS` only its one legal value.
-_RETIRED_HEURISTIC_FIELDS = frozenset(
-    {"discretization_max_nodes", "discretization_time_limit", *RETIRED_HEURISTIC_CONSTANTS}
-)
+#: Any value of a retired field decodes.
+_ANY_VALUE = object()
+
+#: Fields of retired solver options, per settings class, each with its one
+#: legal value.  Older clients and WAL records still carry them; they are
+#: dropped on decode so journaled jobs replay.  The discretiser's
+#: branch-and-bound limits accept any value; a retired constant of the
+#: canonical document (:data:`RETIRED_HEURISTIC_CONSTANTS`,
+#: :data:`RETIRED_EXACT_CONSTANTS`) only its one legal value.
+_RETIRED_FIELDS: dict[type, dict[str, Any]] = {
+    HeuristicSettings: {
+        "discretization_max_nodes": _ANY_VALUE,
+        "discretization_time_limit": _ANY_VALUE,
+        **RETIRED_HEURISTIC_CONSTANTS,
+    },
+    ExactSettings: RETIRED_EXACT_CONSTANTS,
+}
 
 
 def _settings_from_dict(cls: type, payload: Mapping[str, Any] | None, label: str):
@@ -133,16 +144,15 @@ def _settings_from_dict(cls: type, payload: Mapping[str, Any] | None, label: str
         return None
     if not isinstance(payload, Mapping):
         raise SerializationError(f"{label} must be a JSON object")
-    if cls is HeuristicSettings and not _RETIRED_HEURISTIC_FIELDS.isdisjoint(payload):
-        for key, legal in RETIRED_HEURISTIC_CONSTANTS.items():
-            if key in payload and payload[key] != legal:
+    retired = _RETIRED_FIELDS[cls]
+    if not retired.keys().isdisjoint(payload):
+        for key, legal in retired.items():
+            if legal is not _ANY_VALUE and key in payload and payload[key] != legal:
                 raise SerializationError(
                     f"invalid {label}: retired field {key!r} must be {legal!r},"
                     f" got {payload[key]!r}"
                 )
-        payload = {
-            key: value for key, value in payload.items() if key not in _RETIRED_HEURISTIC_FIELDS
-        }
+        payload = {key: value for key, value in payload.items() if key not in retired}
     known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
     unknown = set(payload) - known
     if unknown:

@@ -249,6 +249,10 @@ RETIRED_HEURISTIC_CONSTANTS: dict[str, Any] = {
     "use_bb_discretization": True,
 }
 
+#: Retired exact settings, each with its one legal value, kept in every
+#: minlp and minlp+g fingerprint the same way.
+RETIRED_EXACT_CONSTANTS: dict[str, Any] = {"packing_placement": "balance"}
+
 
 def canonical_request(
     problem: AllocationProblem,
@@ -281,7 +285,7 @@ def canonical_request(
         settings_document = dict(RETIRED_HEURISTIC_CONSTANTS)
     else:
         settings_key, settings = "exact_settings", exact_settings or ExactSettings()
-        settings_document = {}
+        settings_document = dict(RETIRED_EXACT_CONSTANTS)
     # Both settings classes are flat dataclasses of scalars.
     for field in fields(settings):
         settings_document[field.name] = _canonical_scalar(getattr(settings, field.name))

@@ -239,86 +239,3 @@ def test_memo_hits_reach_solver_counters():
     assert second.counters["packing_memo_hits"] == second.counters["packs"]
     assert second.counters["packing_memo_misses"] == 0
     assert second.counters["packer_exact_searches"] == 0
-
-
-class TestSkewedFleetFFDOrdering:
-    """FFD candidate-bin ordering on mixed fleets: fraction-of-own-capacity.
-
-    The historical ordering ranked candidate bins by absolute load, so on a
-    skewed fleet a large half-empty device outranked a small nearly-full
-    one; the small device's last slack went unused while the large device
-    burned the contiguous space only it could offer to the biggest CUs, and
-    FFD fell through to the exact search.  The fraction-of-capacity ordering
-    (mirroring the allocator's normalized-residual consolidation) tops the
-    proportionally fullest bin off first.
-    """
-
-    #: One wide-resource/narrow-bandwidth device plus one narrow/wide one.
-    SKEWED_BINS = [(100.0, 8.0), (10.0, 50.0)]
-
-    #: Sorted by FFD's size key the items place as P, Q, R, T.  Under
-    #: absolute-load ordering R lands in the big bin (absolute load 57 beats
-    #: 41), T then fits nowhere and FFD fails; under fractional ordering R
-    #: tops off the small bin (fullness 0.9 beats 0.8) and T consolidates
-    #: into the big bin with zero search nodes.
-    ITEMS = [
-        PackingItemType(name="P", count=1, size=(1.0, 40.0)),
-        PackingItemType(name="Q", count=1, size=(55.0, 2.0)),
-        PackingItemType(name="R", count=1, size=(6.0, 5.5)),
-        PackingItemType(name="T", count=1, size=(10.0, 1.0)),
-    ]
-
-    def test_ffd_consolidates_skewed_fleet_without_search(self):
-        packer = VectorBinPacker(
-            num_bins=2, bin_capacities=self.SKEWED_BINS, placement="consolidate"
-        )
-        result = packer.pack(self.ITEMS)
-        assert result.feasible and result.exact
-        assert packer.last_nodes == 0  # FFD answered; no exact-search fallback
-        assert dict(result.assignment) == {
-            "P": (0, 1),
-            "Q": (1, 0),
-            "R": (0, 1),  # tops off the proportionally fuller small device
-            "T": (1, 0),
-        }
-
-    def test_absolute_load_ordering_would_fail_ffd(self):
-        """Executable record of the consolidation win: replaying FFD with the
-        old absolute-load ordering on the same instance finds no packing."""
-        packer = VectorBinPacker(
-            num_bins=2, bin_capacities=self.SKEWED_BINS, placement="consolidate"
-        )
-        loads = [[0.0, 0.0], [0.0, 0.0]]
-        order = sorted(
-            self.ITEMS,
-            key=lambda item: max(
-                item.size[dim] / packer.capacity[dim] for dim in range(2)
-            ),
-            reverse=True,
-        )
-        failed = False
-        for item in order:
-            placed = False
-            for bin_index in sorted(range(2), key=lambda b: -sum(loads[b])):
-                if packer._fits(loads[bin_index], item.size, bin_index):
-                    for dim in range(2):
-                        loads[bin_index][dim] += item.size[dim]
-                    placed = True
-                    break
-            if not placed:
-                failed = True
-        assert failed
-
-    def test_uniform_bins_keep_absolute_ordering(self):
-        """Homogeneous platforms must stay byte-identical to the recorded
-        baselines: identical capacities take the absolute-load path, whose
-        result on a reference instance is pinned here."""
-        packer = VectorBinPacker(num_bins=2, capacity=(10.0, 10.0), placement="consolidate")
-        result = packer.pack(
-            [
-                PackingItemType(name="a", count=3, size=(3.0, 1.0)),
-                PackingItemType(name="b", count=2, size=(1.0, 4.0)),
-            ]
-        )
-        assert result.feasible
-        assert dict(result.assignment) == {"a": (2, 1), "b": (2, 0)}

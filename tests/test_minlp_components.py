@@ -164,21 +164,13 @@ class TestVectorBinPacker:
             assert load1 <= 10.0 + 1e-9
 
     def test_balance_placement_spreads_items(self):
-        consolidate = VectorBinPacker(num_bins=4, capacity=[10.0], placement="consolidate")
-        balance = VectorBinPacker(num_bins=4, capacity=[10.0], placement="balance")
+        packer = VectorBinPacker(num_bins=4, capacity=[10.0])
         items = [PackingItemType("a", count=4, size=(1.0,))]
-        bins_used_consolidate = sum(
-            1 for value in consolidate.pack(items).assignment["a"] if value > 0
-        )
-        bins_used_balance = sum(1 for value in balance.pack(items).assignment["a"] if value > 0)
-        assert bins_used_consolidate == 1
-        assert bins_used_balance == 4
+        assert packer.pack(items).assignment["a"] == (1, 1, 1, 1)
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             VectorBinPacker(num_bins=0, capacity=[1.0])
-        with pytest.raises(ValueError):
-            VectorBinPacker(num_bins=1, capacity=[1.0], placement="weird")
         with pytest.raises(ValueError):
             PackingItemType("a", count=-1, size=(1.0,))
 

@@ -138,7 +138,7 @@ def test_candidate_bounds_use_the_least_spreading_splits(case):
     problem = case_study(case, 70.0)
     arrays = problem.arrays()
     weights = problem.weights
-    candidates = _weighted_candidates(problem, solve_gp_step(problem).ii_hat)
+    candidates = _weighted_candidates(problem, solve_gp_step(problem).ii_hat, weights.beta)
     for candidate in candidates:
         least = [
             min(

@@ -191,6 +191,20 @@ class TestRequestWireFormat:
             with pytest.raises(SerializationError, match=name):
                 request_from_dict(payload)
 
+    def test_retired_packing_placement_accepts_only_balance(self, tiny_problem_at):
+        """``packing_placement`` left the exact settings but stays in every
+        exact fingerprint: ``"balance"`` decodes to the default request, any
+        other value fails naming the field."""
+        payload = request_to_dict(SolveRequest(problem=tiny_problem_at(70.0), method="minlp"))
+        default = request_from_dict(payload).fingerprint()
+        payload["exact_settings"] = {"packing_placement": "balance"}
+        request = request_from_dict(payload)
+        assert request.exact_settings == ExactSettings()
+        assert request.fingerprint() == default
+        payload["exact_settings"] = {"packing_placement": "consolidate"}
+        with pytest.raises(SerializationError, match="packing_placement"):
+            request_from_dict(payload)
+
     def test_missing_problem_rejected(self):
         with pytest.raises(SerializationError, match="problem"):
             request_from_dict({"method": "gp+a"})

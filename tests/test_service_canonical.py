@@ -131,6 +131,15 @@ class TestRetiredConstants:
         exact = canonical_request(problem, "minlp+g")["exact_settings"]
         assert "gp_backend" not in exact and "use_bb_discretization" not in exact
 
+    def test_exact_documents_keep_the_retired_placement(self, tiny_pipeline):
+        """``packing_placement`` left the exact settings; minlp and minlp+g
+        documents keep its one legal value so fingerprints hold."""
+        problem = problem_with(tiny_pipeline)
+        for method in ("minlp", "minlp+g"):
+            exact = canonical_request(problem, method)["exact_settings"]
+            assert exact["packing_placement"] == "balance"
+        assert "packing_placement" not in canonical_request(problem)["heuristic_settings"]
+
 
 class TestMemoizedCanonicalDocument:
     def test_minlp_normalisation_does_not_corrupt_the_cached_document(self, tiny_pipeline):
