@@ -97,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve_parser.add_argument("--method", choices=METHODS, default="gp+a")
     solve_parser.add_argument("--t", type=float, default=0.0, help="heuristic T parameter (percent)")
     solve_parser.add_argument("--delta", type=float, default=1.0, help="heuristic delta parameter (percent)")
-    solve_parser.add_argument("--max-nodes", type=int, default=50, help="exact settings field no solver reads (part of the request fingerprint)")
-    solve_parser.add_argument("--time-limit", type=float, default=120.0, help="exact-method time limit (seconds)")
 
     experiment_parser = subparsers.add_parser("experiment", help="regenerate a table or figure of the paper")
     experiment_parser.add_argument("name", choices=_EXPERIMENTS)
@@ -239,12 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-FPGA resource constraint in percent",
     )
     trace_parser.add_argument(
-        "--max-nodes",
-        type=int,
-        default=8,
-        help="exact settings field of the exact rows (no solver reads it)",
-    )
-    trace_parser.add_argument(
         "--output",
         type=Path,
         default=None,
@@ -254,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--gate",
         action="store_true",
         help="also run the benchmark-shaped runtime table traced (warm) and "
-        "assert its wall clock against the newest BENCH_<rev>.json at 1.3x",
+        "assert its wall clock against the newest git-tracked BENCH_<rev>.json "
+        "at 1.3x",
     )
 
     return parser
@@ -300,7 +293,6 @@ def _run_solve(args: argparse.Namespace) -> int:
         problem,
         method=args.method,
         heuristic_settings=HeuristicSettings(t_percent=args.t, delta_percent=args.delta),
-        exact_settings=ExactSettings(max_nodes=args.max_nodes, time_limit_seconds=args.time_limit),
     )
     print(outcome.summary())
     if outcome.solution is not None:
@@ -532,7 +524,6 @@ def _run_fleet(args: argparse.Namespace) -> int:
 
 def _run_trace(args: argparse.Namespace) -> int:
     """``repro trace``: traced runtime-table rows + span-breakdown tables."""
-    from .core.exact import ExactSettings as _ExactSettings
     from .obs.trace import write_traces_jsonl
     from .reporting.trace import (
         span_breakdown_table,
@@ -540,12 +531,7 @@ def _run_trace(args: argparse.Namespace) -> int:
         traced_runtime_table,
     )
 
-    rows = traced_runtime_rows(
-        resource_constraint=args.resource,
-        exact_settings=_ExactSettings(
-            max_nodes=args.max_nodes, time_limit_seconds=120.0
-        ),
-    )
+    rows = traced_runtime_rows(resource_constraint=args.resource)
     for row in rows:
         title = f"{row['case']} / {row['method']} ({row['wall_seconds']:.3f} s)"
         print(span_breakdown_table(row["trace"], title=title).render())
@@ -571,43 +557,67 @@ def _run_trace(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _run_trace_gate() -> int:
-    """Assert the traced, benchmark-shaped runtime table against the newest
-    ``BENCH_<rev>.json`` snapshot at the perf gate's 1.3x threshold.
+def _trace_gate_baseline() -> tuple[Path, float]:
+    """The newest git-tracked ``benchmarks/results/BENCH_<rev>.json`` and the
+    gate's budget from it (1.3x its runtime-table mean), in seconds.
 
-    Mirrors the benchmark's conditions: same kwargs (``max_nodes=3``) and a
-    warm process (one untraced warm-up call), so the comparison isolates
-    tracing overhead rather than cold-start costs.
+    Only tracked snapshots count: every local benchmark run writes an
+    untracked one, and gating against that would let a checkout loosen its
+    own budget.  Raises ``ValueError`` when there is no usable snapshot.
     """
     import json
-    import time as _time
+    import subprocess
 
-    from .core.exact import ExactSettings as _ExactSettings
-    from .obs.trace import start_trace
-    from .reporting.experiments import runtime_table
-
+    results = Path("benchmarks/results")
+    try:
+        listed = subprocess.run(
+            ["git", "ls-files", "-z", "--", str(results / "BENCH_*.json")],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+    except (OSError, subprocess.CalledProcessError) as error:
+        raise ValueError(f"cannot list the tracked snapshots in {results}: {error}") from error
     snapshots = sorted(
-        Path("benchmarks/results").glob("BENCH_*.json"),
+        (Path(name) for name in listed.split("\0") if name),
         key=lambda path: json.loads(path.read_text()).get("unix_time", 0.0),
     )
     if not snapshots:
-        print("trace gate: no benchmarks/results/BENCH_*.json snapshot found", file=sys.stderr)
-        return 1
+        raise ValueError(f"no git-tracked {results}/BENCH_*.json snapshot found")
     snapshot_path = snapshots[-1]
     snapshot = json.loads(snapshot_path.read_text())
     key = "benchmarks/test_runtime_comparison.py::test_runtime_table"
     entry = snapshot.get("benchmarks", {}).get(key)
     if entry is None:
-        print(f"trace gate: {snapshot_path} has no {key} entry", file=sys.stderr)
+        raise ValueError(f"{snapshot_path} has no {key} entry")
+    return snapshot_path, 1.3 * float(entry["mean"])
+
+
+def _run_trace_gate() -> int:
+    """Assert the traced, benchmark-shaped runtime table against the newest
+    tracked ``BENCH_<rev>.json`` snapshot at the perf gate's 1.3x threshold.
+
+    Mirrors the benchmark's conditions: same kwargs (``max_nodes=3``) and a
+    warm process (one untraced warm-up call), so the comparison isolates
+    tracing overhead rather than cold-start costs.
+    """
+    import time as _time
+
+    from .obs.trace import start_trace
+    from .reporting.experiments import runtime_table
+
+    try:
+        snapshot_path, budget = _trace_gate_baseline()
+    except ValueError as error:
+        print(f"trace gate: {error}", file=sys.stderr)
         return 1
-    budget = 1.3 * float(entry["mean"])
 
     kwargs = dict(
         cases=("alex-16", "alex-32", "vgg-16"),
         methods=("gp+a", "minlp", "minlp+g"),
         resource_constraint=70.0,
         repetitions=1,
-        exact_settings=_ExactSettings(max_nodes=3, time_limit_seconds=120.0),
+        exact_settings=ExactSettings(max_nodes=3, time_limit_seconds=120.0),
     )
     runtime_table(**kwargs)  # warm-up, untraced (the benchmark runs warm)
     with start_trace("runtime_table"):

@@ -10,8 +10,8 @@ vector (``bin_capacities``, one row per FPGA in platform order).  This module
 provides that feasibility test: fast first-fit-decreasing, and an exact
 depth-first search with pruning when the heuristic fails.
 
-The exact search keeps its load state in a NumPy ``(bins x dims)`` matrix and
-prunes three ways:
+The exact search keeps its load state in per-bin Python lists and prunes
+three ways:
 
 * **aggregate slack** -- the per-dimension demand of every item still to be
   placed (a suffix sum precomputed once per search) must fit into the total
@@ -415,14 +415,9 @@ class VectorBinPacker:
         order = self._search_order(items)
         if not order:
             return self._exact_search_branching(items)
-        dims = len(self.capacity)
-        sizes = np.array([item.size for item in order], dtype=float).reshape(
-            len(order), dims
-        )
-        counts = np.array([item.count for item in order], dtype=np.int64)
-        bin_caps = np.array(self.bin_capacities, dtype=float).reshape(
-            self.num_bins, dims
-        )
+        sizes = [item.size for item in order]
+        counts = [item.count for item in order]
+        bin_caps = self.bin_capacities
         budget = self.max_backtrack_nodes
         tolerance = self.tolerance
 
@@ -430,42 +425,35 @@ class VectorBinPacker:
         # (whatever bin 0 receives, bin 1 gets the rest), decided exactly by
         # the meet-in-the-middle tables -- no search, no budget, and the same
         # tables answer every residual oracle query below.
-        two_bin = (
-            _packcore.two_bin_tables(sizes, counts) if self.num_bins == 2 else None
-        )
+        two_bin = None
+        if self.num_bins == 2:
+            size_matrix = np.array(sizes, dtype=float)
+            two_bin = _packcore.two_bin_tables(size_matrix, np.array(counts, dtype=np.int64))
         # The filtered half-tables and residual demand depend only on the
         # residual count vector; the oracle probes each one under many load
         # states, so both are cached per (kernel index, remaining copies).
         filtered_cache: dict[tuple[int, int], tuple] = {}
 
-        def decide(residual_counts: np.ndarray, residual_caps: np.ndarray) -> int:
-            """Exact verdict for a residual instance via the two-bin tables."""
-            residual_demand = residual_counts @ sizes
-            lower = residual_demand - (residual_caps[1] + tolerance)
-            upper = residual_caps[0] + tolerance
-            return _packcore.two_bin_feasible(two_bin, residual_counts, lower, upper)
-
-        def decide_cached(
+        def decide(
             kernel_index: int,
             remaining: int,
-            residual_counts: np.ndarray,
-            residual_caps: np.ndarray,
+            residual_counts: list[int],
+            residual_caps: Sequence[Sequence[float]],
         ) -> int:
+            """Exact verdict for a residual instance via the two-bin tables."""
             state = (kernel_index, remaining)
             entry = filtered_cache.get(state)
             if entry is None:
-                entry = (
-                    _packcore.two_bin_filter(two_bin, residual_counts),
-                    residual_counts @ sizes,
-                )
+                vector = np.array(residual_counts, dtype=np.int64)
+                entry = (_packcore.two_bin_filter(two_bin, vector), vector @ size_matrix)
                 filtered_cache[state] = entry
             (sums_a, sums_b), residual_demand = entry
-            lower = residual_demand - (residual_caps[1] + tolerance)
-            upper = residual_caps[0] + tolerance
+            lower = residual_demand - (np.array(residual_caps[1]) + tolerance)
+            upper = np.array(residual_caps[0]) + tolerance
             return _packcore.two_bin_box_feasible(sums_a, sums_b, lower, upper)
 
         if two_bin is not None:
-            verdict = decide(counts, bin_caps)
+            verdict = decide(0, counts[0], counts, bin_caps)
             engine_nodes = 0
         else:
             # The root proof gets a slice of the node budget: an undecided
@@ -491,34 +479,33 @@ class VectorBinPacker:
         # answers merely decline to prune.
         oracle_memo: dict[tuple, bool] = {}
 
-        def oracle(
-            kernel_index: int, remaining: int, loads: np.ndarray
-        ) -> bool:
-            key = (kernel_index, remaining, loads.tobytes())
+        def oracle(kernel_index: int, remaining: int, loads: list[list[float]]) -> bool:
+            key = (kernel_index, remaining, tuple(map(tuple, loads)))
             cached = oracle_memo.get(key)
             if cached is not None:
                 return cached
-            residual_counts = counts.copy()
-            residual_counts[:kernel_index] = 0
-            residual_counts[kernel_index] = remaining
-            residual_caps = np.maximum(bin_caps - loads, 0.0)
+            spent = self.last_completion_nodes
+            if two_bin is None and spent >= 2 * budget:
+                # Oracle budget drained: stop consulting.  Every answer from
+                # here on would be "feasible", greedy witness or not.
+                return True
+            residual_counts = [0] * kernel_index + [remaining] + counts[kernel_index + 1 :]
+            residual_caps = [
+                [max(cap - load, 0.0) for cap, load in zip(cap_row, load_row)]
+                for cap_row, load_row in zip(bin_caps, loads)
+            ]
             # Most residual states along the canonical path pack greedily;
             # a found witness answers without the exact machinery.
-            if _packcore.greedy_feasible(
-                sizes, residual_counts, residual_caps, tolerance
-            ):
+            if _packcore.greedy_feasible(sizes, residual_counts, residual_caps, tolerance):
                 oracle_memo[key] = True
                 return True
             if two_bin is not None:
                 answer = (
-                    decide_cached(kernel_index, remaining, residual_counts, residual_caps)
+                    decide(kernel_index, remaining, residual_counts, residual_caps)
                     == _packcore.FEASIBLE
                 )
                 oracle_memo[key] = answer
                 return answer
-            spent = self.last_completion_nodes
-            if spent >= 2 * budget:
-                return True  # oracle budget drained; stop consulting
             sub_verdict, sub_nodes = _packcore.completion_feasible(
                 sizes,
                 residual_counts,
@@ -550,34 +537,34 @@ class VectorBinPacker:
         """
         order = self._search_order(items)
         num_items = len(order)
-        dims = len(self.capacity)
+        dims = range(len(self.capacity))
         num_bins = self.num_bins
         tolerance = self.tolerance
 
-        sizes = np.array([item.size for item in order], dtype=float).reshape(num_items, dims)
-        counts = np.array([item.count for item in order], dtype=float)
+        sizes = [item.size for item in order]
         # Per-dimension demand of item types i..end, computed once per search
-        # (suffix[i] serves every node at depth i; the old per-node re-summation
-        # over ``order[kernel_index + 1:]`` dominated the whole search).
-        suffix = np.zeros((num_items + 1, dims))
-        if num_items:
-            suffix[:-1] = np.cumsum((sizes * counts[:, None])[::-1], axis=0)[::-1]
-        positive = [np.flatnonzero(sizes[i] > 0) for i in range(num_items)]
+        # (suffix[i] serves every node at depth i).
+        suffix = [[0.0 for _ in dims]]
+        for item in reversed(order):
+            suffix.append([s + item.count * size for s, size in zip(suffix[-1], item.size)])
+        suffix.reverse()
+        positive = [[d for d in dims if size[d] > 0] for size in sizes]
 
-        bin_caps = np.array(self.bin_capacities, dtype=float).reshape(num_bins, dims)
-        capacity_tol = bin_caps + tolerance
+        capacity_tol = [[c + tolerance for c in row] for row in self.bin_capacities]
         if self.uniform:
-            total_capacity = np.asarray(self.capacity, dtype=float) * num_bins
+            total_capacity = [c * num_bins for c in self.capacity]
         else:
-            total_capacity = bin_caps.sum(axis=0)
+            # NumPy sums long columns pairwise, which rounds differently from
+            # a running sum; the recorded minlp outcomes pin this rounding.
+            total_capacity = np.array(self.bin_capacities, dtype=float).sum(axis=0).tolist()
         # Symmetry breaking between a bin and its predecessor is only valid
         # when the two bins are interchangeable, i.e. identically sized.
         same_caps_as_previous = [False] + [
-            bool(np.array_equal(bin_caps[b], bin_caps[b - 1])) for b in range(1, num_bins)
+            self.bin_capacities[b] == self.bin_capacities[b - 1] for b in range(1, num_bins)
         ]
         slack_tolerance = tolerance * num_bins
-        loads = np.zeros((num_bins, dims))
-        total_load = np.zeros(dims)
+        loads = [[0.0 for _ in dims] for _ in range(num_bins)]
+        total_load = [0.0 for _ in dims]
         assignment: dict[str, list[int]] = {item.name: [0] * num_bins for item in items}
         nodes = 0
         exhausted = False
@@ -585,18 +572,16 @@ class VectorBinPacker:
         def place_kernel(kernel_index: int) -> bool:
             if kernel_index == num_items:
                 return True
-            return distribute(
-                kernel_index, 0, int(counts[kernel_index]), math.inf, None
-            )
+            return distribute(kernel_index, 0, order[kernel_index].count, math.inf, None)
 
         def distribute(
             kernel_index: int,
             bin_index: int,
             remaining: int,
             prev_count: float,
-            prev_before: "np.ndarray | None",
+            prev_before: "list[float] | None",
         ) -> bool:
-            nonlocal nodes, exhausted, total_load
+            nonlocal nodes, exhausted
             nodes += 1
             if nodes > self.max_backtrack_nodes:
                 exhausted = True
@@ -606,13 +591,13 @@ class VectorBinPacker:
             if bin_index == num_bins:
                 return False
             size = sizes[kernel_index]
-            active = positive[kernel_index]
-            load_before = loads[bin_index].copy()
+            load = loads[bin_index]
+            load_before = list(load)
             max_here = remaining
-            if active.size:
-                limit = (
-                    (capacity_tol[bin_index, active] - load_before[active]) / size[active]
-                ).min()
+            active = positive[kernel_index]
+            if active:
+                room = capacity_tol[bin_index]
+                limit = min((room[d] - load_before[d]) / size[d] for d in active)
                 if limit < remaining:  # guards the int() against inf for tiny sizes
                     max_here = int(math.floor(limit + 1e-12))
             max_here = max(0, max_here)
@@ -622,32 +607,35 @@ class VectorBinPacker:
             if (
                 prev_before is not None
                 and same_caps_as_previous[bin_index]
-                and np.array_equal(load_before, prev_before)
+                and load_before == prev_before
             ):
                 max_here = min(max_here, int(prev_count))
-            item_name = order[kernel_index].name
+            placed_here = assignment[order[kernel_index].name]
+            later_demand = suffix[kernel_index + 1]
             # Try putting as many as possible first (consolidation bias), down to zero.
             for count in range(max_here, -1, -1):
                 if count:
-                    placed = count * size
-                    loads[bin_index] += placed
-                    total_load += placed
-                    assignment[item_name][bin_index] += count
+                    for d in dims:
+                        placed = count * size[d]
+                        load[d] += placed
+                        total_load[d] += placed
+                    placed_here[bin_index] += count
+                left = remaining - count
                 # Aggregate-slack pruning: everything still unplaced must fit
                 # into the total remaining slack (O(dims) via the suffix sums).
-                demand = suffix[kernel_index + 1] + (remaining - count) * size
-                if np.all(demand <= total_capacity - total_load + slack_tolerance) and (
-                    oracle is None
-                    or oracle(kernel_index, remaining - count, loads)
-                ):
-                    if distribute(
-                        kernel_index, bin_index + 1, remaining - count, count, load_before
-                    ):
+                if all(
+                    later_demand[d] + left * size[d]
+                    <= total_capacity[d] - total_load[d] + slack_tolerance
+                    for d in dims
+                ) and (oracle is None or oracle(kernel_index, left, loads)):
+                    if distribute(kernel_index, bin_index + 1, left, count, load_before):
                         return True
                 if count:
-                    loads[bin_index] -= placed
-                    total_load -= placed
-                    assignment[item_name][bin_index] -= count
+                    for d in dims:
+                        placed = count * size[d]
+                        load[d] -= placed
+                        total_load[d] -= placed
+                    placed_here[bin_index] -= count
             return False
 
         feasible = place_kernel(0)

@@ -97,3 +97,41 @@ class TestPlatformSpec:
         assert output.exists()
         header = output.read_text().splitlines()[0]
         assert "class skew" in header
+
+
+class TestTraceGateBaseline:
+    @staticmethod
+    def write_snapshot(path, unix_time, mean):
+        import json
+
+        path.parent.mkdir(parents=True, exist_ok=True)
+        key = "benchmarks/test_runtime_comparison.py::test_runtime_table"
+        path.write_text(json.dumps({"unix_time": unix_time, "benchmarks": {key: {"mean": mean}}}))
+
+    def test_untracked_newer_snapshot_leaves_budget_unchanged(self, tmp_path, monkeypatch):
+        import subprocess
+
+        from repro.cli import _trace_gate_baseline
+
+        monkeypatch.chdir(tmp_path)
+        subprocess.run(["git", "init", "-q"], check=True)
+        tracked = tmp_path / "benchmarks" / "results" / "BENCH_old.json"
+        self.write_snapshot(tracked, unix_time=1.0, mean=0.010)
+        subprocess.run(["git", "add", str(tracked)], check=True)
+        before = _trace_gate_baseline()
+        # A local benchmark run leaves a newer, slower, untracked snapshot.
+        self.write_snapshot(tracked.with_name("BENCH_local.json"), unix_time=2.0, mean=0.050)
+        assert _trace_gate_baseline() == before
+        assert before[0].name == "BENCH_old.json"
+        assert before[1] == pytest.approx(0.013)
+
+    def test_no_tracked_snapshot_fails_with_a_message(self, tmp_path, monkeypatch, capsys):
+        import subprocess
+
+        from repro.cli import _run_trace_gate
+
+        monkeypatch.chdir(tmp_path)
+        subprocess.run(["git", "init", "-q"], check=True)
+        self.write_snapshot(tmp_path / "benchmarks" / "results" / "BENCH_local.json", 2.0, 0.05)
+        assert _run_trace_gate() == 1
+        assert "no git-tracked" in capsys.readouterr().err

@@ -1,13 +1,14 @@
-"""Packer search and backend equivalence suites.
+"""Packer search equivalence suites.
 
-Three independent implementations must agree on every instance:
+Three implementations must agree on every instance:
 
 * the **bin-completion** engine (the packer's exact search, Korf-style
   maximal completions with dominance pruning),
 * the plain **branching** search (item-at-a-time backtracking, the parity
   reference :class:`branching_packer.BranchingPacker`),
-* the numba-compiled hot loop versus the always-available pure-NumPy
-  fallback of the completion engine (their ``backend`` argument).
+* the list-based completion engine and greedy witness versus their
+  explicit-stack reference in ``completion_oracle`` (same nodes, same
+  order, so the same verdicts and node counts).
 
 Feasibility claims must match whenever both sides return a *proof* (an
 ``exact`` verdict); a budget-exhausted search may differ in verdict but must
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 
+import completion_oracle
 import numpy as np
-import pytest
 from branching_packer import BranchingPacker
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,8 +30,7 @@ from repro.minlp._packcore import (
     FEASIBLE,
     INFEASIBLE,
     completion_feasible,
-    numba_available,
-    resolve_backend,
+    greedy_feasible,
     two_bin_box_feasible,
     two_bin_filter,
     two_bin_tables,
@@ -119,41 +119,23 @@ class TestCompletionVsBranching:
         assert iis["completion"] == iis["branching"]
 
 
-class TestBackendResolution:
-    def test_numpy_always_resolves(self):
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("cuda")
-
-    def test_auto_prefers_numba_when_available(self):
-        expected = "numba" if numba_available() else "numpy"
-        assert resolve_backend("auto") == expected
-
-    @pytest.mark.skipif(numba_available(), reason="numba installed")
-    def test_explicit_numba_raises_without_numba(self):
-        with pytest.raises(RuntimeError):
-            resolve_backend("numba")
-
-
-@pytest.mark.skipif(not numba_available(), reason="numba not installed")
-class TestNumbaNumpyParity:
-    @settings(max_examples=50, deadline=None)
-    @given(packing_instances())
-    def test_identical_verdicts_and_node_counts(self, instance):
+class TestListEngineMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(packing_instances(), st.booleans())
+    def test_identical_verdicts_and_node_counts(self, instance, derate_odd_bins):
         num_bins, capacity, items = instance
-        sizes = np.array([item.size for item in items], dtype=np.float64)
-        counts = np.array([item.count for item in items], dtype=np.int64)
-        caps = np.tile(np.asarray(capacity, dtype=np.float64), (num_bins, 1))
-        compiled = completion_feasible(
-            sizes, counts, caps, 1e-9, 10_000, backend="numba"
-        )
-        fallback = completion_feasible(
-            sizes, counts, caps, 1e-9, 10_000, backend="numpy"
-        )
-        # Same algorithm, same traversal order: verdict AND node count match.
-        assert compiled == fallback
+        sizes = [list(item.size) for item in items]
+        counts = [item.count for item in items]
+        # Derating every other bin exercises the mixed-capacity rules too.
+        caps = [
+            [c * (0.75 if derate_odd_bins and b % 2 else 1.0) for c in capacity]
+            for b in range(num_bins)
+        ]
+        for budget in (1, 50, 200_000):
+            expected = completion_oracle.completion_feasible(sizes, counts, caps, 1e-9, budget)
+            assert completion_feasible(sizes, counts, caps, 1e-9, budget) == expected, budget
+        expected = completion_oracle.greedy_feasible(sizes, counts, caps, 1e-9)
+        assert greedy_feasible(sizes, counts, caps, 1e-9) == expected
 
 
 class TestTwoBinDecider:
