@@ -28,8 +28,8 @@ lacks answers 404.
                           current fleet (unchanged shares answer from the
                           solve memo)
 ``DELETE /fleet/tenants/<id>``  tenant departure; re-carves the remainder
-``POST /admin/resize``    ``{"num_groups": N}`` -- grow the worker pool online
-                          (router only)
+``POST /admin/resize``    ``{"num_groups": N}`` -- grow the worker pool online to
+                          N <= :data:`MAX_GROUPS` groups (router only)
 ========================  ==========================================================
 
 Every error becomes a status code in one place,
@@ -39,8 +39,8 @@ Every error becomes a status code in one place,
   (exhausted sync-solve pool, closed job queue, worker down), with a
   ``Retry-After`` header;
 * :class:`HTTPError` -- its own status: 404 for an unknown endpoint, job,
-  trace or tenant, 413 for a body over :data:`MAX_BODY_BYTES` or a batch
-  over :data:`MAX_BATCH_REQUESTS`;
+  trace or tenant, 413 for a body over :data:`MAX_BODY_BYTES`, a batch
+  over :data:`MAX_BATCH_REQUESTS` or a resize over :data:`MAX_GROUPS`;
 * :class:`~repro.fleet.manager.Conflict` -- 409;
 * ``ValueError`` (``SerializationError`` included) -- 400;
 * anything else -- 500.
@@ -71,6 +71,10 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: ``requests`` list is refused with 413 before any of it is decoded,
 #: solved or queued.  The benchmark's largest batch has 1,000.
 MAX_BATCH_REQUESTS = 10_000
+#: Most shard groups ``POST /admin/resize`` grows a router's pool to.  Each
+#: group is one worker process, so a larger ``num_groups`` is refused with
+#: 413 before any worker is started.
+MAX_GROUPS = 64
 
 JSON = "application/json"
 PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
@@ -234,10 +238,11 @@ class HTTPRoutes:
 class FrontDoorHandler(BaseHTTPRequestHandler):
     """Routes every request through :data:`ROUTES` onto ``server.app``.
 
-    Every request is counted through ``app.observe_http`` and, unless the
-    server runs quiet, logged as one structured JSON line on stderr
-    (method, path, status, latency; the request fingerprint when the route
-    produced one) -- replacing the stdlib's free-text access log.
+    Every request is counted through ``app.observe_http`` before its
+    response is written and, unless the server runs quiet, logged as one
+    structured JSON line on stderr (method, path, status, latency; the
+    request fingerprint when the route produced one) -- replacing the
+    stdlib's free-text access log.
     """
 
     server: "AllocationHTTPServer"
@@ -258,6 +263,7 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
         headers: Mapping[str, str] | None = None,
     ) -> None:
         self._status = status
+        self.server.app.observe_http(self.command, status)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -334,7 +340,6 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
                 self._send_body(reply.body, reply.status, reply.content_type, reply.headers)
         finally:
             latency_ms = (time.perf_counter() - start) * 1000.0
-            self.server.app.observe_http(self.command, self._status)
             if not self.server.quiet:
                 record: dict[str, Any] = {
                     "time_unix": round(time.time(), 3),

@@ -10,9 +10,10 @@ route of that API and every existing client works unchanged.  The
 * **ownership routing** -- each request document's canonical fingerprint
   is mapped onto a shard group by the consistent hash ring of
   :mod:`repro.service.hashing`; ``/solve`` forwards the raw body bytes to
-  the owning worker (no re-serialisation), batches are split by ring
-  ownership, fanned out concurrently, and the per-worker responses merged
-  back **in request order**;
+  the owning worker, batches are split by ring ownership, fanned out
+  concurrently, and the per-worker responses merged back **in request
+  order**.  The hop splices element texts (the client's request texts,
+  the workers' outcome texts) and never re-encodes a document;
 * **composite async jobs** -- an async batch becomes one router job id
   (``rjob-...``) backed by one worker job per owning group; polling the
   router id polls the parts and merges status/report/outcomes, so a
@@ -52,9 +53,11 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .. import __version__
 from ..obs.metrics import MetricsRegistry
-from .batch import requests_from_documents
+from ..workloads.serialization import SerializationError
+from .batch import json_with_array, loads_batch, requests_from_documents
 from .frontdoor import (
     JSON,
+    MAX_GROUPS,
     BackpressureError,
     FrontDoorHandler,
     HTTPError,
@@ -88,6 +91,11 @@ _REPORT_SUM_FIELDS = (
     "disk_hits",
     "solves",
 )
+
+#: One worker's answer for its slice of a batch or job: the slice's request
+#: indices, the answer document and its outcome texts (``None`` when the
+#: document has no outcomes).
+PartAnswer = tuple[list[int], Mapping[str, Any], list[str] | None]
 
 
 class WorkerUnavailableError(BackpressureError):
@@ -181,27 +189,21 @@ def merge_prometheus(expositions: "Iterable[tuple[str, str]]") -> str:
 class RouterJobPart:
     """One group's slice of a composite job.
 
-    Keeps the slice's request *documents* as well as its worker job id: a
+    Keeps the slice's request *texts* as well as its worker job id: a
     worker that crashed **after** finishing the part (and so never replays
     it from its WAL) answers 404 for the old id once restarted, and the
-    router re-submits the slice from these documents -- the deduping batch
+    router re-submits the slice from these texts -- the deduping batch
     path answers it from the result store, so the retry costs lookups, not
     solves.
     """
 
-    __slots__ = ("group", "job_id", "indices", "documents")
+    __slots__ = ("group", "job_id", "indices", "texts")
 
-    def __init__(
-        self,
-        group: int,
-        job_id: str,
-        indices: "list[int]",
-        documents: "list[Mapping[str, Any]]",
-    ):
+    def __init__(self, group: int, job_id: str, indices: "list[int]", texts: "list[str]"):
         self.group = group
         self.job_id = job_id
         self.indices = indices
-        self.documents = documents
+        self.texts = texts
 
 
 class RouterJob:
@@ -401,20 +403,24 @@ class RouterService(HTTPRoutes):
                 conns.pop(netloc, None)
         raise WorkerUnavailableError(group) from last_error
 
-    def _proxy_json(
-        self, group: int, method: str, path: str, payload: Any = None
-    ) -> tuple[int, dict[str, str], Any]:
-        body = (
-            json.dumps(payload, allow_nan=False).encode("utf-8")
-            if payload is not None
-            else None
-        )
+    def _proxy_document(
+        self, group: int, method: str, path: str, body: bytes | None = None
+    ) -> tuple[int, dict[str, str], Any, list[str] | None]:
+        """:meth:`_proxy`, with the answer read by
+        :func:`~repro.service.batch.loads_batch`: ``(status, headers,
+        document, outcome texts)``.  The texts are ``None`` when the answer
+        has no ``"outcomes"`` list, and each outcome's ``json.dumps`` text
+        when the scan fell back."""
         status, headers, data = self._proxy(group, method, path, body=body)
         try:
-            document = json.loads(data.decode("utf-8"))
+            document, texts = loads_batch(data.decode("utf-8"), "outcomes")
         except (json.JSONDecodeError, UnicodeDecodeError):
-            document = {"error": f"worker {group} returned a non-JSON body"}
-        return status, headers, document
+            document, texts = {"error": f"worker {group} returned a non-JSON body"}, None
+        if texts is None and isinstance(document, Mapping):
+            outcomes = document.get("outcomes")
+            if isinstance(outcomes, list):
+                texts = [json.dumps(outcome) for outcome in outcomes]
+        return status, headers, document, texts
 
     def _propagate_backpressure(
         self, status: int, headers: Mapping[str, str], document: Any
@@ -461,7 +467,11 @@ class RouterService(HTTPRoutes):
 
     def http_resize(self, request: Request) -> Reply:
         num_groups = section(request.parse()[0], "num_groups", "resize needs {'num_groups': N}")
-        return json_reply(self.resize(int(num_groups)))
+        if isinstance(num_groups, bool) or not isinstance(num_groups, int):
+            raise SerializationError(f"'num_groups' must be an integer, got {num_groups!r}")
+        if num_groups > MAX_GROUPS:
+            raise HTTPError(413, f"{num_groups} groups exceed the {MAX_GROUPS}-group limit")
+        return json_reply(self.resize(num_groups))
 
     # ------------------------------------------------------------------ #
     # /solve_batch
@@ -487,12 +497,12 @@ class RouterService(HTTPRoutes):
         return results
 
     def _merge_reports(
-        self, parts: "Iterable[tuple[list[int], Mapping[str, Any]]]", total: int
-    ) -> tuple[dict[str, Any], list[Any], list[Any]]:
+        self, parts: "Iterable[PartAnswer]", total: int
+    ) -> tuple[dict[str, Any], list[Any], list[str]]:
         """Merge per-worker batch responses into request order.
 
         ``parts`` pairs each group's original request indices with its
-        response document (``report``/``fingerprints``/``outcomes``).
+        response document (``report``/``fingerprints``) and outcome texts.
         ``unique`` sums correctly because each fingerprint is owned by
         exactly one group; ``runtime_seconds`` is the max because the
         parts ran concurrently.
@@ -501,8 +511,8 @@ class RouterService(HTTPRoutes):
         report["runtime_seconds"] = 0.0
         counters: dict[str, int] = {}
         fingerprints: list[Any] = [None] * total
-        outcomes: list[Any] = [None] * total
-        for indices, document in parts:
+        outcomes: list[str] = ["null"] * total
+        for indices, document, texts in parts:
             part_report = document["report"]
             for field in _REPORT_SUM_FIELDS:
                 report[field] += part_report.get(field, 0)
@@ -512,7 +522,7 @@ class RouterService(HTTPRoutes):
             for name, value in part_report.get("solver_counters", {}).items():
                 counters[name] = counters.get(name, 0) + value
             part_prints = document.get("fingerprints") or []
-            part_outcomes = document.get("outcomes") or []
+            part_outcomes = texts or []
             for position, index in enumerate(indices):
                 if position < len(part_prints):
                     fingerprints[index] = part_prints[position]
@@ -522,87 +532,71 @@ class RouterService(HTTPRoutes):
         return report, fingerprints, outcomes
 
     def _post_parts(
-        self,
-        documents: Sequence[Mapping[str, Any]],
-        texts: Sequence[str] | None,
-        mode: str,
-    ) -> tuple[dict[int, list[int]], dict[int, Any]]:
+        self, documents: Sequence[Any], texts: Sequence[str] | None, mode: str
+    ) -> "list[tuple[int, list[str], PartAnswer]]":
         """Split a batch by ownership and POST each owning group its slice,
-        concurrently; returns the split and each group's response document.
+        concurrently.  Returns ``(group, request texts, answer)`` per group,
+        in group order.
 
-        A worker's own 429/503 is passed on with its ``Retry-After``; any
-        other unexpected answer keeps the worker's status."""
+        Each slice is sent as the client's own element texts (their
+        ``json.dumps`` texts when the caller has none).  A worker's own
+        429/503 is passed on with its ``Retry-After``; any other unexpected
+        answer keeps the worker's status."""
         owned = self.ring.partition(self.fingerprints_of(documents, texts))
+        if texts is None:
+            texts = [json.dumps(document) for document in documents]
         with self._lock:
             self._requests += len(documents)
             self._batches += 1
+        head = {"mode": "async"} if mode == "async" else {}
         expected = 202 if mode == "async" else 200
 
         def call_for(group: int, indices: "list[int]") -> Callable[[], Any]:
-            payload: dict[str, Any] = {"mode": "async"} if mode == "async" else {}
-            payload["requests"] = [documents[index] for index in indices]
+            sliced = [texts[index] for index in indices]
+            body = json_with_array(head, "requests", sliced).encode("utf-8")
 
             def call() -> Any:
-                status, headers, document = self._proxy_json(
-                    group, "POST", "/solve_batch", payload
+                status, headers, document, outcomes = self._proxy_document(
+                    group, "POST", "/solve_batch", body
                 )
                 if status in (429, 503):
                     raise self._propagate_backpressure(status, headers, document)
                 if status != expected or not isinstance(document, Mapping):
                     error = document.get("error") if isinstance(document, Mapping) else None
                     raise HTTPError(status, str(error or f"status {status}"))
-                return document
+                return sliced, (indices, document, outcomes)
 
             return call
 
         calls = [(group, call_for(group, indices)) for group, indices in sorted(owned.items())]
-        return owned, dict(self._fan_out(calls))
+        return [(group, *answer) for group, answer in self._fan_out(calls)]
 
-    def solve_batch_documents(
-        self,
-        documents: Sequence[Mapping[str, Any]],
-        texts: Sequence[str] | None = None,
-    ) -> dict[str, Any]:
-        """Split a sync batch by ownership, fan out, merge in request order.
-
-        ``texts`` are the documents' source texts, when the caller has them
-        (see :func:`~repro.service.batch.loads_batch`)."""
-        owned, responses = self._post_parts(documents, texts, "sync")
+    def solve_batch_text(self, documents: Sequence[Any], texts: Sequence[str] | None = None) -> str:
+        """The sync ``/solve_batch`` response text: the batch is split by
+        ownership and fanned out, and the workers' outcome texts are
+        spliced back in request order.  ``texts`` are the documents' source
+        texts, when the caller has them (see
+        :func:`~repro.service.batch.loads_batch`)."""
+        answers = self._post_parts(documents, texts, "sync")
         report, fingerprints, outcomes = self._merge_reports(
-            [(owned[group], responses[group]) for group in sorted(owned)],
-            total=len(documents),
+            [answer for _, _, answer in answers], total=len(documents)
         )
-        return {"report": report, "fingerprints": fingerprints, "outcomes": outcomes}
-
-    def solve_batch_text(
-        self,
-        documents: Sequence[Mapping[str, Any]],
-        texts: Sequence[str] | None = None,
-    ) -> str:
-        """The sync ``/solve_batch`` response text of
-        :meth:`solve_batch_documents`."""
-        return json.dumps(self.solve_batch_documents(documents, texts), allow_nan=False)
+        head = {"report": report, "fingerprints": fingerprints}
+        return json_with_array(head, "outcomes", outcomes, allow_nan=False)
 
     def submit_batch_documents(
-        self,
-        documents: Sequence[Mapping[str, Any]],
-        texts: Sequence[str] | None = None,
+        self, documents: Sequence[Any], texts: Sequence[str] | None = None
     ) -> dict[str, Any]:
         """Split an async batch, submit one worker job per owning group, and
         register the composite router job.  The 202 is returned only once
         *every* part is acknowledged (each worker fsynced its sub-batch), so
         the router's ack inherits the workers' durability.  ``texts`` as in
-        :meth:`solve_batch_documents`."""
-        owned, responses = self._post_parts(documents, texts, "async")
+        :meth:`solve_batch_text`."""
+        answers = self._post_parts(documents, texts, "async")
         created = time.time()
         parts = [
-            RouterJobPart(
-                group=group,
-                job_id=str(responses[group]["job_id"]),
-                indices=owned[group],
-                documents=[dict(documents[index]) for index in owned[group]],
-            )
-            for group in sorted(owned)
+            RouterJobPart(group, str(document["job_id"]), indices, sliced)
+            for group, sliced, (indices, document, _) in answers
         ]
         with self._lock:
             self._next_job += 1
@@ -633,8 +627,9 @@ class RouterService(HTTPRoutes):
     # ------------------------------------------------------------------ #
     # Composite job polling
     # ------------------------------------------------------------------ #
-    def job(self, job_id: str, include_outcomes: bool = True) -> dict[str, Any] | None:
-        """Merged document of one composite job, or ``None`` for unknown ids.
+    def _poll(self, job_id: str) -> tuple[dict[str, Any], list[str] | None] | None:
+        """Merged head document of one composite job and, once it is done,
+        its outcome texts in request order; ``None`` for unknown ids.
 
         Polls each part's owning worker; an unreachable owner raises
         :class:`WorkerUnavailableError` (the HTTP layer's 503 +
@@ -646,34 +641,47 @@ class RouterService(HTTPRoutes):
         finishing it (the WAL only replays *unfinished* jobs, and the job
         document itself lived in the dead process) or pruned it from
         retention.  Either way the slice is re-submitted from the part's
-        retained request documents; deduping against the worker's result
+        retained request texts; deduping against the worker's result
         store makes the retry answer from cache rather than re-solving.
         """
         with self._lock:
             job = self._jobs.get(job_id)
         if job is None:
             return None
-        parts: "list[tuple[list[int], dict[str, Any]]]" = []
+        parts: "list[PartAnswer]" = []
         for part in job.parts:
-            status, _, document = self._proxy_json(
+            status, _, document, texts = self._proxy_document(
                 part.group, "GET", f"/jobs/{part.job_id}"
             )
             if status == 404:
-                document = self._resubmit_part(job, part)
-                parts.append((part.indices, dict(document)))
-                continue
-            if status != 200 or not isinstance(document, Mapping):
+                document, texts = self._resubmit_part(job, part)
+            elif status != 200 or not isinstance(document, Mapping):
                 raise WorkerUnavailableError(part.group)
-            parts.append((part.indices, dict(document)))
-        return self._merge_job(job, parts, include_outcomes=include_outcomes)
+            parts.append((part.indices, document, texts))
+        return self._merge_job(job, parts)
+
+    def job(self, job_id: str) -> dict[str, Any] | None:
+        """Merged document of one composite job without its outcomes (see
+        :meth:`job_json`), or ``None`` for unknown ids."""
+        polled = self._poll(job_id)
+        return None if polled is None else polled[0]
 
     def job_json(self, job_id: str) -> str | None:
-        """The wire text of :meth:`job`, or ``None`` for unknown ids."""
-        document = self.job(job_id)
-        return None if document is None else json.dumps(document, allow_nan=False)
+        """The ``GET /jobs/<id>`` text, the workers' outcome texts spliced
+        in once the job is done; ``None`` for unknown ids."""
+        polled = self._poll(job_id)
+        if polled is None:
+            return None
+        document, outcomes = polled
+        if outcomes is None:
+            return json.dumps(document, allow_nan=False)
+        return json_with_array(document, "outcomes", outcomes, allow_nan=False)
 
-    def _resubmit_part(self, job: RouterJob, part: RouterJobPart) -> dict[str, Any]:
-        """Re-submit one lost part and return a pollable part document.
+    def _resubmit_part(
+        self, job: RouterJob, part: RouterJobPart
+    ) -> tuple[Mapping[str, Any], list[str] | None]:
+        """Re-submit one lost part; returns a pollable part document and
+        its outcome texts.
 
         Serialised per composite job so concurrent polls cannot fork the
         part into two worker jobs.  The winner swaps ``part.job_id`` to the
@@ -681,16 +689,16 @@ class RouterService(HTTPRoutes):
         id instead of submitting again.
         """
         with job.lock:
-            status, _, document = self._proxy_json(
+            status, _, document, texts = self._proxy_document(
                 part.group, "GET", f"/jobs/{part.job_id}"
             )
             if status == 200 and isinstance(document, Mapping):
-                return dict(document)
+                return document, texts
             if status != 404:
                 raise WorkerUnavailableError(part.group)
-            payload = {"mode": "async", "requests": part.documents}
-            status, headers, document = self._proxy_json(
-                part.group, "POST", "/solve_batch", payload
+            body = json_with_array({"mode": "async"}, "requests", part.texts).encode("utf-8")
+            status, headers, document, texts = self._proxy_document(
+                part.group, "POST", "/solve_batch", body
             )
             if status in (429, 503):
                 raise self._propagate_backpressure(status, headers, document)
@@ -700,15 +708,12 @@ class RouterService(HTTPRoutes):
             with self._lock:
                 self._part_resubmits += 1
             self._counter_part_resubmits.inc()
-            return dict(document)
+            return document, texts
 
     def _merge_job(
-        self,
-        job: RouterJob,
-        parts: "list[tuple[list[int], dict[str, Any]]]",
-        include_outcomes: bool,
-    ) -> dict[str, Any]:
-        statuses = [document["status"] for _, document in parts]
+        self, job: RouterJob, parts: "list[PartAnswer]"
+    ) -> tuple[dict[str, Any], list[str] | None]:
+        statuses = [document["status"] for _, document, _ in parts]
         if any(status == "failed" for status in statuses):
             status = "failed"
         elif all(status == "done" for status in statuses):
@@ -717,16 +722,8 @@ class RouterService(HTTPRoutes):
             status = "running"
         else:
             status = "queued"
-        started = [
-            document.get("started_unix")
-            for _, document in parts
-            if document.get("started_unix") is not None
-        ]
-        finished = [
-            document.get("finished_unix")
-            for _, document in parts
-            if document.get("finished_unix") is not None
-        ]
+        started = [d["started_unix"] for _, d, _ in parts if d.get("started_unix") is not None]
+        finished = [d["finished_unix"] for _, d, _ in parts if d.get("finished_unix") is not None]
         started_unix = min(started) if started else None
         terminal = status in ("done", "failed")
         finished_unix = max(finished) if terminal and len(finished) == len(parts) else None
@@ -738,9 +735,7 @@ class RouterService(HTTPRoutes):
             "started_unix": started_unix,
             "finished_unix": finished_unix,
             "wait_seconds": (
-                max(0.0, started_unix - job.created_unix)
-                if started_unix is not None
-                else None
+                None if started_unix is None else max(0.0, started_unix - job.created_unix)
             ),
             "run_seconds": (
                 max(0.0, finished_unix - started_unix)
@@ -748,18 +743,17 @@ class RouterService(HTTPRoutes):
                 else None
             ),
         }
-        if any(part.get("recovered") for _, part in parts):
+        if any(part.get("recovered") for _, part, _ in parts):
             document["recovered"] = True
-        errors = [part["error"] for _, part in parts if part.get("error")]
+        errors = [part["error"] for _, part, _ in parts if part.get("error")]
         if errors:
             document["error"] = "; ".join(str(error) for error in errors)
-        if status == "done":
-            report, fingerprints, outcomes = self._merge_reports(parts, total=job.total)
-            document["report"] = report
-            document["fingerprints"] = fingerprints
-            if include_outcomes:
-                document["outcomes"] = outcomes
-        return document
+        if status != "done":
+            return document, None
+        document["report"], document["fingerprints"], outcomes = self._merge_reports(
+            parts, total=job.total
+        )
+        return document, outcomes
 
     def list_jobs(self) -> list[dict[str, Any]]:
         """Merged summaries of the retained composite jobs, oldest first.
@@ -772,7 +766,7 @@ class RouterService(HTTPRoutes):
         summaries = []
         for job in jobs:
             try:
-                summary = self.job(job.id, include_outcomes=False)
+                summary = self.job(job.id)
             except WorkerUnavailableError:
                 summary = {
                     "job_id": job.id,
@@ -791,7 +785,7 @@ class RouterService(HTTPRoutes):
     def trace(self, fingerprint: str) -> dict[str, Any] | None:
         """The owning worker's span tree of ``fingerprint``, or ``None``."""
         group = self.group_of(fingerprint)
-        status, _, document = self._proxy_json(group, "GET", f"/trace/{fingerprint}")
+        status, _, document, _ = self._proxy_document(group, "GET", f"/trace/{fingerprint}")
         if status == 404:
             return None
         if status != 200:
@@ -821,7 +815,7 @@ class RouterService(HTTPRoutes):
         unreachable: list[int] = []
         for group in self.pool.groups():
             try:
-                status, _, document = self._proxy_json(group, "GET", "/stats")
+                status, _, document, _ = self._proxy_document(group, "GET", "/stats")
             except WorkerUnavailableError:
                 unreachable.append(group)
                 continue

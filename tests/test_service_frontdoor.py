@@ -12,6 +12,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import select
 import signal
 import socket
 import subprocess
@@ -42,6 +43,7 @@ from repro.service import (
     start_server,
 )
 from repro.service import server as server_module
+from repro.service.frontdoor import json_reply
 from repro.workloads.kernel import Kernel
 from repro.workloads.pipeline import Pipeline
 from repro.workloads.tenants import arrival_sequence, synthetic_fleet
@@ -247,6 +249,41 @@ class TestErrorMap:
         assert json.loads(body) == {"error": "internal error: injected router fault"}
         monkeypatch.setattr(routed.app, "health", broken)
         assert _call(routed.port, "GET", "/health")[0] == 500
+
+
+class _CountProbe:
+    """An app that records, when a request is counted, whether any byte of
+    its response had reached the client yet."""
+
+    def __init__(self) -> None:
+        self.client: socket.socket | None = None
+        self.answered_before_count: list[bool] = []
+
+    def http_health(self, request) -> object:
+        return json_reply({"status": "ok"})
+
+    def observe_http(self, method: str, status: int) -> None:
+        # The serving thread is the writer: if the answer is not readable
+        # within the timeout, it was not written before the count.
+        readable, _, _ = select.select([self.client], [], [], 0.5)
+        self.answered_before_count.append(bool(readable))
+
+
+def test_a_request_is_counted_before_its_response_is_written():
+    app = _CountProbe()
+    server, _ = start_server(app)
+    try:
+        with socket.create_connection(server.server_address, timeout=30.0) as client:
+            app.client = client
+            client.sendall(b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+            deadline = time.monotonic() + 30.0
+            while not app.answered_before_count and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert client.recv(65536).startswith(b"HTTP/1.1 200")
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert app.answered_before_count == [False]
 
 
 def _raw_post(port: int, content_length: str | None) -> tuple[int, bytes]:
